@@ -29,10 +29,21 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def sieve_cap() -> int:
+    """The sieve cap from CENSUS_SIEVE_BOUND (unset or empty: the default).
+
+    The value is an integer written either plainly or in float notation
+    ("100000", "1e5").
+    """
     raw = os.environ.get(_SIEVE_ENV)
-    if raw is None:
+    if not raw:
         return DEFAULT_SIEVE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        try:
+            cap = int(float(raw))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{_SIEVE_ENV}={raw!r} is not an integer") from None
     if cap < _INITIAL_SIEVE:
         raise ValueError(f"{_SIEVE_ENV} must be at least {_INITIAL_SIEVE}")
     return cap
@@ -57,9 +68,9 @@ class _SpfSieve:
         for p in range(3, math.isqrt(n) + 1, 2):
             if spf[p] == 0:
                 spf[p * p:: 2 * p][spf[p * p:: 2 * p] == 0] = p
-        odd = np.arange(3, n + 1, 2, dtype=np.uint32)
-        mask = spf[3::2] == 0
-        spf[3::2][mask] = odd[mask]
+        # the odd primes are the odd slots still empty; slot z holds 2z + 3
+        z = np.flatnonzero(spf[3::2] == 0)
+        spf[3::2][z] = 2 * z + 3
         return spf
 
     @property
@@ -332,3 +343,50 @@ def factorize_batch(values: Iterable[int]) -> list[Factorization]:
     if vals:
         _sieve.ensure(max(abs(v) for v in vals if v != 0))
     return [factorize(v) for v in vals]
+
+
+def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per nonzero value n: (rad, part, emax) of its primes p >= 5, as int64 arrays.
+
+    rad is the product of the primes p >= 5 dividing n, part is |n| with its
+    powers of 2 and 3 removed, and emax is the largest v_p(n) over p >= 5
+    (0 when there is none).  Values the SPF table covers as it stands are
+    peeled in bulk, one prime per pass over the still-unfinished values;
+    larger ones go through ``factorize``, so callers size the table first
+    (``ensure_sieve``).
+    """
+    n = np.abs(np.asarray(values, dtype=np.int64))
+    if (n == 0).any():
+        raise ValueError("expected nonzero values")
+    rad = np.ones_like(n)
+    part = np.ones_like(n)
+    emax = np.zeros_like(n)
+    spf = _sieve.array()
+    big = n >= len(spf)
+    for i in np.flatnonzero(big):
+        for p, e in factorize(int(n[i])).factors:
+            if p >= 5:
+                rad[i] *= p
+                part[i] *= p**e
+                emax[i] = max(int(emax[i]), e)
+    idx = np.flatnonzero(~big & (n > 1))
+    rem = n[idx]
+    while idx.size:
+        p = spf[rem].astype(np.int64)
+        rem //= p
+        pe = p.copy()
+        e = np.ones_like(p)
+        hit = np.flatnonzero(rem % p == 0)
+        while hit.size:
+            rem[hit] //= p[hit]
+            pe[hit] *= p[hit]
+            e[hit] += 1
+            hit = hit[rem[hit] % p[hit] == 0]
+        large = p >= 5
+        at = idx[large]
+        rad[at] *= p[large]
+        part[at] *= pe[large]
+        emax[at] = np.maximum(emax[at], e[large])
+        more = rem > 1
+        idx, rem = idx[more], rem[more]
+    return rad, part, emax

@@ -13,9 +13,8 @@ rescaled copies of a smaller pair.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterator, Optional
@@ -27,9 +26,6 @@ from . import local_density
 from .curve_core import (
     CurveParams,
     avg_szpiro,
-    good_reduction_at_2,
-    good_reduction_at_3,
-    in_family,
     in_good_family,
     kodaira_symbol_large_p,
     tate_algorithm,
@@ -156,26 +152,81 @@ def _curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
     return (a, b, abs(b * c), cond, idx6, cubefree), anomalies
 
 
-def _block_records(args) -> tuple[list[Record], list]:
-    Z, a_lo, a_hi, use_family = args
-    mask96 = _family_mask()
-    records: list[Record] = []
-    anomalies: list = []
+def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
+    """(a, b, b (a^2 - 4b)) for a_lo <= a <= a_hi, as int64 arrays sorted by (a, b).
+
+    Only the b in residue classes mod 96 that the family mask allows for a are
+    generated (all b when use_family is off), across every interval of every
+    column at once.
+    """
+    cols, los, his = [], [], []
     for a in range(a_lo, a_hi + 1):
-        t = a * a
         for lo, hi in _b_intervals(a, Z):
-            if hi < lo:
-                continue
-            bs = np.arange(lo, hi + 1, dtype=np.int64)
-            f = bs * (t - 4 * bs)
-            keep = (f != 0) & (np.abs(f) <= Z)
-            if use_family:
-                keep &= mask96[a % 96, bs % 96]
-            for b in bs[keep]:
-                rec, anom = _curve_record(a, int(b))
-                if rec is not None:
-                    records.append(rec)
-                    anomalies.extend(anom)
+            cols.append(a)
+            los.append(lo)
+            his.append(hi)
+    cols = np.array(cols, dtype=np.int64)
+    los = np.array(los, dtype=np.int64)
+    his = np.array(his, dtype=np.int64)
+    if use_family:
+        mod, allowed = 96, _family_mask()[cols % 96]
+    else:
+        mod, allowed = 1, np.ones((len(cols), 1), dtype=bool)
+    iv, r = np.nonzero(allowed)  # (interval, residue) pairs
+    first = los[iv] + (r - los[iv]) % mod
+    count = np.maximum((his[iv] - first) // mod + 1, 0)
+    pair = np.repeat(np.arange(len(iv)), count)
+    step = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    b = first[pair] + mod * step
+    a = cols[iv[pair]]
+    f = b * (a * a - 4 * b)
+    keep = (f != 0) & (np.abs(f) <= Z)
+    a, b, f = a[keep], b[keep], f[keep]
+    order = np.lexsort((b, a))
+    return a[order], b[order], f[order]
+
+
+def _block_records(args) -> tuple[list[Record], list]:
+    """The records of one block of a-columns, equal to ``_curve_record`` on each pair.
+
+    On a minimal pair a prime p >= 5 dividing only one of b, c = a^2 - 4b has
+    conductor exponent 1, and one dividing both has exponent 2 (additive
+    reduction).  So the conductor is rad(b)_{6'} rad(c)_{6'} and the index is
+    |bc|_{6'} over it.  Only pairs with a shared prime go through scalar code:
+    the rescaled-copy skip and the Kodaira symbol at each shared prime.
+    """
+    Z, a_lo, a_hi, use_family = args
+    a, b, f = _block_pairs(Z, a_lo, a_hi, use_family)
+    rad_b, part_b, emax_b = ar.prime_to_6_profile(b)
+    rad_c, part_c, emax_c = ar.prime_to_6_profile(a * a - 4 * b)
+    cond = rad_b * rad_c
+    idx6 = part_b * part_c // cond
+    cubefree = (emax_b <= 2) & (emax_c <= 2)
+    keep = np.ones(len(a), dtype=bool)
+    anomalies: list = []
+    shared = np.gcd(rad_b, rad_c)
+    for i in np.flatnonzero(shared > 1).tolist():
+        ai, bi, g = int(a[i]), int(b[i]), int(shared[i])
+        primes = []
+        while g > 1:  # g is square-free
+            p = ar.smallest_prime_factor(g)
+            primes.append(p)
+            g //= p
+        if any(bi % p**4 == 0 and ai % (p * p) == 0 for p in primes):
+            keep[i] = False
+            continue
+        for p in primes:
+            red = kodaira_symbol_large_p(CurveParams(ai, bi), p)
+            assert red.conductor_exponent == 2, (
+                f"({ai}, {bi}) at p={p}: shared prime with conductor exponent"
+                f" {red.conductor_exponent}, not 2")
+            if red.v_b + red.v_c > 2:
+                cubefree[i] = False
+            tag = str(red.symbol)
+            if tag not in ("III", "I0*", "III*"):
+                anomalies.append((ai, bi, p, tag))
+    rows = (a, b, np.abs(f), cond, idx6, cubefree)
+    records = list(zip(*(col[keep].tolist() for col in rows)))
     return records, anomalies
 
 

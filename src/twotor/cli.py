@@ -155,7 +155,8 @@ def _cmd_classify(args):
         "conductor": cond,
         "index_prime_to_6": cc.index(m, at23="ignore"),
     }
-    if cond > 1:
+    # the ratios divide by the log of the prime-to-6 conductor: it must exceed 1
+    if cond > 2 ** arithmetic.valuation(cond, 2) * 3 ** arithmetic.valuation(cond, 3):
         inv["szpiro_ratio"] = cc.szpiro_ratio(m)
         inv["avg_szpiro"] = cc.avg_szpiro(m)
 
@@ -191,10 +192,9 @@ def _parse_grid(text: Optional[str]) -> Optional[tuple]:
 
 
 def _apply_sieve_env() -> None:
-    bound = os.environ.get("CENSUS_SIEVE_BOUND")
-    if bound:
+    if os.environ.get("CENSUS_SIEVE_BOUND"):
         try:
-            arithmetic.ensure_sieve(int(float(bound)))
+            arithmetic.ensure_sieve(arithmetic.sieve_cap())
         except ValueError as e:
             raise ConfigError(f"bad CENSUS_SIEVE_BOUND: {e}") from None
 
@@ -300,12 +300,13 @@ def _cmd_euler(args):
         family = _FAMILY_NAMES[args.family.lower()]
     except KeyError:
         raise ConfigError(f"unknown family {args.family!r}") from None
-    product, cutoff = local_density.euler_product(family, args.tol)
-    dirichlet, dcutoff = local_density.dirichlet_index_sum(family, args.tol)
-    constant = local_density.mt1_constant(family, tol=args.tol)
+    tol = args.tol if args.tol is not None else local_density._DEFAULT_TOL[family]
+    product, cutoff = local_density.euler_product(family, tol)
+    dirichlet, dcutoff = local_density.dirichlet_index_sum(family, tol)
+    constant = local_density.mt1_constant(family, tol=tol)
     row = {
         "family": family,
-        "tol": args.tol,
+        "tol": tol,
         "euler_product": product,
         "product_cutoff": cutoff,
         "dirichlet_index_sum": dirichlet,
@@ -396,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("euler", help="Euler products and the leading constant")
     p.add_argument("--family", default="condpoly",
                    choices=sorted(_FAMILY_NAMES) + sorted(_FAMILY_NAMES.values()))
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="tail tolerance; default per family (1e-10 condpoly, 0.01 otherwise)")
     p.set_defaults(func=_cmd_euler)
 
     return parser

@@ -127,3 +127,55 @@ def test_primes_up_to():
     ps = ar.primes_up_to(100)
     assert list(ps[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(ps) == 25
+
+
+def brute_spf(n):
+    spf = [0] * (n + 1)
+    for d in range(2, n + 1):
+        if spf[d] == 0:
+            for k in range(d, n + 1, d):
+                if spf[k] == 0:
+                    spf[k] = d
+    return spf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 100, 1001, 4097, 2**16])
+def test_spf_build_matches_brute_force(n):
+    assert ar._SpfSieve._build(n).tolist() == brute_spf(n)
+
+
+def test_sieve_cap_parsing(monkeypatch):
+    monkeypatch.delenv("CENSUS_SIEVE_BOUND", raising=False)
+    assert ar.sieve_cap() == ar.DEFAULT_SIEVE_CAP
+    for raw, cap in (("", ar.DEFAULT_SIEVE_CAP), ("100000", 10**5), ("1e5", 10**5),
+                     ("2.5e6", 2_500_000)):
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", raw)
+        assert ar.sieve_cap() == cap
+    for raw in ("abc", "inf", "nan", "1000"):
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", raw)
+        with pytest.raises(ValueError):
+            ar.sieve_cap()
+
+
+def _profile_by_factorize(n):
+    rad, part, emax = 1, 1, 0
+    for p, e in ar.factorize(n).factors:
+        if p >= 5:
+            rad, part, emax = rad * p, part * p**e, max(emax, e)
+    return rad, part, emax
+
+
+@pytest.mark.parametrize("sieve_limit", [None, 2**16])
+def test_prime_to_6_profile_matches_factorize(monkeypatch, sieve_limit):
+    if sieve_limit is not None:  # a small fresh table, so larger values fall back
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", str(sieve_limit))
+        monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
+    values = list(range(-3000, 0)) + list(range(1, 3000))
+    values += [5**13, -(7**9) * 2**5, 2**40, 3**20 * 11, 999966000289, 10**12 - 11]
+    values += [2**16 + k for k in range(-50, 50)]
+    rad, part, emax = ar.prime_to_6_profile(values)
+    got = list(zip(rad.tolist(), part.tolist(), emax.tolist()))
+    assert got == [_profile_by_factorize(v) for v in values]
+    assert [len(x) for x in ar.prime_to_6_profile([])] == [0, 0, 0]
+    with pytest.raises(ValueError):
+        ar.prime_to_6_profile([5, 0])

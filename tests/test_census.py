@@ -125,6 +125,61 @@ class TestCurveRecords:
         assert rec == (1, 1, 3, 1, 1, True)
 
 
+@pytest.fixture(params=["default sieve", "sieve capped at 65536"])
+def sieve(request, monkeypatch):
+    """The shared SPF table, or a fresh one capped below the region bound."""
+    if request.param != "default sieve":
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "65536")
+        monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
+    return request.param
+
+
+class TestColumnarSweep:
+    def test_matches_scalar_records(self, sieve):
+        # records, their order and the anomaly list, against _curve_record
+        Z = 10**5
+        mask = census._family_mask()
+        want_records, want_anomalies = [], []
+        for c in census.enumerate_region(Z):
+            if mask[c.a % 96, c.b % 96]:
+                rec, anoms = census._curve_record(c.a, c.b)
+                if rec is not None:
+                    want_records.append(rec)
+                    want_anomalies.extend(anoms)
+        records, anomalies = census._census_records(Z)
+        assert want_anomalies and any(not r[5] for r in want_records)
+        assert records == want_records
+        assert anomalies == want_anomalies
+        assert all(type(x) is int for r in records for x in r[:5])
+        assert all(type(r[5]) is bool for r in records)
+
+    def test_all_residues_matches_scalar_records(self):
+        Z = 2000
+        want = [census._curve_record(c.a, c.b)[0] for c in census.enumerate_region(Z)]
+        records, _ = census._census_records(Z, use_family=False)
+        assert records == [r for r in want if r is not None]
+
+    def test_rescaled_copy_skipped_in_block(self):
+        # (75, 1250) = (3 * 5^2, 2 * 5^4) is the rescaled copy of (3, 2)
+        Z, a = 10**6, 75
+        pairs = [(a, b) for lo, hi in census._b_intervals(a, Z) for b in range(lo, hi + 1)
+                 if b * (a * a - 4 * b) != 0]
+        want = [census._curve_record(a, b) for a, b in pairs]
+        records, anomalies = census._block_records((Z, a, a, False))
+        assert records == [rec for rec, _ in want if rec is not None]
+        assert anomalies == [x for _, anoms in want for x in anoms]
+        assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records}
+
+    def test_conductor_ordering_beyond_the_sieve(self, sieve):
+        X, cap = 100, 1000  # the sweep covers |cond poly| <= 1e5
+        report = census.run_census(
+            census.CensusConfig(X=X, order_by="Conductor", index_cap=cap))
+        expected = sum(
+            1 for c in census.enumerate_region(X * cap, filter=in_family)
+            if conductor(c, at23="family") <= X)
+        assert report.counts[-1] == expected == report.total_curves
+
+
 class TestConfigValidation:
     def test_good_config(self):
         census.CensusConfig(X=100)

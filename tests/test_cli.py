@@ -42,6 +42,15 @@ class TestClassify:
         assert code == 0
         assert (doc["invariants"]["minimal_a"], doc["invariants"]["minimal_b"]) == (6, 5)
 
+    @pytest.mark.parametrize("a, b", [(1, -2), (0, -1)])
+    def test_bad_only_at_2_and_3(self, a, b, capsys):
+        # the prime-to-6 conductor is 1, so the Szpiro ratios are undefined
+        code, doc = run_json(capsys, ["classify", str(a), str(b)])
+        assert code == 0
+        assert doc["invariants"]["conductor"] > 1
+        assert "szpiro_ratio" not in doc["invariants"]
+        assert "avg_szpiro" not in doc["invariants"]
+
     def test_singular_rejected(self, capsys):
         assert cli.main(["classify", "2", "1"]) == 2
 
@@ -95,6 +104,16 @@ class TestCensusCommand:
                             lambda n: called.setdefault("n", n))
         assert cli.main(["census", "--x", "100"]) == 0
         assert called["n"] == 10**5
+
+    def test_sieve_env_float_notation(self, monkeypatch, capsys):
+        argv = ["census", "--x", "1e4"]
+        _, plain = run_json(capsys, argv)
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "1e5")
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["report"] == plain["report"]
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "abc")
+        assert cli.main(argv) == 2
 
 
 class TestLocalDensityCommand:
@@ -191,6 +210,13 @@ class TestEulerCommand:
         assert doc["euler"]["mt1_constant"] == pytest.approx(0.2637393, abs=1e-5)
         assert doc["euler"]["euler_product"] == pytest.approx(
             doc["euler"]["dirichlet_index_sum"], abs=1e-7)
+
+    def test_default_tolerance(self, capsys):
+        code, doc = run_json(capsys, ["euler"])
+        assert code == 0
+        assert doc["euler"]["family"] == "CondPoly"
+        assert doc["euler"]["tol"] == local_density._DEFAULT_TOL["CondPoly"]
+        assert doc["euler"]["mt1_constant"] == pytest.approx(0.2637393, abs=1e-6)
 
     def test_unreachable_tolerance(self, capsys):
         assert cli.main(["euler", "--family", "cubefree", "--tol", "1e-12"]) == 2
