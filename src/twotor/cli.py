@@ -138,13 +138,12 @@ def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
 
 
 def _cmd_classify(args):
-    curve = cc.CurveParams(args.a, args.b)
-    m = cc.minimal_pair(curve)
+    red = cc.reduction(cc.CurveParams(args.a, args.b))
+    m = red.minimal
     c4, c6 = cc.c_invariants(m)
-    cond = cc.conductor(m, at23="tate")
     inv = {
-        "a": curve.a,
-        "b": curve.b,
+        "a": args.a,
+        "b": args.b,
         "minimal_a": m.a,
         "minimal_b": m.b,
         "delta": cc.discriminant(m),
@@ -152,29 +151,19 @@ def _cmd_classify(args):
         "c4": c4,
         "c6": c6,
         "in_family": cc.in_family(m),
-        "conductor": cond,
-        "index_prime_to_6": cc.index(m, at23="ignore"),
+        "conductor": red.conductor,
+        "index_prime_to_6": red.index_6,
     }
     # the ratios divide by the log of the prime-to-6 conductor: it must exceed 1
-    if cond > 2 ** arithmetic.valuation(cond, 2) * 3 ** arithmetic.valuation(cond, 3):
-        inv["szpiro_ratio"] = cc.szpiro_ratio(m)
-        inv["avg_szpiro"] = cc.avg_szpiro(m)
+    if red.conductor_6 > 1:
+        inv["szpiro_ratio"] = red.szpiro_ratio()
+        inv["avg_szpiro"] = red.avg_szpiro()
 
-    disc = cc.discriminant(m)
-    bad = [p for p in (2, 3) if disc % p == 0] + cc.bad_primes_large(m)
     header = ["p", "v_a", "v_b", "v_c", "v_disc", "v_disc_min",
               "symbol", "conductor_exponent"]
-    rows = []
-    local = []
-    for p in bad:
-        red = cc.tate_algorithm(m, p) if p < 5 else cc.kodaira_symbol_large_p(m, p)
-        rows.append([red.p, red.v_a, red.v_b, red.v_c, red.v_disc,
-                     red.v_disc_min, str(red.symbol), red.conductor_exponent])
-        local.append({
-            "p": red.p, "v_a": red.v_a, "v_b": red.v_b, "v_c": red.v_c,
-            "v_disc": red.v_disc, "v_disc_min": red.v_disc_min,
-            "symbol": str(red.symbol), "conductor_exponent": red.conductor_exponent,
-        })
+    local = [{k: str(r.symbol) if k == "symbol" else getattr(r, k) for k in header}
+             for r in red.local]
+    rows = [list(row.values()) for row in local]
     return inv, header, rows, {"invariants": inv, "local": local}
 
 
@@ -182,13 +171,21 @@ _FAMILY_NAMES = {"condpoly": "CondPoly", "cubefree": "CubeFree", "kappa": "Kappa
 _ORDER_NAMES = {"condpoly": "CondPoly", "conductor": "Conductor"}
 
 
+def _parse_bound(text: str) -> int:
+    """A height bound >= 1, written 10000 or 1e4."""
+    try:
+        value = int(float(text))
+    except (ValueError, OverflowError):
+        raise ConfigError(f"bad bound {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"bound {text!r} is below 1")
+    return value
+
+
 def _parse_grid(text: Optional[str]) -> Optional[tuple]:
     if text is None:
         return None
-    try:
-        return tuple(int(float(tok)) for tok in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad grid {text!r}: {e}") from None
+    return tuple(_parse_bound(tok) for tok in text.split(","))
 
 
 def _apply_sieve_env() -> None:
@@ -207,7 +204,7 @@ def _cmd_census(args):
     except KeyError as e:
         raise ConfigError(f"unknown name {e.args[0]!r}") from None
     config = census.CensusConfig(
-        X=int(float(args.x)),
+        X=_parse_bound(args.x),
         family=family,
         kappa=args.kappa,
         order_by=order,
@@ -279,7 +276,7 @@ def _cmd_lp(args):
 
 def _cmd_tails(args):
     _apply_sieve_env()
-    grid = _parse_grid(args.grid) or (int(float(args.x)),)
+    grid = _parse_grid(args.grid) or (_parse_bound(args.x),)
     rows = []
     for X in grid:
         if args.kind == "index":
@@ -415,7 +412,7 @@ def main(argv: Optional[list] = None) -> int:
     start = time.perf_counter()
     try:
         scalars, header, rows, payload = args.func(args)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, real_density.QuadratureError) as e:
         print(f"twotor: config error: {e}", file=sys.stderr)
         return 2
     except (AssertionError, cc.ClassificationError) as e:

@@ -11,13 +11,17 @@ Two classifiers are provided and cross-checked against each other:
 
 Conductor exponents come from the Ogg-Saito relation f = v(Delta_min) - m + 1
 where m is the number of components of the special fiber.
+
+reduction(c) runs both at every bad prime of the minimal pair, from one
+factorization each of b and a^2 - 4b; the conductor, the prime-to-6 index,
+|Delta_min| and the Szpiro ratios are read off that record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 from . import arithmetic as ar
 
@@ -161,27 +165,6 @@ def in_good_family(c: CurveParams) -> bool:
 def isogeny(c: CurveParams) -> CurveParams:
     """The 2-isogenous curve (a, b) -> (-2a, a^2 - 4b)."""
     return CurveParams(-2 * c.a, c.a * c.a - 4 * c.b)
-
-
-def is_minimal_at(c: CurveParams, p: int) -> bool:
-    """Model minimality at p >= 5: fails iff p^2 | a and p^4 | b."""
-    return not (c.a % (p * p) == 0 and c.b % (p**4) == 0)
-
-
-def minimal_pair(c: CurveParams) -> CurveParams:
-    """Strip all p >= 5 rescalings (a, b) -> (a/p^2, b/p^4)."""
-    a, b = c.a, c.b
-    changed = True
-    while changed:
-        changed = False
-        for p, e in ar.factorize(b).factors:
-            if p < 5 or e < 4:
-                continue
-            while a % (p * p) == 0 and b % (p**4) == 0:
-                a //= p * p
-                b //= p**4
-                changed = True
-    return CurveParams(a, b)
 
 
 def _vp(n: int, p: int) -> int:
@@ -505,86 +488,92 @@ def tate_algorithm(c: CurveParams, p: int) -> LocalReduction:
 
 
 # ---------------------------------------------------------------------------
-# Conductor, index, Szpiro ratios.
+# One local-reduction pass per curve: conductor, index, Szpiro ratios.
 # ---------------------------------------------------------------------------
 
-At23 = Literal["family", "tate", "ignore"]
 
+@dataclass(frozen=True)
+class Reduction:
+    """Local reduction of E at every bad prime, on the p >= 5-minimal pair.
 
-def bad_primes_large(c: CurveParams) -> list[int]:
-    """Sorted primes p >= 5 dividing Delta (i.e. dividing b or a^2-4b)."""
-    ps = {p for p, _ in ar.factorize(c.b).factors}
-    ps.update(p for p, _ in ar.factorize(c.a * c.a - 4 * c.b).factors)
-    return sorted(p for p in ps if p >= 5)
-
-
-def conductor(c: CurveParams, at23: At23 = "family") -> int:
-    """prod p^{f_p}.  The p >= 5 part always comes from the minimal model.
-
-    at23 = "family": require the congruence predicates at 2 and 3 (exponent 0
-    there by family semantics, true only on in_good_family); "tate": compute
-    f_2, f_3 with the Tate oracle; "ignore": return the p >= 5 part only.
+    local holds one entry per prime dividing Delta, in increasing order: Tate's
+    algorithm at 2 and 3, kodaira_symbol_large_p at p >= 5.  conductor is
+    prod p^f over all of them, conductor_6 and index_6 = |b (a^2-4b)|_{6'} /
+    conductor_6 their p >= 5 parts, and disc_min = prod p^{v_disc_min} is
+    |Delta_min|, minimal at every prime.
     """
-    if at23 == "family":
-        if not in_family(c):
-            raise FamilyMembershipError(f"({c.a}, {c.b}) fails the 2,3 congruence predicates")
-    m = minimal_pair(c)
-    cond = 1
-    for p in bad_primes_large(m):
-        cond *= p ** kodaira_symbol_large_p(m, p).conductor_exponent
-    if at23 == "tate":
-        for p in (2, 3):
-            cond *= p ** tate_algorithm(c, p).conductor_exponent
-    return cond
+
+    minimal: CurveParams
+    local: tuple[LocalReduction, ...]
+    conductor: int
+    conductor_6: int
+    index_6: int
+    disc_min: int
+
+    def szpiro_ratio(self) -> float:
+        """log |Delta_min| / log conductor_6; Delta_min is minimal at every prime.
+
+        The literal 16 b^2 (a^2-4b) is not used: its v_2 is 12 even on family
+        curves with good reduction at 2.
+        """
+        if self.conductor_6 <= 1:
+            raise ValueError("conductor 1: Szpiro ratio undefined (log C = 0)")
+        return math.log(self.disc_min) / math.log(self.conductor_6)
+
+    def avg_szpiro(self) -> float:
+        """(beta_E + beta_phi(E)) / 2, both on minimal discriminants, no further factoring.
+
+        phi(E) = (-2a, c) has b' = c and c' = 16 b: at p >= 5 it is minimal,
+        bad at E's primes, with v_p(Delta) = v_p(b) + 2 v_p(c).  Its model is
+        never 2-minimal; Tate's algorithm gives the minimal valuations at 2
+        and 3.  The conductor is isogeny-invariant.
+        """
+        beta_e = self.szpiro_ratio()
+        phi = isogeny(self.minimal)
+        co = (0, phi.a, 0, phi.b, 0)
+        d = 2 ** tate_on_model(co, 2)[2] * 3 ** tate_on_model(co, 3)[2]
+        for r in self.local:
+            if r.p >= 5:
+                d *= r.p ** (r.v_b + 2 * r.v_c)
+        return (beta_e + math.log(d) / math.log(self.conductor_6)) / 2.0
 
 
-def index(c: CurveParams, at23: At23 = "family") -> int:
-    """|b(a^2-4b)| / conductor; exact divisibility is asserted."""
-    cp = abs(conductor_polynomial(c))
-    cond = conductor(c, at23=at23)
-    q, r = divmod(cp, cond)
-    if r != 0:
-        raise ClassificationError(
-            f"conductor {cond} does not divide |cond poly| {cp} for ({c.a}, {c.b})"
-        )
-    return q
+def reduction(c: CurveParams) -> Reduction:
+    """Strip the p >= 5 rescalings (a, b) -> (a/p^2, b/p^4), classify every bad prime.
 
-
-def _minimal_disc(m: CurveParams) -> int:
-    """|Delta_min| of a pair that is already minimal at every p >= 5.
-
-    The literal |16 b^2 (a^2-4b)| with its 2- and 3-parts cut to the
-    valuations of the minimal discriminant that Tate's algorithm reports.
+    Two factorizations: b, whose exponents drop by 4 per rescaling, and the
+    minimal a^2 - 4b.  2 always divides Delta = 16 b^2 (a^2 - 4b).
     """
-    d = abs(discriminant(m))
-    for p in (2, 3):
-        d //= p ** (_vp(d, p) - tate_on_model((0, m.a, 0, m.b, 0), p)[2])
-    return d
+    a, b = c.a, c.b
+    primes = {2}
+    for p, e in ar.factorize(b).factors:
+        while p >= 5 and e >= 4 and a % (p * p) == 0:
+            a //= p * p
+            b //= p**4
+            e -= 4
+        if e:
+            primes.add(p)
+    primes.update(p for p, _ in ar.factorize(a * a - 4 * b).factors)
+    m = CurveParams(a, b)
+    local = tuple(
+        tate_algorithm(m, p) if p < 5 else kodaira_symbol_large_p(m, p)
+        for p in sorted(primes)
+    )
+    cond = cond_6 = index_6 = disc_min = 1
+    for r in local:
+        cond *= r.p**r.conductor_exponent
+        disc_min *= r.p**r.v_disc_min
+        if r.p >= 5:
+            cond_6 *= r.p**r.conductor_exponent
+            index_6 *= r.p ** (r.v_b + r.v_c - r.conductor_exponent)
+    return Reduction(m, local, cond, cond_6, index_6, disc_min)
 
 
 def szpiro_ratio(c: CurveParams) -> float:
-    """log |Delta_min| / log C with C the p >= 5 conductor of the minimal pair.
-
-    Delta_min is the minimal discriminant at every prime: minimal_pair makes
-    the model minimal at p >= 5, and Tate's algorithm on that pair gives the
-    minimal valuations at 2 and 3.  The literal 16 b^2 (a^2-4b) is not used:
-    its v_2 is 12 even on family curves that have good reduction at 2.
-    Membership at 2, 3 is not required.
-    """
-    m = minimal_pair(c)
-    cond = conductor(m, at23="ignore")
-    if cond <= 1:
-        raise ValueError("conductor 1: Szpiro ratio undefined (log C = 0)")
-    return math.log(_minimal_disc(m)) / math.log(cond)
+    """log |Delta_min| / log C, C the prime-to-6 conductor (Reduction.szpiro_ratio)."""
+    return reduction(c).szpiro_ratio()
 
 
 def avg_szpiro(c: CurveParams) -> float:
-    """(beta_E + beta_phi(E)) / 2, both ratios from szpiro_ratio.
-
-    The isogenous curve phi(E) = E_{-2a, a^2-4b} arrives on a model that is
-    never 2-minimal (Delta = 256 b (a^2-4b)^2); like E, it is measured by its
-    minimal discriminant at every prime, so both sides share one convention.
-    The conductor is isogeny-invariant, so either ratio is defined exactly
-    when the other is.
-    """
-    return (szpiro_ratio(c) + szpiro_ratio(isogeny(c))) / 2.0
+    """(beta_E + beta_phi(E)) / 2 (Reduction.avg_szpiro)."""
+    return reduction(c).avg_szpiro()

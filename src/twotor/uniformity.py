@@ -337,24 +337,23 @@ def exponent_vector(a: int, b: int, X: float) -> ExponentVector:
     curve = cc.CurveParams(a, b)
     if not cc.in_family(curve):
         raise cc.FamilyMembershipError(f"({a}, {b}) fails the 2,3 congruence predicates")
-    m = cc.minimal_pair(curve)
     logX = math.log(X)
     parts = {name: 1 for name in _GAMMA_FIELD.values()}
-    b_mult, c_mult = abs(m.b), abs(m.a * m.a - 4 * m.b)
-    for p in cc.bad_primes_large(m):
-        if m.a % p == 0 and m.b % p == 0:
-            sym = cc.kodaira_symbol_large_p(m, p)
-            name = _GAMMA_FIELD.get(str(sym.symbol))
+    b_mult = c_mult = 1
+    for red in cc.reduction(curve).local:
+        p = red.p
+        if p < 5:
+            continue
+        if red.v_b and red.v_c:  # p | a and p | b: additive
+            name = _GAMMA_FIELD.get(str(red.symbol))
             if name is None:
                 raise DecompositionError(
-                    f"additive type {sym.symbol} at p={p} is outside the III/I0*/III* list"
+                    f"additive type {red.symbol} at p={p} is outside the III/I0*/III* list"
                 )
             parts[name] *= p
-            b_mult //= p ** ar.valuation(b_mult, p)
-            c_mult //= p ** ar.valuation(c_mult, p)
-    for p in (2, 3):
-        b_mult //= p ** ar.valuation(b_mult, p)
-        c_mult //= p ** ar.valuation(c_mult, p)
+        else:
+            b_mult *= p**red.v_b
+            c_mult *= p**red.v_c
     pq1, P1, Q1, _, _ = _repeated_part(b_mult)
     pq2, P2, Q2, _, _ = _repeated_part(c_mult)
     return ExponentVector(

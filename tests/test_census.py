@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twotor import arithmetic as ar
 from twotor import census
 from twotor._constants import PAIR_COUNT_CONST
-from twotor.curve_core import CurveParams, avg_szpiro, conductor, in_family, tate_algorithm
+from twotor.curve_core import CurveParams, avg_szpiro, in_family, reduction, tate_algorithm
 
 
 def brute_region(X):
@@ -176,7 +176,7 @@ class TestColumnarSweep:
             census.CensusConfig(X=X, order_by="Conductor", index_cap=cap))
         expected = sum(
             1 for c in census.enumerate_region(X * cap, filter=in_family)
-            if conductor(c, at23="family") <= X)
+            if reduction(c).conductor_6 <= X)
         assert report.counts[-1] == expected == report.total_curves
 
 
@@ -235,7 +235,7 @@ class TestRunCensus:
         report = census.run_census(cfg)
         expected = 0
         for c in census.enumerate_region(X * 50, filter=in_family):
-            if conductor(c, at23="family") <= X:
+            if reduction(c).conductor_6 <= X:
                 expected += 1
         assert report.counts[-1] == expected == report.total_curves
         assert report.caveat is not None
@@ -248,7 +248,7 @@ class TestRunCensus:
         report = census.run_census(cfg)
         expected = 0
         for c in census.enumerate_region(X * 100, filter=in_family):
-            C = conductor(c, at23="family")
+            C = reduction(c).conductor_6
             if 1 < C <= X and avg_szpiro(c) <= 2.27:
                 expected += 1
         assert expected > 0
@@ -281,7 +281,7 @@ class TestTails:
             fac = [(p, e) for p, e in ar.factorize(cp).factors if p >= 5]
             if any(e > 2 for _, e in fac):
                 continue
-            C = conductor(c, at23="family")
+            C = reduction(c).conductor_6
             if C <= X and _six_part(cp) // C > thr:
                 expected += 1
         assert got == expected
@@ -294,7 +294,7 @@ class TestTails:
         for c in census.enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
             if not all(tate_algorithm(c, p).conductor_exponent == 0 for p in (2, 3)):
                 continue
-            C = conductor(c, at23="family")
+            C = reduction(c).conductor_6
             if 1 < C <= X and 1.75 < avg_szpiro(c) <= 2.25:
                 expected += 1
         assert expected > 0

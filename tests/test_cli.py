@@ -1,5 +1,7 @@
 """Exit codes, report formats, and manifest determinism for the CLI."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -7,7 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twotor import arithmetic
 from twotor import cli
 from twotor import census
 from twotor import local_density
@@ -50,6 +55,24 @@ class TestClassify:
         assert doc["invariants"]["conductor"] > 1
         assert "szpiro_ratio" not in doc["invariants"]
         assert "avg_szpiro" not in doc["invariants"]
+
+    @pytest.mark.parametrize("a, b", [(1, -2), (9, 20)])
+    def test_index_is_prime_to_6(self, a, b, capsys):
+        # |cond poly| = 18 and 20; the prime-to-6 index, as census records it, is 1
+        records, _ = census._census_records(100, use_family=False)
+        assert (a, b, 1) in {(r[0], r[1], r[4]) for r in records}
+        code, doc = run_json(capsys, ["classify", str(a), str(b)])
+        assert code == 0
+        assert doc["invariants"]["index_prime_to_6"] == 1
+
+    def test_two_factorizations(self, monkeypatch, capsys):
+        calls = []
+        factorize = arithmetic.factorize
+        monkeypatch.setattr(arithmetic, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        code, doc = run_json(capsys, ["classify", "123457", "98765432101"])
+        assert code == 0 and "avg_szpiro" in doc["invariants"]
+        assert len(calls) <= 2, calls
 
     def test_singular_rejected(self, capsys):
         assert cli.main(["classify", "2", "1"]) == 2
@@ -150,6 +173,11 @@ class TestRealDensityCommand:
         assert code == 0
         assert doc["area"]["value"] == pytest.approx(11.936352617582644, rel=1e-7)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unreachable_quad_tolerance(self, capsys):
+        assert cli.main(["real-density", "--method", "quad", "--tol", "1e-300"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_mc_deterministic(self, capsys):
         argv = ["real-density", "--method", "mc", "--z", "100",
                 "--samples", "20000", "--seed", "5"]
@@ -232,6 +260,16 @@ class TestPlumbing:
     def test_bad_out_extension(self, capsys):
         assert cli.main(["classify", "5", "5", "--out", "/tmp/x.txt"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["tails", "index", "--x", "0"],
+        ["tails", "index", "--grid", "0,10"],
+        ["tails", "szpiro", "--x", "inf"],
+        ["census", "--x", "inf"],
+        ["census", "--x", "100", "--grid", "0,100"],
+    ])
+    def test_bad_bounds(self, argv, capsys):
+        assert cli.main(argv) == 2
+
     def test_reports_byte_identical_modulo_wall_time(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["census", "--x", "1000", "--grid", "1e2,1e3"]
@@ -267,3 +305,72 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariants"]["delta"] == 2000
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every run ends in a documented exit code, never a traceback.
+# ---------------------------------------------------------------------------
+
+_BAD_WORDS = st.sampled_from(
+    ["", "abc", "1e", "0x1f", "nan", "inf", "-inf", "1e400", "--", "1/0", "-0", "--bogus"])
+
+
+def _word(good):
+    return st.one_of(good, _BAD_WORDS)
+
+
+def _ints(lo, hi):
+    return _word(st.integers(lo, hi).map(str))
+
+
+def _floats(lo, hi):
+    return _word(st.floats(lo, hi).map(repr))
+
+
+def _opt(flag, value):
+    """Either nothing or [flag, value]."""
+    return st.one_of(st.just([]), value.map(lambda v: [flag, v]))
+
+
+def _argv(*parts):
+    """Concatenate word lists drawn from each part."""
+    return st.tuples(*parts).map(lambda ps: [w for p in ps for w in p])
+
+
+def _one(words):
+    return words.map(lambda w: [w])
+
+
+_GRID = _word(st.lists(st.integers(-2, 1000), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs))))
+_FRACTION = _word(st.fractions(-1, 1, max_denominator=200).map(str))
+
+_ARGV = st.one_of(
+    _argv(st.just(["classify"]), _one(_ints(-10**6, 10**6)), _one(_ints(-10**6, 10**6))),
+    _argv(st.just(["lp"]), _opt("--delta", _FRACTION), _opt("--r", _FRACTION)),
+    _argv(st.just(["local-density"]), _opt("--p", _ints(-3, 60)),
+          _opt("--class", st.sampled_from(["Good", "III", "I0*", "III*", "semistable", "II"])),
+          _opt("--k", _ints(-2, 30))),
+    _argv(st.just(["real-density", "--method", "closed"]), _opt("--z", _floats(-10, 1e12))),
+    _argv(st.just(["census"]), _opt("--x", _ints(-5, 1000)),
+          _opt("--family", st.sampled_from(["condpoly", "cubefree", "kappa", "Kappa", "x"])),
+          _opt("--kappa", _floats(0, 3)),
+          _opt("--order-by", st.sampled_from(["condpoly", "conductor", "height"])),
+          _opt("--index-cap", _ints(-1, 100)), _opt("--grid", _GRID)),
+    _argv(st.just(["tails"]), _one(st.sampled_from(["index", "szpiro", "bogus"])),
+          _opt("--x", _ints(-5, 1000)), _opt("--grid", _GRID),
+          _opt("--delta", _floats(-1, 1)), _opt("--theta", _floats(-1, 2)),
+          _opt("--kappa", _floats(0, 3))),
+    st.lists(st.sampled_from(["classify", "census", "lp", "tails", "5", "-x", "--help"]),
+             max_size=4),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=250, deadline=None)
+def test_argv_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

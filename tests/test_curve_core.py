@@ -1,30 +1,29 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twotor import arithmetic as ar
 from twotor import census
 from twotor import local_density as ld
 from twotor.curve_core import (
     CurveParams,
-    FamilyMembershipError,
     KodairaSymbol,
     NonMinimalModelError,
     avg_szpiro,
     c_invariants,
-    conductor,
     conductor_polynomial,
     discriminant,
     good_reduction_at_2,
     good_reduction_at_3,
     in_family,
     in_good_family,
-    index,
     isogeny,
     kodaira_symbol_large_p,
-    minimal_pair,
+    reduction,
     szpiro_ratio,
     tate_algorithm,
     tate_on_model,
@@ -285,35 +284,105 @@ class TestGoodFamily:
 
 class TestConductorIndex:
     def test_family_conductor(self):
-        assert conductor(CurveParams(6, 73)) == 73
-        assert index(CurveParams(6, 73)) == 256
+        assert reduction(CurveParams(6, 73)).conductor_6 == 73
+        # 73 * 256 = |cond poly|; the 2-power is not part of the prime-to-6 index
+        assert reduction(CurveParams(6, 73)).index_6 == 1
 
-    def test_family_rejects_outsiders(self):
-        with pytest.raises(FamilyMembershipError):
-            conductor(CurveParams(5, 5))
-
-    def test_ignore_mode(self):
-        assert conductor(CurveParams(5, 5), at23="ignore") == 25
-        assert index(CurveParams(5, 5), at23="ignore") == 1
-        assert conductor(CurveParams(9, 20), at23="ignore") == 5
-        assert index(CurveParams(9, 20), at23="ignore") == 4
+    def test_prime_to_6_parts(self):
+        assert reduction(CurveParams(5, 5)).conductor_6 == 25
+        assert reduction(CurveParams(5, 5)).index_6 == 1
+        assert reduction(CurveParams(9, 20)).conductor_6 == 5
+        # |cond poly| = 20 = 4 * 5: the prime-to-6 index is 1
+        assert reduction(CurveParams(9, 20)).index_6 == 1
 
     def test_additive_exponent(self):
         # 5 | a and 5 | b: additive at 5
-        assert conductor(CurveParams(5, 25), at23="ignore") == 25
+        assert reduction(CurveParams(5, 25)).conductor_6 == 25
 
-    def test_tate_mode_matches_family_for_member(self):
+    def test_tate_conductor_of_good_family_member(self):
         # member curves need not have f_2 = 0 (the mod-8 clause overcounts);
-        # (6, 73) really is good at 2 and 3, so the modes agree here
-        assert conductor(CurveParams(6, 73), at23="tate") == 73
+        # (6, 73) really is good at 2 and 3, so both conductors agree here
+        assert reduction(CurveParams(6, 73)).conductor == 73
 
     def test_minimal_pair(self):
-        assert minimal_pair(CurveParams(25, 625)) == CurveParams(1, 1)
-        assert minimal_pair(CurveParams(6, 73)) == CurveParams(6, 73)
+        assert reduction(CurveParams(25, 625)).minimal == CurveParams(1, 1)
+        assert reduction(CurveParams(6, 73)).minimal == CurveParams(6, 73)
+        assert reduction(CurveParams(150, 3125)).minimal == CurveParams(6, 5)
 
     def test_conductor_uses_minimal_model(self):
         # (25, 625) is (1, 1) rescaled; (1,1) has good reduction everywhere >= 5
-        assert conductor(CurveParams(25, 625), at23="ignore") == 1
+        assert reduction(CurveParams(25, 625)).conductor_6 == 1
+
+
+def _seeded_curves():
+    """20 curves with |a| <= 1e6 and |b| <= 1e11."""
+    rng = random.Random(20231018)
+    out = []
+    while len(out) < 20:
+        a, b = rng.randint(-10**6, 10**6), rng.randint(-10**11, 10**11)
+        if b != 0 and a * a != 4 * b:
+            out.append(CurveParams(a, b))
+    return out
+
+
+def _oracle_check(c, red):
+    """reduction(c) against Tate's algorithm at every prime dividing Delta."""
+    m = red.minimal
+    cond = 1
+    for p, _ in ar.factorize(discriminant(c)).factors:
+        cond *= p ** tate_algorithm(c, p).conductor_exponent
+    assert red.conductor == cond, (c.a, c.b)
+    primes = [p for p, _ in ar.factorize(discriminant(m)).factors]
+    assert [r.p for r in red.local] == primes
+    for r in red.local:
+        tate = tate_algorithm(m, r.p)
+        assert (r.symbol, r.conductor_exponent, r.v_disc_min) == (
+            tate.symbol, tate.conductor_exponent, tate.v_disc_min), (c.a, c.b, r.p)
+    assert red.conductor_6 == cond // (2 ** ar.valuation(cond, 2) * 3 ** ar.valuation(cond, 3))
+    # |Delta_min|: the literal discriminant with its 2- and 3-parts cut by Tate
+    d = abs(discriminant(m))
+    for p in (2, 3):
+        d //= p ** (ar.valuation(d, p) - tate_on_model((0, m.a, 0, m.b, 0), p)[2])
+    assert red.disc_min == d
+
+
+class TestReduction:
+    def test_census_records_against_oracles(self):
+        records, _ = census._census_records(10**4)
+        assert len(records) > 100
+        for a, b, _, cond_6, index_6, _ in records:
+            c = CurveParams(a, b)
+            red = reduction(c)
+            _oracle_check(c, red)
+            assert (red.conductor_6, red.index_6) == (cond_6, index_6)
+            if cond_6 > 1:
+                phi_ratio = szpiro_ratio(isogeny(c))
+                assert red.avg_szpiro() == (szpiro_ratio(c) + phi_ratio) / 2.0
+
+    def test_large_seeded_curves_against_oracles(self):
+        base = _seeded_curves()
+        copies = [CurveParams(c.a * p * p, c.b * p**4) for c, p in zip(base, (5, 7, 11))]
+        for c, copy in zip(base, copies):
+            assert reduction(copy).minimal == reduction(c).minimal
+        for c in base + copies:
+            red = reduction(c)
+            _oracle_check(c, red)
+            m = red.minimal
+            cp6 = abs(conductor_polynomial(m))
+            cp6 //= 2 ** ar.valuation(cp6, 2) * 3 ** ar.valuation(cp6, 3)
+            assert red.index_6 * red.conductor_6 == cp6
+            if red.conductor_6 > 1:
+                phi_ratio = szpiro_ratio(isogeny(c))
+                assert avg_szpiro(c) == (szpiro_ratio(c) + phi_ratio) / 2.0
+
+    def test_two_factorizations_per_curve(self, monkeypatch):
+        calls = []
+        factorize = ar.factorize
+        monkeypatch.setattr(ar, "factorize", lambda n: calls.append(n) or factorize(n))
+        for c in [CurveParams(123457, 98765432101), CurveParams(150, 3125)]:
+            calls.clear()
+            avg_szpiro(c)
+            assert len(calls) <= 2, (c, calls)
 
 
 class TestIsogeny:
@@ -329,7 +398,7 @@ class TestIsogeny:
     @settings(max_examples=60, deadline=None)
     def test_conductor_invariance(self, c):
         phi = isogeny(c)
-        assert conductor(c, at23="tate") == conductor(phi, at23="tate")
+        assert reduction(c).conductor == reduction(phi).conductor
 
 
 class TestSzpiro:

@@ -65,7 +65,8 @@ class TestQuadricDecomposition:
         found = 0
         for cp in census.enumerate_region(4000):
             cand = 1
-            for p in cc.bad_primes_large(cp):
+            red = cc.reduction(cp)
+            for p in (r.p for r in red.local if r.p >= 5):
                 if cp.a % p == 0 and cp.b % p == 0 and (cp.b // p) % p != 0:
                     cand *= p
             if cand == 1:
@@ -74,8 +75,7 @@ class TestQuadricDecomposition:
                 d = un.decompose_III_curve(cp.a, cp.b, cand)
             except un.DecompositionError:
                 continue
-            idx = cc.index(cp, at23="ignore")
-            assert strip6(abs(d.v1 * d.w1)) == strip6(idx), (cp, d)
+            assert strip6(abs(d.v1 * d.w1)) == red.index_6, (cp, d)
             found += 1
         assert found > 50
 
@@ -318,12 +318,13 @@ class TestExponentVector:
                 v = un.exponent_vector(cp.a, cp.b, X)
             except un.DecompositionError:
                 continue
-            cond = cc.conductor(cp, at23="ignore")
+            red = cc.reduction(cp)
+            cond = red.conductor_6
             lhs = (2 * (v.gamma_I0star + v.gamma_III + v.gamma_IIIstar)
                    + v.alpha1 + v.upsilon + v.alpha2 + v.nu)
             assert lhs == pytest.approx(math.log(cond) / lx, abs=1e-10)
             if cond > 1:
-                m = cc.minimal_pair(cp)
+                m = red.minimal
                 size6 = strip6(abs(m.b * (m.a * m.a - 4 * m.b)))
                 direct = 1.5 * math.log(size6) / math.log(cond)
                 assert avg_szpiro_from_exponents(v) == pytest.approx(direct, abs=1e-9)
@@ -336,7 +337,7 @@ class TestExponentVector:
     def test_conductor_at_most_X_bounds_identity(self):
         X = 500.0
         for cp in census.enumerate_region(500, filter=cc.in_family):
-            if cc.conductor(cp, at23="ignore") > X:
+            if cc.reduction(cp).conductor_6 > X:
                 continue
             try:
                 v = un.exponent_vector(cp.a, cp.b, X)
