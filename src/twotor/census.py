@@ -345,12 +345,15 @@ def run_census(
     if config.family == "CubeFree":
         records = [r for r in records if r[5]]
     key_col = 2 if config.order_by == "CondPoly" else 3
+    kept_szpiro = []  # avg_szpiro of each kept Kappa record, computed once
     if config.family == "Kappa":
         kept = []
         for r in records:
             if r[key_col] <= X and r[3] > 1:
-                if avg_szpiro(CurveParams(r[0], r[1])) <= config.kappa:
+                ratio = avg_szpiro(CurveParams(r[0], r[1]))
+                if ratio <= config.kappa:
                     kept.append(r)
+                    kept_szpiro.append(ratio)
         records = kept
     else:
         records = [r for r in records if r[key_col] <= X]
@@ -358,9 +361,7 @@ def run_census(
     keys = np.sort(np.array([r[key_col] for r in records], dtype=np.int64))
     counts = tuple(int(np.searchsorted(keys, c, side="right")) for c in cutoffs)
 
-    if euler_tol is None:
-        euler_tol = 1e-10 if config.family == "CondPoly" else 0.05
-    const = local_density.mt1_constant(config.family, tol=euler_tol)
+    const = local_density.mt1_constant(config.family, tol=euler_tol)  # None: the default
     predicted = tuple(const * c ** 0.75 for c in cutoffs)
     ratios = tuple(n / p for n, p in zip(counts, predicted))
 
@@ -370,11 +371,7 @@ def run_census(
         tails["index_tail_delta_0.1"] = sum(1 for r in records if r[4] > thr)
     if config.family == "Kappa":
         lo = 1.5 + 0.25
-        tails["szpiro_tail_theta_0.25"] = sum(
-            1
-            for r in records
-            if avg_szpiro(CurveParams(r[0], r[1])) > lo
-        )
+        tails["szpiro_tail_theta_0.25"] = sum(1 for ratio in kept_szpiro if ratio > lo)
 
     overflow = 0
     caveat = None

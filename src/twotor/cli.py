@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +32,7 @@ from . import curve_core as cc
 from . import local_density
 from . import lp_bounds
 from . import real_density
+from ._constants import MT1_PREFACTOR
 
 try:
     _VERSION = metadata.version("artifact")
@@ -182,6 +184,17 @@ def _parse_bound(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """A float that is neither nan nor +-inf: NaN passes every range check."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_grid(text: Optional[str]) -> Optional[tuple]:
     if text is None:
         return None
@@ -300,7 +313,6 @@ def _cmd_euler(args):
     tol = args.tol if args.tol is not None else local_density._DEFAULT_TOL[family]
     product, cutoff = local_density.euler_product(family, tol)
     dirichlet, dcutoff = local_density.dirichlet_index_sum(family, tol)
-    constant = local_density.mt1_constant(family, tol=tol)
     row = {
         "family": family,
         "tol": tol,
@@ -308,7 +320,7 @@ def _cmd_euler(args):
         "product_cutoff": cutoff,
         "dirichlet_index_sum": dirichlet,
         "dirichlet_cutoff": dcutoff,
-        "mt1_constant": constant,
+        "mt1_constant": float(MT1_PREFACTOR) * product,
     }
     return {}, list(row), [list(row.values())], {"euler": row}
 
@@ -347,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="height bound, e.g. 1e6")
     p.add_argument("--family", default="condpoly",
                    choices=sorted(_FAMILY_NAMES) + sorted(_FAMILY_NAMES.values()))
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--kappa", type=_finite_float, default=None)
     p.add_argument("--order-by", default="condpoly", dest="order_by",
                    choices=sorted(_ORDER_NAMES) + sorted(_ORDER_NAMES.values()))
     p.add_argument("--index-cap", type=int, default=10**4, dest="index_cap")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid", help="comma-separated cutoffs, e.g. 1e4,1e5,1e6")
-    p.add_argument("--euler-tol", type=float, default=None, dest="euler_tol")
+    p.add_argument("--euler-tol", type=_finite_float, default=None, dest="euler_tol")
     p.add_argument("--all-residues", action="store_true",
                    help="disable the good-reduction residue filter")
     p.set_defaults(func=_cmd_census)
@@ -368,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_local_density)
 
     p = add("real-density", help="archimedean area constant")
-    p.add_argument("--z", type=float, default=1.0)
+    p.add_argument("--z", type=_finite_float, default=1.0)
     p.add_argument("--method", choices=("closed", "quad", "mc"), default="closed")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_real_density)
@@ -385,17 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("index", "szpiro"))
     p.add_argument("--x", default="1e4", help="height bound (ignored with --grid)")
     p.add_argument("--grid", help="comma-separated bounds, e.g. 1e4,1e5")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--theta", type=float, default=0.25)
-    p.add_argument("--kappa", type=float, default=2.2)
+    p.add_argument("--delta", type=_finite_float, default=0.1)
+    p.add_argument("--theta", type=_finite_float, default=0.25)
+    p.add_argument("--kappa", type=_finite_float, default=2.2)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_tails)
 
     p = add("euler", help="Euler products and the leading constant")
     p.add_argument("--family", default="condpoly",
                    choices=sorted(_FAMILY_NAMES) + sorted(_FAMILY_NAMES.values()))
-    p.add_argument("--tol", type=float, default=None,
-                   help="tail tolerance; default per family (1e-10 condpoly, 0.01 otherwise)")
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="bound on |log(computed/true product)|; default 1e-12")
     p.set_defaults(func=_cmd_euler)
 
     return parser

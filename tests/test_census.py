@@ -255,6 +255,28 @@ class TestRunCensus:
         assert report.counts[-1] == expected == report.total_curves
         assert "szpiro_tail_theta_0.25" in report.tails
 
+    def test_kappa_avg_szpiro_once_per_window_curve(self, monkeypatch):
+        X, cap = 10**4, 100
+        calls = []
+
+        def counting(c):
+            calls.append((c.a, c.b))
+            return avg_szpiro(c)
+
+        monkeypatch.setattr(census, "avg_szpiro", counting)
+        cfg = census.CensusConfig(
+            X=X, family="Kappa", kappa=2.2, order_by="Conductor", index_cap=cap
+        )
+        report = census.run_census(cfg)
+        records, _ = census._census_records(X * cap)
+        window = sum(1 for r in records if 1 < r[3] <= X)
+        assert 0 < report.total_curves < window
+        assert len(calls) <= window
+        assert len(set(calls)) == len(calls)
+        ratios = [avg_szpiro(CurveParams(*c)) for c in calls]
+        assert report.tails["szpiro_tail_theta_0.25"] == sum(
+            1 for r in ratios if 1.5 + 0.25 < r <= 2.2)
+
     def test_workers_do_not_change_report(self):
         X = 600
         r1 = census.run_census(census.CensusConfig(X=X, workers=1))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -247,7 +248,19 @@ class TestEulerCommand:
         assert doc["euler"]["mt1_constant"] == pytest.approx(0.2637393, abs=1e-6)
 
     def test_unreachable_tolerance(self, capsys):
-        assert cli.main(["euler", "--family", "cubefree", "--tol", "1e-12"]) == 2
+        for family in ("condpoly", "cubefree", "kappa"):
+            code, doc = run_json(capsys, ["euler", "--family", family, "--tol", "1e-12"])
+            assert code == 0
+            assert doc["euler"]["product_cutoff"] <= 10**4
+            assert cli.main(["euler", "--family", family, "--tol", "1e-20"]) == 2
+
+    def test_constant_is_prefactor_times_product(self, capsys):
+        code, doc = run_json(capsys, ["euler", "--family", "kappa"])
+        assert code == 0
+        row = doc["euler"]
+        assert row["tol"] == 1e-12
+        assert row["mt1_constant"] == local_density.mt1_constant("Kappa")
+        assert row["dirichlet_index_sum"] == pytest.approx(row["euler_product"], rel=1e-14)
 
 
 class TestPlumbing:
@@ -269,6 +282,21 @@ class TestPlumbing:
     ])
     def test_bad_bounds(self, argv, capsys):
         assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--tol"],
+        ["census", "--x", "100", "--euler-tol"],
+        ["census", "--x", "100", "--family", "kappa", "--kappa"],
+        ["tails", "szpiro", "--x", "1e3", "--theta"],
+        ["tails", "szpiro", "--x", "1e3", "--kappa"],
+        ["tails", "index", "--x", "1e3", "--delta"],
+        ["real-density", "--z"],
+        ["real-density", "--method", "quad", "--tol"],
+    ])
+    def test_non_finite_floats_rejected(self, argv, bad, capsys):
+        assert cli.main(argv + [bad]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_reports_byte_identical_modulo_wall_time(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -361,9 +389,17 @@ _ARGV = st.one_of(
           _opt("--x", _ints(-5, 1000)), _opt("--grid", _GRID),
           _opt("--delta", _floats(-1, 1)), _opt("--theta", _floats(-1, 2)),
           _opt("--kappa", _floats(0, 3))),
+    _argv(st.just(["euler"]),
+          _opt("--family", st.sampled_from(["condpoly", "cubefree", "kappa", "Kappa", "x"])),
+          _opt("--tol", _word(st.one_of(st.floats(1e-12, 0.5), st.sampled_from(
+              [math.nan, math.inf, -math.inf])).map(repr)))),
     st.lists(st.sampled_from(["classify", "census", "lp", "tails", "5", "-x", "--help"]),
              max_size=4),
 )
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @given(_ARGV)
@@ -374,3 +410,5 @@ def test_argv_fuzz_exit_codes(argv):
         code = cli.main(argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "--help" not in argv:
+        json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -16,6 +16,19 @@ from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 F = Fraction
 
 
+def _truncated_oracle(family, P):
+    """(t, b): the plain float64 product over 5 <= p <= P, by the closed forms
+    of the factors, and the bound b on the log of what it leaves out."""
+    p = ar.primes_up_to(P)
+    p = p[p >= 5].astype(np.float64)
+    if family == "CubeFree":
+        f = 1 - (2 * p - 1) / p**3 + 2 * (p - 1) ** 2 * p**-3.25
+    else:
+        q = p**0.25
+        f = 1 - p**-2 + (p - 1) * p**-2.5 + 2 * (p - 1) ** 2 / (p**3 * (q - 1))
+    return math.exp(math.fsum(np.log(f))), ld._tail_bound(family, P)
+
+
 def _vp(n: int, p: int) -> int:
     v = 0
     while n != 0 and n % p == 0:
@@ -220,14 +233,17 @@ class TestEulerProducts:
         assert P < 10**4
 
     def test_self_consistency_cubefree(self):
-        value, P = ld.euler_product("CubeFree", 0.05)
-        extended = ld._product_up_to("CubeFree", 2 * P)
-        assert abs(extended - value) < 0.05
+        t, b = _truncated_oracle("CubeFree", 10**6)
+        for tol in (0.05, 1e-12):
+            value, _ = ld.euler_product("CubeFree", tol)
+            assert t * math.exp(-b) <= value <= t * math.exp(b)
 
     def test_tolerance_unreachable(self):
-        for family in ("CubeFree", "Kappa"):
+        for family in ld.FAMILIES:
+            value, P = ld.euler_product(family, 1e-12)
+            assert value > 0 and P <= 10**4
             with pytest.raises(ld.ToleranceUnreachable):
-                ld.euler_product(family, 1e-6)
+                ld.euler_product(family, 1e-20)
 
     def test_condpoly_tiny_tolerance_ok(self):
         value, _ = ld.euler_product("CondPoly", 1e-12)
@@ -246,7 +262,7 @@ class TestEulerProducts:
 
 class TestLeadingConstants:
     def test_condpoly_constant(self):
-        value, _ = ld.euler_product("CondPoly", 1e-10)
+        value, _ = ld.euler_product("CondPoly", ld._DEFAULT_TOL["CondPoly"])
         expected = float(MT1_PREFACTOR) * value
         assert math.isclose(ld.mt1_constant("CondPoly"), expected, rel_tol=1e-12)
         assert math.isclose(ld.mt1_constant("CondPoly"), 0.2637393, abs_tol=2e-6)
@@ -257,3 +273,83 @@ class TestLeadingConstants:
         c2 = ld.mt1_constant("CubeFree", tol=tol)
         c3 = ld.mt1_constant("Kappa", tol=tol)
         assert c1 < c2 < c3
+
+
+class TestZetaFactored:
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_exponents_reproduce_series(self, family):
+        K = 40
+        e = ld._exponents(family, K)
+        assert e[1:5] == [0, 0, 0, 0]
+        prod = [1] + [0] * K
+        for k in range(1, K + 1):
+            # (1 - x^k)^{-e}: coefficient of x^{km} is binom(e + m - 1, m)
+            series, coeff = [1] + [0] * K, 1
+            for m in range(1, K // k + 1):
+                coeff = coeff * (e[k] + m - 1) // m
+                series[k * m] = coeff
+            prod = [sum(prod[i] * series[n - i] for i in range(n + 1)) for n in range(K + 1)]
+        coeffs = ld._SERIES[family]
+        assert prod == [coeffs.get(n, 0) for n in range(K + 1)]
+
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_series_is_the_euler_factor(self, family):
+        for p in [5, 7, 11, 13, 97, 101]:
+            value = ld.Q4.rational(p, 0)
+            for j, c in ld._SERIES[family].items():
+                m = -(-j // 4)  # x^j = q^{-j} = q^{4m - j} / p^m
+                value = value + ld.Q4.q_power(p, 4 * m - j) * F(c, p**m)
+            assert value == ld.euler_factor_q4(p, family)
+
+    def test_condpoly_is_inverse_zeta6(self):
+        zeta6 = math.pi**6 / 945
+        oracle = (1 / zeta6) / ((1 - 2.0**-6) * (1 - 3.0**-6))
+        for tol in (1e-12, None):
+            value, _ = ld.euler_product("CondPoly", tol or ld._DEFAULT_TOL["CondPoly"])
+            assert abs(value - oracle) < 1e-14
+
+    @pytest.mark.parametrize("family", ["CubeFree", "Kappa"])
+    def test_inside_truncated_product_bracket(self, family):
+        t, b = _truncated_oracle(family, 10**6)
+        value, _ = ld.euler_product(family, 1e-12)
+        assert t * math.exp(-b) <= value <= t * math.exp(b)
+
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_tolerances_within_reported_bound(self, family):
+        def bound(tol):
+            P, K = ld._tail_cutoff(family, tol)
+            e = ld._exponents(family, K)
+            out = ld._remainder_bound(family, e, K, P)
+            out += ld._rounding_bound(len(ld._head_primes(P)))
+            assert out <= tol
+            return out
+
+        ref, _ = ld.euler_product(family, 1e-14)
+        for tol in (1e-2, 1e-6, 1e-12):
+            value, _ = ld.euler_product(family, tol)
+            assert abs(math.log(value / ref)) <= bound(tol) + bound(1e-14)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            ld._tail_cutoff("CubeFree", tol)
+        with pytest.raises(ValueError):
+            ld.euler_product("Kappa", tol)
+
+    def test_small_primes_and_no_sieve_growth(self, monkeypatch, capsys):
+        from twotor import cli
+
+        asked = []
+        real = ar.primes_up_to
+
+        def recording(n):
+            asked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(ar, "primes_up_to", recording)
+        ld._zeta_tail.cache_clear()
+        limit = ar._sieve.limit
+        for family in ("condpoly", "cubefree", "kappa"):
+            assert cli.main(["euler", "--family", family, "--tol", "1e-12"]) == 0
+        assert asked and max(asked) <= 10**5
+        assert ar._sieve.limit == limit
