@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +22,10 @@ _SIEVE_ENV = "CENSUS_SIEVE_BOUND"
 
 # Initial sieve size. Small so importing the package stays cheap; grows on demand.
 _INITIAL_SIEVE = 1 << 16
+
+# Sieve entries built at a time: 4 MiB of uint32, so a segment stays in cache
+# while every base prime writes to it.
+_SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,6 +52,18 @@ def sieve_cap() -> int:
     return cap
 
 
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array (plain Eratosthenes, not the SPF table)."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    is_p = np.ones(n + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_p[p]:
+            is_p[p * p:: p] = False
+    return np.nonzero(is_p)[0].astype(np.int64)
+
+
 class _SpfSieve:
     """Lazily grown smallest-prime-factor table.
 
@@ -62,15 +77,26 @@ class _SpfSieve:
 
     @staticmethod
     def _build(limit: int) -> np.ndarray:
+        """spf[0..limit], built one cache-sized segment of _SEGMENT entries at a time.
+
+        A segment's odd slots start as themselves; then each odd prime
+        p <= sqrt(limit), largest first, writes p over its odd multiples from
+        p^2 on.  The smallest prime factor writes last, so no write has to
+        read the slot first.
+        """
         spf = np.zeros(limit + 1, dtype=np.uint32)
         spf[2::2] = 2
-        n = limit
-        for p in range(3, math.isqrt(n) + 1, 2):
-            if spf[p] == 0:
-                spf[p * p:: 2 * p][spf[p * p:: 2 * p] == 0] = p
-        # the odd primes are the odd slots still empty; slot z holds 2z + 3
-        z = np.flatnonzero(spf[3::2] == 0)
-        spf[3::2][z] = 2 * z + 3
+        primes = primes_up_to(math.isqrt(limit))[1:]  # odd primes, ascending
+        for lo in range(0, limit + 1, _SEGMENT):  # lo is even
+            hi = min(lo + _SEGMENT, limit + 1)
+            seg = spf[lo:hi]
+            seg[1::2] = np.arange(lo + 1, hi, 2, dtype=np.uint32)
+            p = primes[: np.searchsorted(primes * primes, hi)]
+            start = np.maximum(p * p, (lo + p - 1) // p * p)
+            start += p * (start % 2 == 0)  # first odd multiple
+            for q, s in zip(p[::-1].tolist(), (start - lo)[::-1].tolist()):
+                seg[s:: 2 * q] = q
+        spf[1] = 0
         return spf
 
     @property
@@ -119,18 +145,6 @@ def smallest_prime_factor(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain Eratosthenes, not the SPF table)."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_p[p]:
-            is_p[p * p:: p] = False
-    return np.nonzero(is_p)[0].astype(np.int64)
-
-
 _TRIAL_PRIMES: np.ndarray | None = None
 
 
@@ -144,9 +158,15 @@ def _trial_primes() -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24; trust the witness set."""
+    """spf[n] == n where the SPF table covers n (it always covers n <= 2^16).
+
+    Above the table, Miller-Rabin with the fixed witness set, deterministic
+    for n < 3.3e24.
+    """
     if n < 2:
         return False
+    if n <= _sieve.limit:
+        return _sieve.spf(n) == n
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -335,14 +355,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def factorize_batch(values: Iterable[int]) -> list[Factorization]:
-    """Factor many values; pre-grows the sieve once to cover the max."""
-    vals = list(values)
-    if vals:
-        _sieve.ensure(max(abs(v) for v in vals if v != 0))
-    return [factorize(v) for v in vals]
 
 
 def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

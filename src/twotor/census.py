@@ -1,9 +1,15 @@
 """Enumeration of family curves by conductor-polynomial size.
 
-The region |b (a^2 - 4b)| <= Z is swept one a-column at a time; per column the
-admissible b form one interval, or two once a^4 > 16 Z opens a hole around
-b = a^2/4.  Interval ends come from integer square roots and are then nudged
-against the exact predicate, so no float ever decides membership.
+The region |b (a^2 - 4b)| <= Z is swept in blocks of a-columns; per column
+the admissible b form one interval, or two once a^4 > 16 Z opens a hole
+around b = a^2/4.  The interval ends of a whole block are estimated in
+float64 and then decided exactly by vectorized int64 nudge passes over
+b (a^2 - 4b), which never form a^4; so no float decides membership, up to
+Z = _MAX_Z.
+
+A sweep returns one record table, a numpy structured array (``RECORD_DTYPE``).
+The census counts, both tails and the Kappa filter read its columns, and a
+tails grid is served by one sweep at its largest X.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -16,8 +22,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Callable, Iterator, Optional
+from math import isqrt, sqrt
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from . import local_density
 from .curve_core import (
     CurveParams,
     avg_szpiro,
-    in_good_family,
     kodaira_symbol_large_p,
     tate_algorithm,
 )
@@ -35,6 +40,19 @@ KAPPA_MAX = Fraction(155, 68)
 TAIL_INDEX_CAP = 100
 _MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
 _BLOCK = 1024  # a-values per worker block; fixed so merges are worker-count independent
+_NUDGE = 8  # steps an estimated interval end may move in each direction
+
+# One row per minimal curve: |cond poly|, the prime-to-6 conductor and index,
+# the cube-free flag, and good_23 = ``curve_core.in_good_family``.
+RECORD_DTYPE = np.dtype([
+    ("a", np.int64),
+    ("b", np.int64),
+    ("cond_poly", np.int64),
+    ("conductor", np.int64),
+    ("index_6", np.int64),
+    ("cubefree", np.bool_),
+    ("good_23", np.bool_),
+])
 
 _family_mask_cache: Optional[np.ndarray] = None
 
@@ -50,106 +68,78 @@ def _family_mask() -> np.ndarray:
     return _family_mask_cache
 
 
-def _nudge_down(f: Callable[[int], bool], b: int) -> int:
-    """Largest b' <= b + 3 with f true, assuming f true somewhere <= b + 3."""
-    for _ in range(8):
-        if f(b + 1):
-            b += 1
-        else:
+def _good_23(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``curve_core.in_good_family`` on int64 columns: mod 96, then b mod 128."""
+    at_2 = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
+    return _family_mask()[a % 96, b % 96] & at_2
+
+
+def _nudge(f, b: np.ndarray, step: int) -> np.ndarray:
+    """Exact interval ends from estimates b, for a whole array at once.
+
+    With step = +1 each entry moves up while f holds one step further, then
+    down until f holds: the top end of f's interval, given an estimate
+    within the budget.  step = -1 gives the bottom end.  Each walk takes at
+    most _NUDGE steps.
+    """
+    b = b.copy()
+    move = np.ones(len(b), dtype=bool)
+    for _ in range(_NUDGE):
+        move &= f(b + step)
+        if not move.any():
             break
-    for _ in range(8):
-        if f(b):
-            return b
-        b -= 1
-    raise AssertionError("interval endpoint drifted by more than the nudge budget")
-
-
-def _nudge_up(f: Callable[[int], bool], b: int) -> int:
-    for _ in range(8):
-        if f(b - 1):
-            b -= 1
-        else:
+        b += step * move
+    hold = f(b)
+    for _ in range(_NUDGE - 1):
+        if hold.all():
             break
-    for _ in range(8):
-        if f(b):
-            return b
-        b += 1
-    raise AssertionError("interval endpoint drifted by more than the nudge budget")
+        b -= step * ~hold
+        hold = f(b)
+    if not hold.all():
+        raise AssertionError("interval endpoint drifted by more than the nudge budget")
+    return b
 
 
-def _b_intervals(a: int, Z: int) -> list[tuple[int, int]]:
-    """Closed b-intervals with |b (a^2 - 4b)| <= Z (b = 0 not yet excluded)."""
+def _block_intervals(a: np.ndarray, Z: int):
+    """Closed b-intervals with |b (a^2 - 4b)| <= Z (b = 0 not yet excluded).
+
+    Returns int64 arrays (column, lo, hi), one entry per interval, in column
+    order with a column's left interval first.  With t = a^2 the outer ends
+    are the roots of b (t - 4b) = -Z and the hole's ends those of
+    b (t - 4b) = Z; float64 puts each root within a unit and the nudges
+    decide it on the exact predicate.
+    """
     t = a * a
-    in_outer = lambda b: b * (t - 4 * b) >= -Z  # down parabola: >= -Z between roots
-    below_cap = lambda b: b * (t - 4 * b) <= Z
-    dp = isqrt(t * t + 16 * Z)
-    hi = _nudge_down(in_outer, (t + dp) // 8)
-    lo = _nudge_up(in_outer, -((dp - t) // 8))
-    if t * t <= 16 * Z:
-        return [(lo, hi)]
-    dm = isqrt(t * t - 16 * Z)
-    left_end = _nudge_down(below_cap, (t - dm) // 8)
-    right_start = _nudge_up(below_cap, (t + dm) // 8 + 1)
-    if right_start <= left_end:  # hole holds no integer; keep one interval
-        return [(lo, hi)]
-    return [(lo, left_end), (right_start, hi)]
+    tf = t.astype(np.float64)
 
+    def in_outer(t):
+        return lambda b: b * (t - 4 * b) >= -Z  # down parabola: >= -Z between roots
 
-def enumerate_region(
-    X: int, filter: Optional[Callable[[CurveParams], bool]] = None
-) -> Iterator[CurveParams]:
-    """All (a, b) with 0 < |b (a^2 - 4b)| <= X, a ascending then b ascending."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    if X > _MAX_Z:
-        raise ValueError(f"X beyond the int64-safe bound {_MAX_Z}")
-    A = isqrt(4 * X + 1)
-    for a in range(-A, A + 1):
-        t = a * a
-        for lo, hi in _b_intervals(a, X):
-            for b in range(lo, hi + 1):
-                v = b * (t - 4 * b)
-                if v == 0 or abs(v) > X:
-                    continue
-                c = CurveParams(a, b)
-                if filter is None or filter(c):
-                    yield c
+    def below_cap(t):
+        return lambda b: b * (t - 4 * b) <= Z
+
+    dp = np.sqrt(tf * tf + 16.0 * Z)
+    hi = _nudge(in_outer(t), np.floor((tf + dp) / 8).astype(np.int64), 1)
+    lo = _nudge(in_outer(t), -np.floor((dp - tf) / 8).astype(np.int64), -1)
+    cut = np.flatnonzero(t > isqrt(16 * Z))  # t^2 > 16 Z, decided without forming t^2
+    th, thf, r = t[cut], tf[cut], 4.0 * sqrt(Z)
+    dm = np.sqrt(np.maximum((thf - r) * (thf + r), 0.0))
+    left_end = _nudge(below_cap(th), np.floor((thf - dm) / 8).astype(np.int64), 1)
+    right_start = _nudge(below_cap(th), np.floor((thf + dm) / 8).astype(np.int64) + 1, -1)
+    two = right_start > left_end  # otherwise the hole holds no integer: one interval
+    cut = cut[two]
+    count = np.ones(len(a), dtype=np.int64)
+    count[cut] = 2
+    first = np.cumsum(count)[cut] - 2  # each split column's left interval
+    cols, los, his = (np.repeat(x, count) for x in (a, lo, hi))
+    his[first] = left_end[two]
+    los[first + 1] = right_start[two]
+    return cols, los, his
 
 
 # ---------------------------------------------------------------------------
 # Census pipeline.
 # ---------------------------------------------------------------------------
-
-# per-curve record: (a, b, |cond poly|, conductor, prime-to-6 index, cube-free flag)
-Record = tuple[int, int, int, int, int, bool]
-
-
-def _curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
-    """Classify one curve at all p >= 5; None when the pair is a rescaled copy."""
-    c = a * a - 4 * b
-    vb = {p: e for p, e in ar.factorize(b).factors if p >= 5}
-    vc = {p: e for p, e in ar.factorize(c).factors if p >= 5}
-    for p, e in vb.items():
-        if e >= 4 and a % (p * p) == 0:
-            return None, []
-    cond = 1
-    idx6 = 1
-    cubefree = True
-    anomalies = []
-    for p in sorted(set(vb) | set(vc)):
-        eb, ec = vb.get(p, 0), vc.get(p, 0)
-        if eb and ec:
-            red = kodaira_symbol_large_p(CurveParams(a, b), p)
-            f = red.conductor_exponent
-            tag = str(red.symbol)
-            if tag not in ("III", "I0*", "III*"):
-                anomalies.append((a, b, p, tag))
-        else:
-            f = 1
-        cond *= p**f
-        idx6 *= p ** (eb + ec - f)
-        cubefree &= eb + ec <= 2
-    return (a, b, abs(b * c), cond, idx6, cubefree), anomalies
 
 
 def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
@@ -159,15 +149,7 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
     generated (all b when use_family is off), across every interval of every
     column at once.
     """
-    cols, los, his = [], [], []
-    for a in range(a_lo, a_hi + 1):
-        for lo, hi in _b_intervals(a, Z):
-            cols.append(a)
-            los.append(lo)
-            his.append(hi)
-    cols = np.array(cols, dtype=np.int64)
-    los = np.array(los, dtype=np.int64)
-    his = np.array(his, dtype=np.int64)
+    cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
     if use_family:
         mod, allowed = 96, _family_mask()[cols % 96]
     else:
@@ -186,8 +168,8 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
     return a[order], b[order], f[order]
 
 
-def _block_records(args) -> tuple[list[Record], list]:
-    """The records of one block of a-columns, equal to ``_curve_record`` on each pair.
+def _block_records(args) -> tuple[np.ndarray, list]:
+    """The records of one block of a-columns, as a ``RECORD_DTYPE`` array.
 
     On a minimal pair a prime p >= 5 dividing only one of b, c = a^2 - 4b has
     conductor exponent 1, and one dividing both has exponent 2 (additive
@@ -225,13 +207,20 @@ def _block_records(args) -> tuple[list[Record], list]:
             tag = str(red.symbol)
             if tag not in ("III", "I0*", "III*"):
                 anomalies.append((ai, bi, p, tag))
-    rows = (a, b, np.abs(f), cond, idx6, cubefree)
-    records = list(zip(*(col[keep].tolist() for col in rows)))
+    records = np.empty(np.count_nonzero(keep), dtype=RECORD_DTYPE)
+    columns = (a, b, np.abs(f), cond, idx6, cubefree, _good_23(a, b))
+    for name, col in zip(RECORD_DTYPE.names, columns):
+        records[name] = col[keep]
     return records, anomalies
 
 
 def _census_records(Z: int, workers: int = 1, use_family: bool = True):
-    """All minimal (family) curves with |cond poly| <= Z, in deterministic order."""
+    """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
+
+    Returns the ``RECORD_DTYPE`` table, sorted by (a, b), and the list of
+    (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
+    {III, I0*, III*}.
+    """
     if Z > _MAX_Z:
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
     ar.ensure_sieve(Z)  # build once here; forked workers inherit the table
@@ -240,7 +229,7 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
         (Z, a_lo, min(a_lo + _BLOCK - 1, A), use_family)
         for a_lo in range(-A, A + 1, _BLOCK)
     ]
-    records: list[Record] = []
+    parts: list[np.ndarray] = []
     anomalies: list = []
     if workers <= 1:
         results = map(_block_records, blocks)
@@ -248,11 +237,11 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
         pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(_block_records, blocks)
     for recs, anoms in results:
-        records.extend(recs)
+        parts.append(recs)
         anomalies.extend(anoms)
     if workers > 1:
         pool.shutdown()
-    return records, anomalies
+    return np.concatenate(parts), anomalies
 
 
 @dataclass(frozen=True)
@@ -306,19 +295,19 @@ def _default_cutoffs(X: int) -> tuple:
     return tuple(cuts)
 
 
-def _sampled_tate_check(rows: list[Record], sample_cap: int = 200) -> dict:
+def _sampled_tate_check(records: np.ndarray, sample_cap: int = 200) -> dict:
     """Run the 2,3 oracle on a deterministic subsample of counted curves.
 
     The mod-96 predicate is exact at 3 but provably overcounts at 2 for the
     odd-b clause, so a nonzero mismatch count at 2 is expected and reported,
     not hidden.
     """
-    if not rows:
+    if not len(records):
         return {"sample_size": 0, "bad_at_2": 0, "bad_at_3": 0}
-    step = max(1, len(rows) // sample_cap)
-    sample = rows[::step][:sample_cap]
+    step = max(1, len(records) // sample_cap)
+    sample = records[::step][:sample_cap]
     bad2 = bad3 = 0
-    for a, b, *_ in sample:
+    for a, b in zip(sample["a"].tolist(), sample["b"].tolist()):
         c = CurveParams(a, b)
         if tate_algorithm(c, 2).conductor_exponent != 0:
             bad2 += 1
@@ -343,22 +332,24 @@ def run_census(
     )
 
     if config.family == "CubeFree":
-        records = [r for r in records if r[5]]
-    key_col = 2 if config.order_by == "CondPoly" else 3
+        records = records[records["cubefree"]]
+    key = "cond_poly" if config.order_by == "CondPoly" else "conductor"
+    window = records[key] <= X
     kept_szpiro = []  # avg_szpiro of each kept Kappa record, computed once
     if config.family == "Kappa":
+        rows = np.flatnonzero(window & (records["conductor"] > 1))
         kept = []
-        for r in records:
-            if r[key_col] <= X and r[3] > 1:
-                ratio = avg_szpiro(CurveParams(r[0], r[1]))
-                if ratio <= config.kappa:
-                    kept.append(r)
-                    kept_szpiro.append(ratio)
-        records = kept
+        for i, a, b in zip(rows.tolist(), records["a"][rows].tolist(),
+                           records["b"][rows].tolist()):
+            ratio = avg_szpiro(CurveParams(a, b))
+            if ratio <= config.kappa:
+                kept.append(i)
+                kept_szpiro.append(ratio)
+        records = records[np.array(kept, dtype=np.intp)]
     else:
-        records = [r for r in records if r[key_col] <= X]
+        records = records[window]
 
-    keys = np.sort(np.array([r[key_col] for r in records], dtype=np.int64))
+    keys = np.sort(records[key])
     counts = tuple(int(np.searchsorted(keys, c, side="right")) for c in cutoffs)
 
     const = local_density.mt1_constant(config.family, tol=euler_tol)  # None: the default
@@ -368,7 +359,7 @@ def run_census(
     tails = {}
     if config.family == "CubeFree":
         thr = X**0.2
-        tails["index_tail_delta_0.1"] = sum(1 for r in records if r[4] > thr)
+        tails["index_tail_delta_0.1"] = int(np.count_nonzero(records["index_6"] > thr))
     if config.family == "Kappa":
         lo = 1.5 + 0.25
         tails["szpiro_tail_theta_0.25"] = sum(1 for ratio in kept_szpiro if ratio > lo)
@@ -376,7 +367,7 @@ def run_census(
     overflow = 0
     caveat = None
     if config.order_by == "Conductor":
-        overflow = sum(1 for r in records if r[4] > config.index_cap)
+        overflow = int(np.count_nonzero(records["index_6"] > config.index_cap))
         caveat = (
             f"conductor ordering sees only |cond poly| <= {Z}; curves of conductor"
             f" <= {X} with index beyond {config.index_cap} * (X/C) are invisible"
@@ -406,6 +397,56 @@ def run_census(
 # ---------------------------------------------------------------------------
 
 
+# A tails grid is served by one sweep at |cond poly| <= 100 max(grid): a
+# record depends on (a, b) alone, so that sweep's rows with |cond poly| <= 100 X
+# are the sweep at 100 X.
+
+
+def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
+    """``tail_count_index`` for every X in grid, in grid order, from one sweep."""
+    if not 0 < delta < 0.5:
+        raise ValueError("need 0 < delta < 1/2")
+    grid = tuple(grid)
+    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
+    records = records[records["cubefree"]]
+    return [
+        int(np.count_nonzero(
+            (records["cond_poly"] <= X * TAIL_INDEX_CAP)
+            & (records["conductor"] <= X)
+            & (records["index_6"] > X ** (2 * delta))))
+        for X in grid
+    ]
+
+
+def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> list[int]:
+    """``tail_count_szpiro`` for every X in grid, in grid order, from one sweep.
+
+    On a curve with good reduction at 2 and 3, Delta_min is prime to 6 for E
+    and for phi(E), with p-adic valuations 2 v_p(b) + v_p(c) and
+    v_p(b) + 2 v_p(c) (c = a^2 - 4b).  Their product is (index_6 * C)^3, so
+    the average Szpiro ratio is 3 log(index_6 * C) / (2 log C), read off the
+    record; ``avg_szpiro`` is the per-curve oracle the tests compare against.
+    """
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    if not 1 < kappa < KAPPA_MAX:
+        raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
+    grid = tuple(grid)
+    lo = 1.5 + theta
+    if lo >= kappa:
+        return [0] * len(grid)
+    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
+    records = records[records["good_23"] & (records["conductor"] > 1)]
+    cond = records["conductor"]
+    ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
+             / (2 * np.log(cond.astype(np.float64))))
+    band = (lo < ratio) & (ratio <= kappa)
+    return [
+        int(np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X)))
+        for X in grid
+    ]
+
+
 def tail_count_index(X: int, delta: float, workers: int = 1) -> int:
     """Cube-free family curves with conductor <= X and index > X^{2 delta}.
 
@@ -414,11 +455,7 @@ def tail_count_index(X: int, delta: float, workers: int = 1) -> int:
     100 X / C are invisible; the X-grid decay statistic uses the same window
     at every X, which is what makes the ratios comparable.
     """
-    if not 0 < delta < 0.5:
-        raise ValueError("need 0 < delta < 1/2")
-    records, _ = _census_records(X * TAIL_INDEX_CAP, workers=workers)
-    thr = X ** (2 * delta)
-    return sum(1 for r in records if r[5] and r[3] <= X and r[4] > thr)
+    return tail_counts_index((X,), delta, workers)[0]
 
 
 def tail_count_szpiro(X: int, theta: float, kappa: float, workers: int = 1) -> int:
@@ -426,21 +463,7 @@ def tail_count_szpiro(X: int, theta: float, kappa: float, workers: int = 1) -> i
 
     Only curves with good reduction at 2 and 3 count (``in_good_family``), so
     the conductor is the prime-to-6 conductor the records carry.  The ratios
-    use minimal discriminants for E and phi(E) (``avg_szpiro``).  The sweep
-    covers |cond poly| <= 100 X, the same window as ``tail_count_index``.
+    use minimal discriminants for E and phi(E).  The sweep covers
+    |cond poly| <= 100 X, the same window as ``tail_count_index``.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if not 1 < kappa < KAPPA_MAX:
-        raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
-    lo = 1.5 + theta
-    if lo >= kappa:
-        return 0
-    records, _ = _census_records(X * TAIL_INDEX_CAP, workers=workers)
-    count = 0
-    for a, b, _cp, cond, _i, _cf in records:
-        if 1 < cond <= X:
-            c = CurveParams(a, b)
-            if in_good_family(c) and lo < avg_szpiro(c) <= kappa:
-                count += 1
-    return count
+    return tail_counts_szpiro((X,), theta, kappa, workers)[0]

@@ -290,16 +290,14 @@ def _cmd_lp(args):
 def _cmd_tails(args):
     _apply_sieve_env()
     grid = _parse_grid(args.grid) or (_parse_bound(args.x),)
-    rows = []
-    for X in grid:
-        if args.kind == "index":
-            n = census.tail_count_index(X, args.delta, workers=args.workers)
-            params = f"delta={args.delta}"
-        else:
-            n = census.tail_count_szpiro(X, args.theta, args.kappa,
-                                         workers=args.workers)
-            params = f"theta={args.theta};kappa={args.kappa}"
-        rows.append([args.kind, X, params, n, n / X**0.75])
+    if args.kind == "index":
+        counts = census.tail_counts_index(grid, args.delta, workers=args.workers)
+        params = f"delta={args.delta}"
+    else:
+        counts = census.tail_counts_szpiro(grid, args.theta, args.kappa,
+                                           workers=args.workers)
+        params = f"theta={args.theta};kappa={args.kappa}"
+    rows = [[args.kind, X, params, n, n / X**0.75] for X, n in zip(grid, counts)]
     header = ["kind", "X", "params", "count", "count_over_X34"]
     payload = {"tails": [dict(zip(header, r)) for r in rows]}
     return {}, header, rows, payload

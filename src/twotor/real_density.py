@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from ._constants import AREA_CONST, CENTER_INTEGRAL, SQRT2, TAIL_INTEGRAL
-from .census import enumerate_region
+from .census import _MAX_Z, _block_pairs
 
 
 class QuadratureError(RuntimeError):
@@ -254,9 +254,6 @@ class CongruenceClass:
     def density(self) -> Fraction:
         return Fraction(len(self.residues), self.n * self.n)
 
-    def contains(self, a: int, b: int) -> bool:
-        return (a % self.n, b % self.n) in self.residues
-
 
 def lattice_count_with_error(
     congruence: CongruenceClass, X: int
@@ -267,10 +264,15 @@ def lattice_count_with_error(
     |a^2-4b| >= 4; the prediction is (sqrt2/2) nu(S) AREA_CONST X^{3/4}, the
     covolume-4 lattice (a, 4b) against the region with parameter 4X.
     """
-    count = 0
-    for c in enumerate_region(X):
-        if abs(c.b) >= 4 and abs(c.a * c.a - 4 * c.b) >= 4:
-            if congruence.contains(c.a, c.b):
-                count += 1
+    if not 1 <= X <= _MAX_Z:
+        raise ValueError(f"need 1 <= X <= {_MAX_Z}")
+    A = math.isqrt(4 * X + 1)
+    a, b, _ = _block_pairs(X, -A, A, use_family=False)
+    n = congruence.n
+    in_class = np.zeros((n, n), dtype=bool)
+    for a0, b0 in congruence.residues:
+        in_class[a0, b0] = True
+    keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
+    count = int(np.count_nonzero(keep))
     predicted = float(SQRT2 / 2 * float(congruence.density()) * area_closed_form(X))
     return count, predicted, abs(count - predicted)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,16 @@ def test_is_prime_agrees_with_trial_division():
         assert ar.is_prime(n) == (n in small)
 
 
+def test_is_prime_on_both_sides_of_the_table(monkeypatch):
+    # a fresh table covers n <= 2^16 (spf lookup); above it Miller-Rabin answers
+    monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
+    assert ar._sieve.limit == 2**16
+    primes = set(ar.primes_up_to(2**17).tolist())
+    assert [n for n in range(-5, 2**17) if ar.is_prime(n)] == sorted(primes)
+    assert ar.is_prime(10**12 + 39) and ar.is_prime(2**61 - 1)
+    assert not any(ar.is_prime(n) for n in (561, 41041, 3215031751, (2**31 - 1) ** 2))
+
+
 def test_primes_up_to():
     ps = ar.primes_up_to(100)
     assert list(ps[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -142,6 +153,25 @@ def brute_spf(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 100, 1001, 4097, 2**16])
 def test_spf_build_matches_brute_force(n):
     assert ar._SpfSieve._build(n).tolist() == brute_spf(n)
+
+
+def plain_spf(n):
+    """The unsegmented sieve: each odd prime marks only the slots still empty."""
+    spf = np.zeros(n + 1, dtype=np.uint32)
+    spf[2::2] = 2
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if spf[p] == 0:
+            spf[p * p:: 2 * p][spf[p * p:: 2 * p] == 0] = p
+    z = np.flatnonzero(spf[3::2] == 0)
+    spf[3::2][z] = 2 * z + 3
+    return spf
+
+
+@pytest.mark.parametrize("n", [ar._SEGMENT - 1, ar._SEGMENT, ar._SEGMENT + 1,
+                               3 * ar._SEGMENT + 12345, 5 * 10**6 + 3])
+def test_blocked_spf_build_matches_plain_sieve(n):
+    # segment boundaries that are not multiples of the segment size
+    assert np.array_equal(ar._SpfSieve._build(n), plain_spf(n))
 
 
 def test_sieve_cap_parsing(monkeypatch):

@@ -1,9 +1,11 @@
 """Region enumeration against brute force, census counts against recounts."""
 
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,16 @@ from hypothesis import strategies as st
 from twotor import arithmetic as ar
 from twotor import census
 from twotor._constants import PAIR_COUNT_CONST
-from twotor.curve_core import CurveParams, avg_szpiro, in_family, reduction, tate_algorithm
+from twotor.curve_core import (
+    CurveParams,
+    avg_szpiro,
+    in_family,
+    in_good_family,
+    reduction,
+    tate_algorithm,
+)
+
+from oracles import b_intervals, curve_record, enumerate_region, records_as_tuples
 
 
 def brute_region(X):
@@ -39,7 +50,7 @@ class TestBIntervals:
         for a in range(-50, 51):
             t = a * a
             got = set()
-            for lo, hi in census._b_intervals(a, Z):
+            for lo, hi in b_intervals(a, Z):
                 got.update(range(lo, hi + 1))
             want = {
                 b
@@ -52,7 +63,7 @@ class TestBIntervals:
     @settings(max_examples=150, deadline=None)
     def test_intervals_consistent(self, a, Z):
         t = a * a
-        intervals = census._b_intervals(a, Z)
+        intervals = b_intervals(a, Z)
         for lo, hi in intervals:
             # endpoints satisfy the region predicate, one step out fails it
             if lo <= hi:
@@ -63,65 +74,89 @@ class TestBIntervals:
                 assert abs(b * (t - 4 * b)) > Z
 
 
+class TestBlockIntervals:
+    @pytest.mark.parametrize("Z", [1, 7, 100, 10**6, 5 * 10**7, 10**9, 10**11, 10**12])
+    def test_block_ends_match_scalar(self, Z):
+        # both ends of the a-range, a near the hole threshold a^4 = 16 Z, and
+        # seeded random a; column order and interval order as the scalar loop
+        A = isqrt(4 * Z + 1)
+        h = isqrt(isqrt(16 * Z))
+        rng = random.Random(Z)
+        a = {*range(-A, -A + 200), *range(A - 200, A + 1), *range(h - 100, h + 100),
+             *range(-h - 100, -h + 100), *(rng.randint(-A, A) for _ in range(1000))}
+        a = np.array(sorted(x for x in a if -A <= x <= A), dtype=np.int64)
+        cols, los, his = census._block_intervals(a, Z)
+        got = list(zip(cols.tolist(), los.tolist(), his.tolist()))
+        assert got == [(x, lo, hi) for x in a.tolist() for lo, hi in b_intervals(x, Z)]
+        assert len(got) > len(a) or Z <= 7  # some columns split around the hole
+
+    @pytest.mark.parametrize("X", [10**2, 10**3, 10**4])
+    def test_block_pairs_match_scalar_enumeration(self, X):
+        A = isqrt(4 * X + 1)
+        a, b, f = census._block_pairs(X, -A, A, use_family=False)
+        assert list(zip(a.tolist(), b.tolist())) == [(c.a, c.b) for c in enumerate_region(X)]
+        assert (f == b * (a * a - 4 * b)).all()
+
+
 class TestEnumerateRegion:
     @pytest.mark.parametrize("X", [50, 300, 1000])
     def test_matches_brute_force(self, X):
-        got = [(c.a, c.b) for c in census.enumerate_region(X)]
+        got = [(c.a, c.b) for c in enumerate_region(X)]
         assert len(got) == len(set(got))
         assert set(got) == brute_region(X)
 
     def test_narrow_neck_curve_present(self):
         # |a| exceeds sqrt(X/4 + 4) here; the region has long thin horns
-        assert (9, 20) in {(c.a, c.b) for c in census.enumerate_region(100)}
+        assert (9, 20) in {(c.a, c.b) for c in enumerate_region(100)}
 
     def test_deterministic_order(self):
-        first = [(c.a, c.b) for c in census.enumerate_region(400)]
-        second = [(c.a, c.b) for c in census.enumerate_region(400)]
+        first = [(c.a, c.b) for c in enumerate_region(400)]
+        second = [(c.a, c.b) for c in enumerate_region(400)]
         assert first == second
 
     def test_filter_applied(self):
-        pairs = list(census.enumerate_region(2000, filter=in_family))
+        pairs = list(enumerate_region(2000, filter=in_family))
         assert pairs
         assert all(in_family(c) for c in pairs)
-        everything = {(c.a, c.b) for c in census.enumerate_region(2000)}
+        everything = {(c.a, c.b) for c in enumerate_region(2000)}
         assert {(c.a, c.b) for c in pairs} < everything
 
     def test_count_tracks_three_quarters_power(self):
         X = 10**4
-        n = sum(1 for _ in census.enumerate_region(X))
+        n = sum(1 for _ in enumerate_region(X))
         ratio = n / (float(PAIR_COUNT_CONST) * X**0.75)
         assert 0.85 < ratio < 1.15
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            list(census.enumerate_region(0))
+            list(enumerate_region(0))
         with pytest.raises(ValueError):
-            list(census.enumerate_region(10**13))
+            list(enumerate_region(10**13))
 
 
 class TestCurveRecords:
     def test_multiplicative_curve(self):
-        rec, anoms = census._curve_record(9, 20)
+        rec, anoms = curve_record(9, 20)
         assert rec == (9, 20, 20, 5, 1, True)
         assert anoms == []
 
     def test_additive_curve(self):
-        rec, anoms = census._curve_record(5, 5)
+        rec, anoms = curve_record(5, 5)
         assert rec == (5, 5, 25, 25, 1, True)
         assert anoms == []
 
     def test_rescaled_copy_skipped(self):
-        rec, _ = census._curve_record(25, 625)
+        rec, _ = curve_record(25, 625)
         assert rec is None
 
     def test_out_of_list_symbol_reported(self):
         # v(b) = 2 with v(a^2-4b) = 3 lands outside {III, I0*, III*}
-        rec, anoms = census._curve_record(10, 150)
+        rec, anoms = curve_record(10, 150)
         assert rec == (10, 150, 75000, 25, 125, False)
         assert anoms == [(10, 150, 5, "I1*")]
 
     def test_unit_conductor_polynomial(self):
-        rec, _ = census._curve_record(1, 1)
+        rec, _ = curve_record(1, 1)
         assert rec == (1, 1, 3, 1, 1, True)
 
 
@@ -136,46 +171,54 @@ def sieve(request, monkeypatch):
 
 class TestColumnarSweep:
     def test_matches_scalar_records(self, sieve):
-        # records, their order and the anomaly list, against _curve_record
+        # records, their order and the anomaly list, against curve_record
         Z = 10**5
         mask = census._family_mask()
         want_records, want_anomalies = [], []
-        for c in census.enumerate_region(Z):
+        for c in enumerate_region(Z):
             if mask[c.a % 96, c.b % 96]:
-                rec, anoms = census._curve_record(c.a, c.b)
+                rec, anoms = curve_record(c.a, c.b)
                 if rec is not None:
                     want_records.append(rec)
                     want_anomalies.extend(anoms)
         records, anomalies = census._census_records(Z)
         assert want_anomalies and any(not r[5] for r in want_records)
-        assert records == want_records
+        assert records.dtype == census.RECORD_DTYPE
+        assert records_as_tuples(records) == want_records
         assert anomalies == want_anomalies
-        assert all(type(x) is int for r in records for x in r[:5])
-        assert all(type(r[5]) is bool for r in records)
+        assert all(type(x) is int for x, *_ in anomalies)
+
+    def test_good_23_column_is_in_good_family(self):
+        for use_family in (True, False):
+            records, _ = census._census_records(2 * 10**4, use_family=use_family)
+            want = [in_good_family(CurveParams(a, b))
+                    for a, b in zip(records["a"].tolist(), records["b"].tolist())]
+            assert records["good_23"].tolist() == want
+            assert 0 < sum(want) < len(want)
 
     def test_all_residues_matches_scalar_records(self):
         Z = 2000
-        want = [census._curve_record(c.a, c.b)[0] for c in census.enumerate_region(Z)]
+        want = [curve_record(c.a, c.b)[0] for c in enumerate_region(Z)]
         records, _ = census._census_records(Z, use_family=False)
-        assert records == [r for r in want if r is not None]
+        assert records_as_tuples(records) == [r for r in want if r is not None]
 
     def test_rescaled_copy_skipped_in_block(self):
         # (75, 1250) = (3 * 5^2, 2 * 5^4) is the rescaled copy of (3, 2)
         Z, a = 10**6, 75
-        pairs = [(a, b) for lo, hi in census._b_intervals(a, Z) for b in range(lo, hi + 1)
+        pairs = [(a, b) for lo, hi in b_intervals(a, Z) for b in range(lo, hi + 1)
                  if b * (a * a - 4 * b) != 0]
-        want = [census._curve_record(a, b) for a, b in pairs]
+        want = [curve_record(a, b) for a, b in pairs]
         records, anomalies = census._block_records((Z, a, a, False))
-        assert records == [rec for rec, _ in want if rec is not None]
+        assert records_as_tuples(records) == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
-        assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records}
+        assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records.tolist()}
 
     def test_conductor_ordering_beyond_the_sieve(self, sieve):
         X, cap = 100, 1000  # the sweep covers |cond poly| <= 1e5
         report = census.run_census(
             census.CensusConfig(X=X, order_by="Conductor", index_cap=cap))
         expected = sum(
-            1 for c in census.enumerate_region(X * cap, filter=in_family)
+            1 for c in enumerate_region(X * cap, filter=in_family)
             if reduction(c).conductor_6 <= X)
         assert report.counts[-1] == expected == report.total_curves
 
@@ -208,7 +251,7 @@ class TestRunCensus:
     def test_condpoly_counts_match_enumeration(self):
         X = 1000
         report = census.run_census(census.CensusConfig(X=X))
-        expected = sum(1 for _ in census.enumerate_region(X, filter=in_family))
+        expected = sum(1 for _ in enumerate_region(X, filter=in_family))
         assert report.counts[-1] == expected == report.total_curves
         assert report.cutoffs == (10, 100, 1000)
         assert all(
@@ -222,7 +265,7 @@ class TestRunCensus:
         X = 1000
         report = census.run_census(census.CensusConfig(X=X, family="CubeFree"))
         expected = 0
-        for c in census.enumerate_region(X, filter=in_family):
+        for c in enumerate_region(X, filter=in_family):
             fac = ar.factorize(c.b * (c.a * c.a - 4 * c.b))
             if all(e <= 2 for p, e in fac.factors if p >= 5):
                 expected += 1
@@ -234,7 +277,7 @@ class TestRunCensus:
         cfg = census.CensusConfig(X=X, order_by="Conductor", index_cap=50)
         report = census.run_census(cfg)
         expected = 0
-        for c in census.enumerate_region(X * 50, filter=in_family):
+        for c in enumerate_region(X * 50, filter=in_family):
             if reduction(c).conductor_6 <= X:
                 expected += 1
         assert report.counts[-1] == expected == report.total_curves
@@ -247,7 +290,7 @@ class TestRunCensus:
         )
         report = census.run_census(cfg)
         expected = 0
-        for c in census.enumerate_region(X * 100, filter=in_family):
+        for c in enumerate_region(X * 100, filter=in_family):
             C = reduction(c).conductor_6
             if 1 < C <= X and avg_szpiro(c) <= 2.27:
                 expected += 1
@@ -298,7 +341,7 @@ class TestTails:
         got = census.tail_count_index(X, 0.1)
         thr = X**0.2
         expected = 0
-        for c in census.enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
+        for c in enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
             cp = c.b * (c.a * c.a - 4 * c.b)
             fac = [(p, e) for p, e in ar.factorize(cp).factors if p >= 5]
             if any(e > 2 for _, e in fac):
@@ -313,7 +356,7 @@ class TestTails:
         X = 500
         got = census.tail_count_szpiro(X, 0.25, 2.25)
         expected = 0
-        for c in census.enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
+        for c in enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
             if not all(tate_algorithm(c, p).conductor_exponent == 0 for p in (2, 3)):
                 continue
             C = reduction(c).conductor_6
@@ -334,3 +377,60 @@ class TestTails:
 
     def test_empty_window_short_circuits(self):
         assert census.tail_count_szpiro(100, 0.8, 2.0) == 0
+        assert census.tail_counts_szpiro((100, 1000), 0.8, 2.0) == [0, 0]
+
+    def test_grid_counts_equal_per_x_counts(self, monkeypatch):
+        grid = (3000, 100, 1000)  # unsorted on purpose: counts come back in grid order
+        sweeps = []
+        sweep = census._census_records
+        monkeypatch.setattr(census, "_census_records",
+                            lambda Z, **kw: sweeps.append(Z) or sweep(Z, **kw))
+        index = census.tail_counts_index(grid, 0.1)
+        szpiro = census.tail_counts_szpiro(grid, 0.25, 2.25)
+        assert sweeps == [3000 * census.TAIL_INDEX_CAP] * 2
+        assert index == [census.tail_count_index(X, 0.1) for X in grid]
+        assert szpiro == [census.tail_count_szpiro(X, 0.25, 2.25) for X in grid]
+        assert sweeps[2:] == [X * census.TAIL_INDEX_CAP for X in grid] * 2
+        assert all(type(n) is int for n in index + szpiro) and min(index + szpiro) > 0
+
+
+@pytest.fixture(scope="module")
+def szpiro_window():
+    """avg_szpiro, by Tate's algorithm, on every in_good_family curve with
+    1 < C <= 1e6 and |cond poly| <= 1e8; and the sweep it was read from."""
+    records, anomalies = census._census_records(10**6 * census.TAIL_INDEX_CAP)
+    near = np.flatnonzero((records["conductor"] > 1) & (records["conductor"] <= 10**6))
+    rows = []
+    for i, a, b in zip(near.tolist(), records["a"][near].tolist(), records["b"][near].tolist()):
+        c = CurveParams(a, b)
+        if in_good_family(c):
+            rows.append((int(records["conductor"][i]), int(records["cond_poly"][i]),
+                         avg_szpiro(c)))
+    return (records, anomalies), rows
+
+
+class TestClosedFormSzpiro:
+    @pytest.mark.parametrize("theta, kappa", [
+        (0.25, 2.2), (0.25, 2.25), (0.1, 1.9), (0.4, 2.27), (0.2, 2.0), (0.5, 2.1)])
+    def test_counts_match_avg_szpiro(self, szpiro_window, monkeypatch, theta, kappa):
+        sweep, rows = szpiro_window
+        monkeypatch.setattr(census, "_census_records", lambda Z, **kw: sweep)
+        grid = (10**4, 3 * 10**4, 10**5, 10**6)
+        got = census.tail_counts_szpiro(grid, theta, kappa)
+        want = [
+            sum(1 for cond, cp, r in rows
+                if cond <= X and cp <= X * census.TAIL_INDEX_CAP and 1.5 + theta < r <= kappa)
+            for X in grid
+        ]
+        assert got == want
+        assert min(want) > 0
+
+    def test_closed_form_is_avg_szpiro(self, szpiro_window):
+        (records, _), rows = szpiro_window
+        good = records[records["good_23"] & (records["conductor"] > 1)
+                       & (records["conductor"] <= 10**6)]
+        assert len(good) == len(rows) > 10**4
+        n6 = (good["index_6"] * good["conductor"]).tolist()
+        closed = [3 * math.log(n) / (2 * math.log(cond))
+                  for n, cond in zip(n6, good["conductor"].tolist())]
+        assert max(abs(x - r) for x, (_, _, r) in zip(closed, rows)) < 1e-12

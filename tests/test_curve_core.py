@@ -265,7 +265,7 @@ class TestGoodFamily:
     def test_matches_tate_on_census_records(self):
         records, _ = census._census_records(10**5)
         good = 0
-        for a, b, *_ in records:
+        for a, b, *_ in records.tolist():
             c = CurveParams(a, b)
             assert in_good_family(c) == _tate_good_23(c), (a, b)
             good += in_good_family(c)
@@ -350,7 +350,7 @@ class TestReduction:
     def test_census_records_against_oracles(self):
         records, _ = census._census_records(10**4)
         assert len(records) > 100
-        for a, b, _, cond_6, index_6, _ in records:
+        for a, b, _, cond_6, index_6, *_ in records.tolist():
             c = CurveParams(a, b)
             red = reduction(c)
             _oracle_check(c, red)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twotor import arithmetic as ar
-from twotor import census
 from twotor import curve_core as cc
 from twotor import uniformity as un
 from twotor.curve_core import CurveParams
 from twotor.lp_bounds import avg_szpiro_from_exponents
+
+from oracles import enumerate_region
 
 
 def strip6(n: int) -> int:
@@ -63,7 +64,7 @@ class TestQuadricDecomposition:
     def test_index_cross_check_on_enumerated_curves(self):
         # prime-to-6 part of |v1 w1| must equal the prime-to-6 index
         found = 0
-        for cp in census.enumerate_region(4000):
+        for cp in enumerate_region(4000):
             cand = 1
             red = cc.reduction(cp)
             for p in (r.p for r in red.local if r.p >= 5):
@@ -313,7 +314,7 @@ class TestExponentVector:
         X = 8000.0
         lx = math.log(X)
         checked = 0
-        for cp in census.enumerate_region(8000, filter=cc.in_family):
+        for cp in enumerate_region(8000, filter=cc.in_family):
             try:
                 v = un.exponent_vector(cp.a, cp.b, X)
             except un.DecompositionError:
@@ -336,7 +337,7 @@ class TestExponentVector:
 
     def test_conductor_at_most_X_bounds_identity(self):
         X = 500.0
-        for cp in census.enumerate_region(500, filter=cc.in_family):
+        for cp in enumerate_region(500, filter=cc.in_family):
             if cc.reduction(cp).conductor_6 > X:
                 continue
             try:
@@ -429,7 +430,7 @@ class TestNearSquare:
     def test_census_sweep_implication(self):
         X, nu = 2000.0, 0.25
         passed = failed = 0
-        for cp in census.enumerate_region(2000):
+        for cp in enumerate_region(2000):
             m = un.multiplicative_decompose(cp.a, cp.b)
             if un.near_square_check(m, X, nu):  # asserts S_i internally
                 passed += 1
