@@ -21,10 +21,8 @@ if abs(_check) > mpmath.mpf(10) ** -40:
     raise ArithmeticError("Gamma(1/4) self-check failed")
 
 GAMMA_QUARTER = float(_g14)
-GAMMA_QUARTER_SQ = float(_g14 * _g14)
 
 SQRT2 = math.sqrt(2.0)
-SQRT_PI = float(mpmath.sqrt(mpmath.pi))
 
 # g = Gamma(1/4)^2 / (4 sqrt(pi)), the lemniscatic building block of the areas.
 _G = float(_g14 * _g14 / (4 * mpmath.sqrt(mpmath.pi)))
@@ -42,7 +40,3 @@ AREA_CONST = float(2 * (1 + mpmath.sqrt(2)) * _g14 * _g14 / (3 * mpmath.sqrt(mpm
 # correspond to lattice points (x, y) = (a, 4b) of covolume 4 in the region
 # with parameter 4X, so the count is Area(4X)/4 = (sqrt2/2) * AREA_CONST * X^(3/4).
 PAIR_COUNT_CONST = AREA_CONST * SQRT2 / 2.0
-
-# The same constant with the good-reduction congruence mass 1/32 folded in:
-# (2 + sqrt2) Gamma(1/4)^2 / (96 sqrt(pi)).
-MT1_PREFACTOR = PAIR_COUNT_CONST / 32.0

@@ -2,9 +2,10 @@
 
 Everything downstream (reduction types, conductors, censuses, tail statistics)
 consumes factorizations produced here.  The workhorse is a smallest-prime-factor
-sieve that grows lazily toward a configurable cap (env CENSUS_SIEVE_BOUND,
-default 10**8); values past the sieve fall back to trial division by small
-primes, then deterministic Miller-Rabin, then Pollard rho with Brent cycling.
+table, 2^16 entries at import; it grows only when a batch caller asks
+(``ensure_sieve``), up to a configurable cap (env CENSUS_SIEVE_BOUND, default
+10**8).  Values past the table fall back to trial division by small primes,
+then deterministic Miller-Rabin, then Pollard rho with Brent cycling.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -65,7 +66,7 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 class _SpfSieve:
-    """Lazily grown smallest-prime-factor table.
+    """Smallest-prime-factor table, grown only by ``ensure``.
 
     spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0).  Growth doubles
     at least, so repeated slightly-larger queries do not thrash.  The table is
@@ -126,10 +127,11 @@ _sieve = _SpfSieve()
 
 
 def ensure_sieve(n: int) -> bool:
-    """Pre-grow the SPF table toward n (clamped to the cap); True when covered.
+    """Grow the SPF table toward n (clamped to the cap); True when covered.
 
-    Batch callers use this once up front so forked workers inherit the table
-    instead of each growing their own through the doubling ladder.
+    This is the only way the table grows.  Batch callers use it once up front
+    so forked workers inherit the table; a lone ``factorize`` reads the table
+    where it reaches and trial-divides beyond it.
     """
     return _sieve.ensure(max(2, min(n, sieve_cap())))
 
@@ -138,7 +140,7 @@ def smallest_prime_factor(n: int) -> int:
     """Smallest prime factor of n >= 2 (sieve-backed, any size via fallback)."""
     if n < 2:
         raise ValueError("smallest_prime_factor needs n >= 2")
-    if _sieve.ensure(n):
+    if n <= _sieve.limit:
         return _sieve.spf(n)
     for f in factorize(n).factors:
         return f[0]
@@ -241,7 +243,7 @@ class Factorization:
 def _factor_abs(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into sorted (prime, exponent) pairs."""
     out: dict[int, int] = {}
-    if _sieve.ensure(n):
+    if n <= _sieve.limit:
         spf = _sieve.array()
         while n > 1:
             p = int(spf[n])

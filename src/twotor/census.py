@@ -1,5 +1,9 @@
 """Enumeration of family curves by conductor-polynomial size.
 
+The family is ``curve_core.family_at_2 & family_at_3``: the sweep generates
+only the b in the residue classes mod 96 that it allows for a, and the
+records' good_23 column is ``curve_core.good_family``.
+
 The region |b (a^2 - 4b)| <= Z is swept in blocks of a-columns; per column
 the admissible b form one interval, or two once a^4 > 16 Z opens a hole
 around b = a^2/4.  The interval ends of a whole block are estimated in
@@ -32,6 +36,9 @@ from . import local_density
 from .curve_core import (
     CurveParams,
     avg_szpiro,
+    family_at_2,
+    family_at_3,
+    good_family,
     kodaira_symbol_large_p,
     tate_algorithm,
 )
@@ -43,7 +50,7 @@ _BLOCK = 1024  # a-values per worker block; fixed so merges are worker-count ind
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 
 # One row per minimal curve: |cond poly|, the prime-to-6 conductor and index,
-# the cube-free flag, and good_23 = ``curve_core.in_good_family``.
+# the cube-free flag, and good_23 = ``curve_core.good_family``.
 RECORD_DTYPE = np.dtype([
     ("a", np.int64),
     ("b", np.int64),
@@ -54,24 +61,8 @@ RECORD_DTYPE = np.dtype([
     ("good_23", np.bool_),
 ])
 
-_family_mask_cache: Optional[np.ndarray] = None
-
-
-def _family_mask() -> np.ndarray:
-    """96 x 96 boolean table of the good-reduction congruence classes."""
-    global _family_mask_cache
-    if _family_mask_cache is None:
-        mask = np.zeros((96, 96), dtype=bool)
-        for (a0, b0) in local_density.good_reduction_class_mod96():
-            mask[a0, b0] = True
-        _family_mask_cache = mask
-    return _family_mask_cache
-
-
-def _good_23(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``curve_core.in_good_family`` on int64 columns: mod 96, then b mod 128."""
-    at_2 = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
-    return _family_mask()[a % 96, b % 96] & at_2
+# (a mod 96, b mod 96) -> in the family: the congruences read a and b mod 32 and mod 3.
+_FAMILY_MOD96 = family_at_2(*np.ogrid[:96, :96]) & family_at_3(*np.ogrid[:96, :96])
 
 
 def _nudge(f, b: np.ndarray, step: int) -> np.ndarray:
@@ -151,7 +142,7 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
     """
     cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
     if use_family:
-        mod, allowed = 96, _family_mask()[cols % 96]
+        mod, allowed = 96, _FAMILY_MOD96[cols % 96]
     else:
         mod, allowed = 1, np.ones((len(cols), 1), dtype=bool)
     iv, r = np.nonzero(allowed)  # (interval, residue) pairs
@@ -208,7 +199,7 @@ def _block_records(args) -> tuple[np.ndarray, list]:
             if tag not in ("III", "I0*", "III*"):
                 anomalies.append((ai, bi, p, tag))
     records = np.empty(np.count_nonzero(keep), dtype=RECORD_DTYPE)
-    columns = (a, b, np.abs(f), cond, idx6, cubefree, _good_23(a, b))
+    columns = (a, b, np.abs(f), cond, idx6, cubefree, good_family(a, b))
     for name, col in zip(RECORD_DTYPE.names, columns):
         records[name] = col[keep]
     return records, anomalies
@@ -403,7 +394,14 @@ def run_census(
 
 
 def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
-    """``tail_count_index`` for every X in grid, in grid order, from one sweep."""
+    """Per X in grid, in grid order: cube-free family curves with conductor <= X
+    and index > X^{2 delta}, all from one sweep.
+
+    Index and cube-freeness refer to the prime-to-6 part of the conductor
+    polynomial.  The window is |cond poly| <= 100 X, so indices beyond
+    100 X / C are invisible; the X-grid decay statistic uses the same window
+    at every X, which is what makes the ratios comparable.
+    """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
     grid = tuple(grid)
@@ -419,7 +417,13 @@ def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
 
 
 def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> list[int]:
-    """``tail_count_szpiro`` for every X in grid, in grid order, from one sweep.
+    """Per X in grid, in grid order: curves with conductor <= X and
+    3/2 + theta < avg Szpiro <= kappa, all from one sweep.
+
+    Only curves with good reduction at 2 and 3 count (``good_family``), so
+    the conductor is the prime-to-6 conductor the records carry.  The ratios
+    use minimal discriminants for E and phi(E), and the window is
+    |cond poly| <= 100 X, as for ``tail_counts_index``.
 
     On a curve with good reduction at 2 and 3, Delta_min is prime to 6 for E
     and for phi(E), with p-adic valuations 2 v_p(b) + v_p(c) and
@@ -445,25 +449,3 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
         int(np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X)))
         for X in grid
     ]
-
-
-def tail_count_index(X: int, delta: float, workers: int = 1) -> int:
-    """Cube-free family curves with conductor <= X and index > X^{2 delta}.
-
-    Index and cube-freeness refer to the prime-to-6 part of the conductor
-    polynomial.  The sweep covers |cond poly| <= 100 X, so indices beyond
-    100 X / C are invisible; the X-grid decay statistic uses the same window
-    at every X, which is what makes the ratios comparable.
-    """
-    return tail_counts_index((X,), delta, workers)[0]
-
-
-def tail_count_szpiro(X: int, theta: float, kappa: float, workers: int = 1) -> int:
-    """Curves with conductor <= X and 3/2 + theta < avg Szpiro <= kappa.
-
-    Only curves with good reduction at 2 and 3 count (``in_good_family``), so
-    the conductor is the prime-to-6 conductor the records carry.  The ratios
-    use minimal discriminants for E and phi(E).  The sweep covers
-    |cond poly| <= 100 X, the same window as ``tail_count_index``.
-    """
-    return tail_counts_szpiro((X,), theta, kappa, workers)[0]

@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
@@ -32,7 +31,6 @@ from . import curve_core as cc
 from . import local_density
 from . import lp_bounds
 from . import real_density
-from ._constants import MT1_PREFACTOR
 
 try:
     _VERSION = metadata.version("artifact")
@@ -201,16 +199,16 @@ def _parse_grid(text: Optional[str]) -> Optional[tuple]:
     return tuple(_parse_bound(tok) for tok in text.split(","))
 
 
-def _apply_sieve_env() -> None:
-    if os.environ.get("CENSUS_SIEVE_BOUND"):
-        try:
-            arithmetic.ensure_sieve(arithmetic.sieve_cap())
-        except ValueError as e:
-            raise ConfigError(f"bad CENSUS_SIEVE_BOUND: {e}") from None
+def _check_sieve_env() -> None:
+    """Reject a bad CENSUS_SIEVE_BOUND up front; the sweeps size the table."""
+    try:
+        arithmetic.sieve_cap()
+    except ValueError as e:
+        raise ConfigError(f"bad CENSUS_SIEVE_BOUND: {e}") from None
 
 
 def _cmd_census(args):
-    _apply_sieve_env()
+    _check_sieve_env()
     try:
         family = _FAMILY_NAMES[args.family.lower()]
         order = _ORDER_NAMES[args.order_by.lower()]
@@ -288,7 +286,7 @@ def _cmd_lp(args):
 
 
 def _cmd_tails(args):
-    _apply_sieve_env()
+    _check_sieve_env()
     grid = _parse_grid(args.grid) or (_parse_bound(args.x),)
     if args.kind == "index":
         counts = census.tail_counts_index(grid, args.delta, workers=args.workers)
@@ -318,7 +316,7 @@ def _cmd_euler(args):
         "product_cutoff": cutoff,
         "dirichlet_index_sum": dirichlet,
         "dirichlet_cutoff": dcutoff,
-        "mt1_constant": float(MT1_PREFACTOR) * product,
+        "mt1_constant": local_density.MT1_PREFACTOR * product,
     }
     return {}, list(row), [list(row.values())], {"euler": row}
 

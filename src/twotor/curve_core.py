@@ -80,9 +80,6 @@ class KodairaSymbol:
             return 5 + self.n
         return _COMPONENTS[self.tag]
 
-    def is_additive(self) -> bool:
-        return self.tag not in ("Good", "I")
-
     def __str__(self) -> str:
         if self.tag == "I":
             return f"I{self.n}"
@@ -132,34 +129,49 @@ def c_invariants(c: CurveParams) -> tuple[int, int]:
     return c4, c6
 
 
-def good_reduction_at_2(c: CurveParams) -> bool:
+# The 2,3 family, written once: on Python ints and int64 arrays alike (hence
+# & and |), for the predicates below, the census sweep and local_density.
+
+
+def family_at_2(a, b):
     """Congruence criterion at 2: (b odd and a = 6 mod 8) or (a = 1 mod 4 and b = 16 mod 32)."""
-    a, b = c.a % 8, c.b % 32
-    return (c.b % 2 == 1 and a == 6) or (c.a % 4 == 1 and b == 16)
+    return ((b % 2 == 1) & (a % 8 == 6)) | ((a % 4 == 1) & (b % 32 == 16))
 
 
-def good_reduction_at_3(c: CurveParams) -> bool:
+def family_at_3(a, b):
     """Congruence criterion at 3: (3 not| a and b = 2 mod 3) or (3 | a and 3 not| b)."""
-    a, b = c.a % 3, c.b % 3
-    return (a != 0 and b == 2) or (a == 0 and b != 0)
+    return ((a % 3 != 0) & (b % 3 == 2)) | ((a % 3 == 0) & (b % 3 != 0))
 
 
-def in_family(c: CurveParams) -> bool:
-    return good_reduction_at_2(c) and good_reduction_at_3(c)
+def good_family(a, b):
+    """Family pairs that really have good reduction at 2 and 3 (Tate f_2 = f_3 = 0).
 
-
-def in_good_family(c: CurveParams) -> bool:
-    """Family curves that really have good reduction at 2 and 3 (Tate f_2 = f_3 = 0).
-
-    The predicate at 3 and the clause (a = 1 mod 4, b = 16 mod 32) at 2 agree
+    The criterion at 3 and the clause (a = 1 mod 4, b = 16 mod 32) at 2 agree
     with Tate's algorithm on every curve they admit.  The odd-b clause (b odd,
     a = 6 mod 8) does not: Tate gives f_2 = 0 there exactly when
     b = (a/2)^2 + 64 mod 128, which a modulus of 96 cannot express.  Both
     clauses leave the model 2-non-minimal (v_2(Delta) = 12); the u = 2 model
     is the one with good reduction.  The 2-adic mass is 9/1024, against the
-    predicate's 9/128.
+    family's 9/128.
     """
-    return in_family(c) and (c.b % 2 == 0 or (c.b - (c.a // 2) ** 2) % 128 == 64)
+    return (family_at_2(a, b) & family_at_3(a, b)
+            & ((b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)))
+
+
+def good_reduction_at_2(c: CurveParams) -> bool:
+    return family_at_2(c.a, c.b)
+
+
+def good_reduction_at_3(c: CurveParams) -> bool:
+    return family_at_3(c.a, c.b)
+
+
+def in_family(c: CurveParams) -> bool:
+    return family_at_2(c.a, c.b) & family_at_3(c.a, c.b)
+
+
+def in_good_family(c: CurveParams) -> bool:
+    return good_family(c.a, c.b)
 
 
 def isogeny(c: CurveParams) -> CurveParams:

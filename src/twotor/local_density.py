@@ -3,6 +3,11 @@
 Densities are exact Fractions.  The "empirical" counterparts really count
 residue pairs; they are the oracle the closed forms are tested against.
 
+The 2,3 family is ``curve_core.family_at_2 & family_at_3``, which reads
+(a, b) mod 32 and mod 3 only, so its mass is a count over the residue grids
+mod 32, 3 and 96.  MT1_PREFACTOR folds that mass (1/32) into the lattice
+pair-count constant.
+
 Index-weighted local sums live in Q[q]/(q^4 - p) so that the per-prime
 identity between the assembled Dirichlet sums and the closed-form Euler
 factors can be checked with exact arithmetic rather than floats.
@@ -28,8 +33,8 @@ import mpmath
 import numpy as np
 
 from . import arithmetic as ar
-from ._constants import MT1_PREFACTOR
-from .curve_core import CurveParams, good_reduction_at_2, good_reduction_at_3
+from ._constants import PAIR_COUNT_CONST
+from .curve_core import family_at_2, family_at_3
 
 FAMILIES = ("CondPoly", "CubeFree", "Kappa")
 
@@ -143,41 +148,23 @@ def density_empirical(p: int, m: int, cls: ClassName, k: Optional[int] = None) -
 # ---------------------------------------------------------------------------
 
 
-def _residue_representative(a0: int, b0: int) -> CurveParams:
-    """A valid curve whose (a, b) matches the class (a0, b0) mod 96."""
-    b = b0 if b0 != 0 else 96
-    if a0 * a0 == 4 * b:
-        b += 96
-    return CurveParams(a0, b)
-
-
 def good_reduction_class_mod96() -> list[tuple[int, int]]:
     """All (a, b) mod 96 passing both congruence predicates (288 classes)."""
-    out = []
-    for a0 in range(96):
-        for b0 in range(96):
-            c = _residue_representative(a0, b0)
-            if good_reduction_at_2(c) and good_reduction_at_3(c):
-                out.append((a0, b0))
-    return out
+    a, b = np.ogrid[:96, :96]
+    return [tuple(r) for r in np.argwhere(family_at_2(a, b) & family_at_3(a, b)).tolist()]
+
+
+def _grid_mass(predicate, m: int) -> Fraction:
+    a, b = np.ogrid[:m, :m]
+    return Fraction(int(np.count_nonzero(predicate(a, b))), m * m)
 
 
 def good_reduction_density_2() -> Fraction:
-    count = sum(
-        good_reduction_at_2(_residue_representative(a0, b0))
-        for a0 in range(32)
-        for b0 in range(32)
-    )
-    return Fraction(count, 32 * 32)
+    return _grid_mass(family_at_2, 32)
 
 
 def good_reduction_density_3() -> Fraction:
-    count = sum(
-        good_reduction_at_3(_residue_representative(a0, b0))
-        for a0 in range(3)
-        for b0 in range(3)
-    )
-    return Fraction(count, 9)
+    return _grid_mass(family_at_3, 3)
 
 
 def good_reduction_density_23() -> Fraction:
@@ -185,6 +172,11 @@ def good_reduction_density_23() -> Fraction:
     joint = Fraction(len(good_reduction_class_mod96()), 96 * 96)
     assert joint == good_reduction_density_2() * good_reduction_density_3()
     return joint
+
+
+# The lattice pair-count constant with the family's mass folded in:
+# (2 + sqrt2) Gamma(1/4)^2 / (96 sqrt(pi)).
+MT1_PREFACTOR = PAIR_COUNT_CONST * float(good_reduction_density_23())
 
 
 @dataclass(frozen=True)
@@ -548,4 +540,4 @@ def mt1_constant(family: str, tol: Optional[float] = None) -> float:
     if tol is None:
         tol = _DEFAULT_TOL[family]
     value, _ = euler_product(family, tol)
-    return float(MT1_PREFACTOR) * value
+    return MT1_PREFACTOR * value

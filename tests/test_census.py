@@ -173,10 +173,9 @@ class TestColumnarSweep:
     def test_matches_scalar_records(self, sieve):
         # records, their order and the anomaly list, against curve_record
         Z = 10**5
-        mask = census._family_mask()
         want_records, want_anomalies = [], []
         for c in enumerate_region(Z):
-            if mask[c.a % 96, c.b % 96]:
+            if in_family(c):
                 rec, anoms = curve_record(c.a, c.b)
                 if rec is not None:
                     want_records.append(rec)
@@ -187,6 +186,11 @@ class TestColumnarSweep:
         assert records_as_tuples(records) == want_records
         assert anomalies == want_anomalies
         assert all(type(x) is int for x, *_ in anomalies)
+
+    def test_family_table_is_in_family(self):
+        # b0 - 96 is a nonzero b with a^2 - 4b > 0 in the class of b0
+        want = [[in_family(CurveParams(a0, b0 - 96)) for b0 in range(96)] for a0 in range(96)]
+        assert census._FAMILY_MOD96.tolist() == want
 
     def test_good_23_column_is_in_good_family(self):
         for use_family in (True, False):
@@ -338,7 +342,7 @@ class TestRunCensus:
 class TestTails:
     def test_index_tail_matches_brute(self):
         X = 100
-        got = census.tail_count_index(X, 0.1)
+        got = census.tail_counts_index((X,), 0.1)[0]
         thr = X**0.2
         expected = 0
         for c in enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
@@ -354,7 +358,7 @@ class TestTails:
     def test_szpiro_tail_matches_brute(self):
         # the tail counts only curves that Tate's algorithm calls good at 2 and 3
         X = 500
-        got = census.tail_count_szpiro(X, 0.25, 2.25)
+        got = census.tail_counts_szpiro((X,), 0.25, 2.25)[0]
         expected = 0
         for c in enumerate_region(X * census.TAIL_INDEX_CAP, filter=in_family):
             if not all(tate_algorithm(c, p).conductor_exponent == 0 for p in (2, 3)):
@@ -367,16 +371,16 @@ class TestTails:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            census.tail_count_index(100, 0.0)
+            census.tail_counts_index((100,), 0.0)
         with pytest.raises(ValueError):
-            census.tail_count_index(100, 0.5)
+            census.tail_counts_index((100,), 0.5)
         with pytest.raises(ValueError):
-            census.tail_count_szpiro(100, 0.0, 2.0)
+            census.tail_counts_szpiro((100,), 0.0, 2.0)
         with pytest.raises(ValueError):
-            census.tail_count_szpiro(100, 0.1, 2.3)
+            census.tail_counts_szpiro((100,), 0.1, 2.3)
 
     def test_empty_window_short_circuits(self):
-        assert census.tail_count_szpiro(100, 0.8, 2.0) == 0
+        assert census.tail_counts_szpiro((100,), 0.8, 2.0)[0] == 0
         assert census.tail_counts_szpiro((100, 1000), 0.8, 2.0) == [0, 0]
 
     def test_grid_counts_equal_per_x_counts(self, monkeypatch):
@@ -388,8 +392,8 @@ class TestTails:
         index = census.tail_counts_index(grid, 0.1)
         szpiro = census.tail_counts_szpiro(grid, 0.25, 2.25)
         assert sweeps == [3000 * census.TAIL_INDEX_CAP] * 2
-        assert index == [census.tail_count_index(X, 0.1) for X in grid]
-        assert szpiro == [census.tail_count_szpiro(X, 0.25, 2.25) for X in grid]
+        assert index == [census.tail_counts_index((X,), 0.1)[0] for X in grid]
+        assert szpiro == [census.tail_counts_szpiro((X,), 0.25, 2.25)[0] for X in grid]
         assert sweeps[2:] == [X * census.TAIL_INDEX_CAP for X in grid] * 2
         assert all(type(n) is int for n in index + szpiro) and min(index + szpiro) > 0
 

@@ -34,6 +34,19 @@ def strip_volatile(text: str) -> str:
     return "\n".join(lines)
 
 
+def _trial_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out + [(n, 1)] * (n > 1))
+
+
 class TestClassify:
     def test_five_five_invariants(self, capsys):
         code, doc = run_json(capsys, ["classify", "5", "5"])
@@ -74,6 +87,18 @@ class TestClassify:
         code, doc = run_json(capsys, ["classify", "123457", "98765432101"])
         assert code == 0 and "avg_szpiro" in doc["invariants"]
         assert len(calls) <= 2, calls
+
+    def test_lone_factorization_leaves_the_sieve(self, monkeypatch, capsys):
+        # |b| = 5e7 and a^2 - 4b = 2e8 + 1 lie past the table: trial division,
+        # not a table of 5e7 entries
+        monkeypatch.setattr(arithmetic, "_sieve", arithmetic._SpfSieve())
+        start = arithmetic._sieve.limit
+        code, doc = run_json(capsys, ["classify", "1", "-50000000"])
+        assert code == 0 and arithmetic._sieve.limit == start
+        assert [row["p"] for row in doc["local"]] == [2, 3, 5, 66666667]
+        assert arithmetic.factorize(-50000000).factors == ((2, 7), (5, 8))
+        assert arithmetic.factorize(200000001).factors == _trial_factors(200000001)
+        assert arithmetic._sieve.limit == start
 
     def test_singular_rejected(self, capsys):
         assert cli.main(["classify", "2", "1"]) == 2
@@ -122,12 +147,15 @@ class TestCensusCommand:
         assert cli.main(argv) == 2
 
     def test_sieve_env_hook(self, monkeypatch, capsys):
-        called = {}
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "1e5")
-        monkeypatch.setattr(cli.arithmetic, "ensure_sieve",
-                            lambda n: called.setdefault("n", n))
-        assert cli.main(["census", "--x", "100"]) == 0
-        assert called["n"] == 10**5
+        # the variable is validated up front and only caps the table: a sweep
+        # sizes it to its own bound, here 100 X = 1000, which needs no growth
+        monkeypatch.setattr(arithmetic, "_sieve", arithmetic._SpfSieve())
+        start = arithmetic._sieve.limit
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "abc")
+        assert cli.main(["tails", "index", "--x", "10"]) == 2
+        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "1e8")
+        assert cli.main(["tails", "index", "--x", "10"]) == 0
+        assert arithmetic._sieve.limit == start < 10**8
 
     def test_sieve_env_float_notation(self, monkeypatch, capsys):
         argv = ["census", "--x", "1e4"]

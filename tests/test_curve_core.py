@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,9 @@ from twotor.curve_core import (
     c_invariants,
     conductor_polynomial,
     discriminant,
+    family_at_2,
+    family_at_3,
+    good_family,
     good_reduction_at_2,
     good_reduction_at_3,
     in_family,
@@ -227,6 +231,27 @@ class TestPredicates:
     def test_in_family(self):
         assert in_family(CurveParams(6, 73))
         assert not in_family(CurveParams(5, 5))
+
+    def test_array_form_matches_scalar(self):
+        # the congruences on int64 columns, on Python ints and through
+        # CurveParams, against the clauses spelled out with and/or
+        rng = np.random.default_rng(20231)
+        a = rng.integers(-10**6, 10**6, 20000, endpoint=True)
+        b = rng.integers(-10**11, 10**11, 20000, endpoint=True)
+        at_2, at_3, good = family_at_2(a, b), family_at_3(a, b), good_family(a, b)
+        assert at_2.dtype == at_3.dtype == good.dtype == np.bool_
+        members = 0
+        for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            c = CurveParams(x, y)
+            want_2 = (y % 2 == 1 and x % 8 == 6) or (x % 4 == 1 and y % 32 == 16)
+            want_3 = (x % 3 != 0 and y % 3 == 2) or (x % 3 == 0 and y % 3 != 0)
+            want_good = want_2 and want_3 and (y % 2 == 0 or (y - (x // 2) ** 2) % 128 == 64)
+            assert (family_at_2(x, y), good_reduction_at_2(c), bool(at_2[i])) == (want_2,) * 3
+            assert (family_at_3(x, y), good_reduction_at_3(c), bool(at_3[i])) == (want_3,) * 3
+            assert in_family(c) == (want_2 and want_3)
+            assert (good_family(x, y), in_good_family(c), bool(good[i])) == (want_good,) * 3
+            members += want_good
+        assert 0 < members < np.count_nonzero(at_2 & at_3)
 
 
 def _residue_lift(a0, b0, m):

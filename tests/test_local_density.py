@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from twotor import arithmetic as ar
 from twotor import local_density as ld
-from twotor._constants import MT1_PREFACTOR
+from twotor._constants import PAIR_COUNT_CONST
+from twotor.local_density import MT1_PREFACTOR
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 
 F = Fraction
@@ -132,6 +133,10 @@ class TestCongruenceMass:
 
     def test_joint_mass(self):
         assert ld.good_reduction_density_23() == F(1, 32)
+
+    def test_prefactor_reads_the_mass(self):
+        assert MT1_PREFACTOR == PAIR_COUNT_CONST * float(ld.good_reduction_density_23())
+        assert MT1_PREFACTOR == PAIR_COUNT_CONST / 32
 
 
 class TestDensityTable:
