@@ -10,6 +10,12 @@ quadrature, the Monte Carlo runs, and the lattice counts all support.
 Truncation (|y| >= 4 and |x^2 - y| >= 4) chops the cusp at the origin and the
 two parabolic horns; the truncated region is bounded, which is what makes the
 Monte Carlo box finite.
+
+Every integral here is a 1-D adaptive Gauss-Kronrod quadrature (G7/K15, as
+QUADPACK's qk15) written in numpy: each round evaluates all new intervals in
+one array call and bisects those whose error estimate exceeds their equal
+share of the budget.  It needs only numpy, so importing the package stays
+cheap.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from ._constants import AREA_CONST, CENTER_INTEGRAL, SQRT2, TAIL_INTEGRAL
 from .census import _MAX_Z, _block_pairs
@@ -27,6 +32,84 @@ from .census import _MAX_Z, _block_pairs
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not certify the requested tolerance."""
+
+
+# G7/K15 on [-1, 1]: the 15 Kronrod nodes, their weights, and the 7-point
+# Gauss weights on the same nodes (zero on the nodes only Kronrod adds).
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0,
+])
+_GK_NODES = np.concatenate([-_XK, [0.0], _XK[::-1]])
+_GK_KRONROD = np.concatenate([_WK, [0.209482141084727828012999174891714], _WK[::-1]])
+_GK_GAUSS = np.concatenate([_WG, [0.417959183673469387755102040816327], _WG[::-1]])
+_EPS = float(np.finfo(float).eps)
+_MAX_INTERVALS = 200
+
+
+def _gauss_kronrod(f, lo, hi):
+    """Per interval [lo_i, hi_i]: K15 value, QUADPACK error estimate, and
+    whether that estimate is only its rounding floor."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fv = f(center[:, None] + half[:, None] * _GK_NODES)
+    kronrod = fv @ _GK_KRONROD
+    err = np.abs(half * (kronrod - fv @ _GK_GAUSS))
+    # |K - G| measures the Gauss rule; qk15 scales it down for the Kronrod
+    # one and floors it at what rounding allows
+    resasc = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _GK_KRONROD)
+    resabs = half * (np.abs(fv) @ _GK_KRONROD)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    floor = 50 * _EPS * resabs
+    return half * kronrod, np.maximum(floor, err), err <= floor
+
+
+def _quad(f, points, epsabs: float) -> tuple[float, float]:
+    """(integral, error estimate) of f over [points[0], points[-1]].
+
+    f maps an array of abscissae to an array of values.  The inner points are
+    breakpoints where f may kink.  An interval whose error estimate sits at
+    its rounding floor gains nothing from bisection; the others share what
+    the floors leave of epsabs equally, and each one above its share is
+    bisected.  The loop stops when the total is within epsabs, when rounding
+    alone exceeds it, or before the partition would pass _MAX_INTERVALS, so
+    an unreachable epsabs returns an error estimate above it within a few
+    rounds.
+    """
+    edges = np.asarray(points, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err, flat = _gauss_kronrod(f, lo, hi)
+    while err.sum() > epsabs:
+        left = epsabs - err[flat].sum()
+        split = ~flat & (err > left / max(np.count_nonzero(~flat), 1))
+        n_split = np.count_nonzero(split)
+        if left <= 0 or n_split == 0 or err.size + n_split > _MAX_INTERVALS:
+            break
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err, new_flat = _gauss_kronrod(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+        flat = np.concatenate([flat[keep], new_flat])
+    return float(val.sum()), float(err.sum())
 
 
 @dataclass(frozen=True)
@@ -55,10 +138,14 @@ def area_closed_form(Z: float) -> float:
 
 def center_integral(tol: float = 1e-12) -> float:
     """int_0^1 sqrt(z^4 + 1) dz by adaptive quadrature."""
-    val, err = integrate.quad(lambda z: math.sqrt(z**4 + 1), 0.0, 1.0, epsabs=tol, epsrel=0)
-    if err > tol:
+    val, err = _quad(lambda z: np.sqrt(z**4 + 1), (0.0, 1.0), tol)
+    if not err <= tol:
         raise QuadratureError(f"center integral error estimate {err} > {tol}")
     return val
+
+
+def _tail_integrand(t):
+    return 2.0 / (np.sqrt(1 + t**4) + np.sqrt(np.maximum(1 - t**4, 0.0)))
 
 
 def tail_integral(tol: float = 1e-12) -> float:
@@ -67,14 +154,8 @@ def tail_integral(tol: float = 1e-12) -> float:
     After the substitution the integrand is 2 / (sqrt(1+t^4) + sqrt(1-t^4)),
     which also removes the cancellation between the two square roots.
     """
-    val, err = integrate.quad(
-        lambda t: 2.0 / (math.sqrt(1 + t**4) + math.sqrt(max(1 - t**4, 0.0))),
-        0.0,
-        1.0,
-        epsabs=tol,
-        epsrel=0,
-    )
-    if err > tol:
+    val, err = _quad(_tail_integrand, (0.0, 1.0), tol)
+    if not err <= tol:
         raise QuadratureError(f"tail integral error estimate {err} > {tol}")
     return val
 
@@ -85,27 +166,21 @@ def area_pieces(Z: float, tol: float = 1e-10) -> tuple[float, float, float]:
     m1 integrates sqrt(x^4 + 4Z) over [0, sqrt(2) Z^{1/4}]; the tails use the
     compactified substitution.  m2 = m3 by the y -> x^2 - y symmetry.  The
     three pieces partition the half region, so the full area is 2(m1 + 2 m2).
+    Both integrals are taken in u = x Z^{-1/4}, where they do not depend on Z:
+    tol bounds their error per Z^{3/4} unit, and no power of x can overflow.
     """
     if not Z > 0:
         raise ValueError("Z must be positive")
-    x0 = SQRT2 * Z**0.25
     scale = Z**0.75
-    m1, e1 = integrate.quad(
-        lambda x: math.sqrt(x**4 + 4 * Z), 0.0, x0, epsabs=tol * scale / 4, epsrel=0
-    )
-    # int_{x0}^inf (sqrt(x^4+4Z) - sqrt(x^4-4Z)) dx under x = x0/t
-    tail_t, e2 = integrate.quad(
-        lambda t: 2.0 / (math.sqrt(1 + t**4) + math.sqrt(max(1 - t**4, 0.0))),
-        0.0,
-        1.0,
-        epsabs=tol / (4 * 2 * SQRT2),
-        epsrel=0,
-    )
+    # m1 = Z^{3/4} int_0^sqrt2 sqrt(u^4 + 4) du
+    center, e1 = _quad(lambda u: np.sqrt(u**4 + 4), (0.0, SQRT2), tol / 4)
+    # int_{x0}^inf (sqrt(x^4+4Z) - sqrt(x^4-4Z)) dx under x = x0/t, x0 = sqrt2 Z^{1/4}
+    tail_t, e2 = _quad(_tail_integrand, (0.0, 1.0), tol / (4 * 2 * SQRT2))
+    err = e1 + 2 * SQRT2 * e2
+    if not err <= tol:
+        raise QuadratureError(f"area pieces error estimate {err} per Z^(3/4) exceeds {tol}")
     m2 = SQRT2 * scale * tail_t
-    err = e1 + 2 * SQRT2 * scale * e2
-    if err > tol * max(scale, 1.0):
-        raise QuadratureError(f"area pieces error estimate {err} exceeds budget")
-    return m1, m2, m2
+    return scale * center, m2, m2
 
 
 def area_quadrature(Z: float, tol: float) -> float:
@@ -126,34 +201,41 @@ def area_quadrature(Z: float, tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _subtract_open(intervals, lo, hi):
-    """Remove the open interval (lo, hi) from a list of closed intervals."""
-    out = []
-    for a, b in intervals:
-        if b <= lo or a >= hi:
-            out.append((a, b))
-            continue
-        if a < lo:
-            out.append((a, min(b, lo)))
-        if b > hi:
-            out.append((max(a, hi), b))
-    return out
+def _overlap(a, b, c, d):
+    """Length of [a, b] intersected with [c, d]; zero when they miss."""
+    return np.maximum(np.minimum(b, d) - np.maximum(a, c), 0.0)
 
 
-def _truncated_slice_length(x: float, Z: float) -> float:
-    """Length of {y : |y(x^2-y)| <= Z, |y| >= 4, |x^2-y| >= 4} at fixed x."""
+def _truncated_slice_length(x, Z: float):
+    """Length of {y : |y(x^2-y)| <= Z, |y| >= 4, |x^2-y| >= 4} at each x.
+
+    The slice is the band [x^2/2 - upper, x^2/2 + upper], less the gap
+    (x^2/2 - inner, x^2/2 + inner) once x^4/4 > Z; it is taken as two bands
+    that touch at x^2/2 when there is no gap.  Each band loses its overlap
+    with the strips (-4, 4) and (x^2 - 4, x^2 + 4), and gets back its overlap
+    with their intersection (x^2 - 4, 4), which is empty for x^2 >= 8.
+    """
     t = x * x
     half = t / 2
     peak = t * t / 4
-    upper = math.sqrt(peak + Z)
-    if peak <= Z:
-        intervals = [(half - upper, half + upper)]
-    else:
-        inner = math.sqrt(peak - Z)
-        intervals = [(half - upper, half - inner), (half + inner, half + upper)]
-    intervals = _subtract_open(intervals, -4.0, 4.0)
-    intervals = _subtract_open(intervals, t - 4.0, t + 4.0)
-    return sum(b - a for a, b in intervals)
+    upper = np.sqrt(peak + Z)
+    inner = np.sqrt(np.maximum(peak - Z, 0.0))
+    length = 0.0
+    for a, b in ((half - upper, half - inner), (half + inner, half + upper)):
+        length = (length + (b - a) - _overlap(a, b, -4.0, 4.0)
+                  - _overlap(a, b, t - 4.0, t + 4.0) + _overlap(a, b, t - 4.0, 4.0))
+    return length
+
+
+def _truncated_edges(Z: float) -> list[float]:
+    """0, the x where the slice structure changes, and the region's xmax."""
+    xmax = math.sqrt(Z / 4 + 4)
+    # slice structure changes where bands appear, meet the strips, or vanish
+    points = [SQRT2 * Z**0.25, 2.0, math.sqrt(8.0)]
+    for s in (Z / 4 + 4, Z / 4 - 4, 4 - Z / 4):
+        if s > 0:
+            points.append(math.sqrt(s))
+    return [0.0, *sorted({p for p in points if 0 < p < xmax}), xmax]
 
 
 def truncated_area_quadrature(Z: float, tol: float = 1e-8) -> float:
@@ -166,24 +248,8 @@ def truncated_area_quadrature(Z: float, tol: float = 1e-8) -> float:
         raise ValueError("Z must be positive")
     if Z < 16:
         return 0.0
-    xmax = math.sqrt(Z / 4 + 4)
-    # slice structure changes where bands appear, meet the strips, or vanish
-    points = [SQRT2 * Z**0.25, 2.0, math.sqrt(8.0)]
-    for s in (Z / 4 + 4, Z / 4 - 4, 4 - Z / 4):
-        if s > 0:
-            points.append(math.sqrt(s))
-    points = sorted({p for p in points if 0 < p < xmax})
-    val, err = integrate.quad(
-        _truncated_slice_length,
-        0.0,
-        xmax,
-        args=(Z,),
-        points=points,
-        limit=200,
-        epsabs=tol / 2,
-        epsrel=0,
-    )
-    if err > tol:
+    val, err = _quad(lambda x: _truncated_slice_length(x, Z), _truncated_edges(Z), tol / 2)
+    if not err <= tol:
         raise QuadratureError(f"truncated area error estimate {err} > {tol}")
     return 2 * val
 
@@ -195,6 +261,8 @@ def area_monte_carlo(
 
     Sampling is chunked with SeedSequence([seed, chunk_index]), so the result
     is a pure function of (Z, samples, seed) no matter how it is scheduled.
+    The box overflows float64 above Z ~ 5e205; that is a ValueError, since the
+    estimate, a fraction of the box, would be inf or nan.
     """
     if samples < 10**3:
         raise ValueError("need at least 10^3 samples")
@@ -203,6 +271,8 @@ def area_monte_carlo(
     xmax = math.sqrt(Z / 4 + 4)
     ymax = Z / 4
     box = 2 * xmax * 2 * ymax
+    if not math.isfinite(box):
+        raise ValueError(f"Z = {Z} is too large: the sampling box overflows float64")
     hits = 0
     done = 0
     index = 0
@@ -212,7 +282,9 @@ def area_monte_carlo(
         x = rng.uniform(-xmax, xmax, n)
         y = rng.uniform(-ymax, ymax, n)
         w = x * x - y
-        inside = (np.abs(y * w) <= Z) & (np.abs(y) >= 4) & (np.abs(w) >= 4)
+        # y * w overflows only where |y w| > Z anyway; inf compares as outside
+        with np.errstate(over="ignore"):
+            inside = (np.abs(y * w) <= Z) & (np.abs(y) >= 4) & (np.abs(w) >= 4)
         hits += int(np.count_nonzero(inside))
         done += n
         index += 1

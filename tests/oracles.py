@@ -3,12 +3,14 @@
 These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, and one census record computed
-from two factorizations.  They are slow and simple on purpose.
+from two factorizations.  The truncated real slice length, which
+``real_density`` computes for a whole array of x by inclusion-exclusion, is
+here as an interval list at one x.  They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
 
 from twotor import arithmetic as ar
@@ -116,3 +118,33 @@ def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
 def records_as_tuples(records) -> list[Record]:
     """A census record table as the oracle's tuples (good_23 left out)."""
     return [r[:6] for r in records.tolist()]
+
+
+def _subtract_open(intervals, lo, hi):
+    """Remove the open interval (lo, hi) from a list of closed intervals."""
+    out = []
+    for a, b in intervals:
+        if b <= lo or a >= hi:
+            out.append((a, b))
+            continue
+        if a < lo:
+            out.append((a, min(b, lo)))
+        if b > hi:
+            out.append((max(a, hi), b))
+    return out
+
+
+def truncated_slice_length(x: float, Z: float) -> float:
+    """Length of {y : |y(x^2-y)| <= Z, |y| >= 4, |x^2-y| >= 4} at fixed x."""
+    t = x * x
+    half = t / 2
+    peak = t * t / 4
+    upper = sqrt(peak + Z)
+    if peak <= Z:
+        intervals = [(half - upper, half + upper)]
+    else:
+        inner = sqrt(peak - Z)
+        intervals = [(half - upper, half - inner), (half + inner, half + upper)]
+    intervals = _subtract_open(intervals, -4.0, 4.0)
+    intervals = _subtract_open(intervals, t - 4.0, t + 4.0)
+    return sum(b - a for a, b in intervals)

@@ -202,7 +202,6 @@ class TestRealDensityCommand:
         assert code == 0
         assert doc["area"]["value"] == pytest.approx(11.936352617582644, rel=1e-7)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unreachable_quad_tolerance(self, capsys):
         assert cli.main(["real-density", "--method", "quad", "--tol", "1e-300"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -408,6 +407,10 @@ _ARGV = st.one_of(
           _opt("--class", st.sampled_from(["Good", "III", "I0*", "III*", "semistable", "II"])),
           _opt("--k", _ints(-2, 30))),
     _argv(st.just(["real-density", "--method", "closed"]), _opt("--z", _floats(-10, 1e12))),
+    _argv(st.just(["real-density", "--method", "quad"]), _opt("--z", _floats(-10, 1.7e308)),
+          _opt("--tol", _floats(1e-300, 1))),
+    _argv(st.just(["real-density", "--method", "mc", "--samples"]), _one(_ints(10**3, 10**4)),
+          _opt("--z", _floats(-10, 1.7e308)), _opt("--seed", _ints(-2, 2**40))),
     _argv(st.just(["census"]), _opt("--x", _ints(-5, 1000)),
           _opt("--family", st.sampled_from(["condpoly", "cubefree", "kappa", "Kappa", "x"])),
           _opt("--kappa", _floats(0, 3)),

@@ -1,13 +1,18 @@
 """Region membership, area quadrature vs closed form, Monte Carlo, lattice counts."""
 
 import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import gamma as scipy_gamma
 
+from oracles import truncated_slice_length
 from twotor import real_density as rd
 from twotor._constants import (
     AREA_CONST,
@@ -120,7 +125,6 @@ class TestAreaQuadrature:
         v2 = rd.area_quadrature(1e4, 1e-8)
         assert math.isclose(v2, 1e3 * v1, rel_tol=1e-8)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(rd.QuadratureError):
             rd.area_quadrature(1.0, 1e-30)
@@ -128,6 +132,85 @@ class TestAreaQuadrature:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             rd.area_quadrature(1.0, 0)
+
+
+def _tail(t):
+    return 2.0 / (math.sqrt(1 + t**4) + math.sqrt(max(1 - t**4, 0.0)))
+
+
+def _scipy_truncated_area(Z, epsabs):
+    """scipy.integrate.quad of the interval-list slice length, same breakpoints."""
+    edges = rd._truncated_edges(Z)
+    val, _ = integrate.quad(truncated_slice_length, edges[0], edges[-1], args=(Z,),
+                            points=edges[1:-1], limit=200, epsabs=epsabs, epsrel=0)
+    return 2 * val
+
+
+class TestGaussKronrod:
+    """The numpy quadrature against the stored constants and scipy.integrate.quad."""
+
+    def test_constants_at_1e12(self):
+        assert abs(rd.center_integral(1e-12) - CENTER_INTEGRAL) <= 1e-12
+        assert abs(rd.tail_integral(1e-12) - TAIL_INTEGRAL) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_piece_integrals_match_scipy(self, tol):
+        center, _ = integrate.quad(lambda z: math.sqrt(z**4 + 1), 0, 1, epsabs=tol, epsrel=0)
+        tail, _ = integrate.quad(_tail, 0, 1, epsabs=tol, epsrel=0)
+        assert abs(rd.center_integral(tol) - center) <= tol
+        assert abs(rd.tail_integral(tol) - tail) <= tol
+
+    @pytest.mark.parametrize("Z", [1e-6, 1.0, 1e6, 1e12])
+    def test_area_pieces_match_scipy(self, Z):
+        # the x-space integrals the pieces used to be, scipy as the oracle
+        tol = 1e-10
+        scale = Z**0.75
+        x0 = SQRT2 * Z**0.25
+        m1, _ = integrate.quad(lambda x: math.sqrt(x**4 + 4 * Z), 0, x0,
+                               epsabs=tol * scale / 4, epsrel=0)
+        tail, _ = integrate.quad(_tail, 0, 1, epsabs=tol / (4 * 2 * SQRT2), epsrel=0)
+        got1, got2, got3 = rd.area_pieces(Z, tol)
+        assert got2 == got3
+        assert abs(got1 - m1) <= tol * scale
+        assert abs(got2 - SQRT2 * scale * tail) <= tol * scale
+
+    @pytest.mark.parametrize("Z", [30.0, 100.0, 256.0, 400.0, 1600.0, 1e6])
+    def test_truncated_area_matches_scipy(self, Z):
+        tol = 1e-8
+        assert abs(rd.truncated_area_quadrature(Z, tol) - _scipy_truncated_area(Z, tol / 2)) <= tol
+
+    def test_converges_near_the_rounding_floor(self):
+        # at Z = 3e6 the rounding floors of the K15 estimates take about 90 % of
+        # the 5e-9 budget; the intervals above their floor must still get there
+        Z = 3e6
+        assert math.isclose(rd.truncated_area_quadrature(Z), _scipy_truncated_area(Z, 5e-9),
+                            rel_tol=1e-13)
+
+    @pytest.mark.parametrize("Z", [16.0, 30.0, 256.0, 1e4, 1e6])
+    def test_slice_length_matches_interval_lists(self, Z):
+        edges = rd._truncated_edges(Z)
+        xs = np.unique(np.concatenate([np.linspace(0, edges[-1] * 1.01, 20001), edges]))
+        want = np.array([truncated_slice_length(x, Z) for x in xs])
+        np.testing.assert_allclose(rd._truncated_slice_length(xs, Z), want,
+                                   rtol=1e-12, atol=1e-12 * math.sqrt(Z))
+
+    def test_unreachable_tolerance_is_quick(self):
+        start = time.perf_counter()
+        with pytest.raises(rd.QuadratureError):
+            rd.area_quadrature(1.0, 1e-30)
+        assert time.perf_counter() - start < 0.25
+
+    @pytest.mark.parametrize("Z", [1e100, 5e205, 1e300, 1.7e308])
+    def test_area_finite_at_large_Z(self, Z):
+        got = rd.area_quadrature(Z, 1e-8)
+        assert math.isfinite(got)
+        assert abs(got - rd.area_closed_form(Z)) <= 2e-8 * Z**0.75
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, twotor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestTruncatedArea:
@@ -191,6 +274,12 @@ class TestMonteCarlo:
             if abs(est - exact) > 4 * se:
                 misses += 1
         assert misses <= 1
+
+    def test_box_overflow_is_a_value_error(self):
+        est, se = rd.area_monte_carlo(1e205, 10**3, seed=0)
+        assert math.isfinite(est) and math.isfinite(se)
+        with pytest.raises(ValueError):
+            rd.area_monte_carlo(1e206, 10**3, seed=0)
 
     def test_small_sample_floor(self):
         est, se = rd.area_monte_carlo(256.0, 10**3, seed=0)
