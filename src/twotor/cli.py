@@ -167,7 +167,7 @@ def _cmd_classify(args):
     return inv, header, rows, {"invariants": inv, "local": local}
 
 
-_FAMILY_NAMES = {"condpoly": "CondPoly", "cubefree": "CubeFree", "kappa": "Kappa"}
+_FAMILY_NAMES = {family.lower(): family for family in local_density.FAMILIES}
 _ORDER_NAMES = {"condpoly": "CondPoly", "conductor": "Conductor"}
 
 
@@ -209,16 +209,11 @@ def _check_sieve_env() -> None:
 
 def _cmd_census(args):
     _check_sieve_env()
-    try:
-        family = _FAMILY_NAMES[args.family.lower()]
-        order = _ORDER_NAMES[args.order_by.lower()]
-    except KeyError as e:
-        raise ConfigError(f"unknown name {e.args[0]!r}") from None
     config = census.CensusConfig(
         X=_parse_bound(args.x),
-        family=family,
+        family=_FAMILY_NAMES[args.family.lower()],
         kappa=args.kappa,
-        order_by=order,
+        order_by=_ORDER_NAMES[args.order_by.lower()],
         index_cap=args.index_cap,
         good_reduction_filter=not args.all_residues,
         workers=args.workers,
@@ -246,9 +241,7 @@ def _cmd_local_density(args):
     closed = local_density.density_kodaira(args.p, cls, k)
     row = {"p": args.p, "class": cls, "k": k, "density": closed}
     if args.check:
-        m = args.m if args.m else (k + 1 if cls == "semistable" else
-                                   {"Good": 1, "III": 2, "I0*": 3, "III*": 4}[cls])
-        empirical = local_density.density_empirical(args.p, m, cls, k)
+        empirical = local_density.density_empirical(args.p, args.m, cls, k)
         row["empirical"] = empirical
         row["match"] = empirical == closed
         if empirical != closed:
@@ -302,11 +295,8 @@ def _cmd_tails(args):
 
 
 def _cmd_euler(args):
-    try:
-        family = _FAMILY_NAMES[args.family.lower()]
-    except KeyError:
-        raise ConfigError(f"unknown family {args.family!r}") from None
-    tol = args.tol if args.tol is not None else local_density._DEFAULT_TOL[family]
+    family = _FAMILY_NAMES[args.family.lower()]
+    tol = args.tol if args.tol is not None else local_density.DEFAULT_TOL
     product, cutoff = local_density.euler_product(family, tol)
     dirichlet, dcutoff = local_density.dirichlet_index_sum(family, tol)
     row = {
@@ -370,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True, choices=_CLASS_CHOICES)
     p.add_argument("--k", type=int, default=None, help="index power for semistable")
-    p.add_argument("--m", type=int, default=None, help="grid exponent override")
+    p.add_argument("--m", type=int, default=None,
+                   help="grid exponent; default the smallest the class needs")
     p.add_argument("--check", action="store_true",
                    help="also count residues and compare exactly")
     p.set_defaults(func=_cmd_local_density)

@@ -352,19 +352,6 @@ def _cubic_root_structure(A: int, B: int, C: int, p: int) -> tuple[int, Optional
     return best
 
 
-def _quad_separable(beta: int, gamma: int, p: int) -> bool:
-    """Is Y^2 + beta Y + gamma separable over F_p?"""
-    if p == 2:
-        return beta % 2 == 1
-    return (beta * beta - 4 * gamma) % p != 0
-
-
-def _quad_double_root(beta: int, gamma: int, p: int) -> int:
-    if p == 2:
-        return gamma % 2
-    return (-beta * pow(2, -1, p)) % p
-
-
 def _quad2_separable(alpha: int, beta: int, gamma: int, p: int) -> bool:
     """Is alpha X^2 + beta X + gamma (alpha a unit) separable over F_p?"""
     if p == 2:
@@ -439,9 +426,9 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
                 # Y^2 + (a3/p^{k+1}) Y - a6/p^{2k+2}
                 beta = (a3 // p ** (k + 1)) % p
                 gq = (-(a6 // p ** (2 * k + 2))) % p
-                if _quad_separable(beta, gq, p):
+                if _quad2_separable(1, beta, gq, p):
                     return done(KodairaSymbol("I*", 2 * k - 1))
-                y0 = _quad_double_root(beta, gq, p)
+                y0 = _quad2_double_root(1, beta, gq, p)
                 co = _translate(co, 0, 0, p ** (k + 1) * y0)
                 a1, a2, a3, a4, a6 = co
                 assert a3 % p ** (k + 2) == 0 and a6 % p ** (2 * k + 3) == 0
@@ -461,9 +448,9 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
         assert a2 % (p * p) == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
         beta = (a3 // (p * p)) % p
         gamma = (-(a6 // p**4)) % p
-        if _quad_separable(beta, gamma, p):
+        if _quad2_separable(1, beta, gamma, p):
             return done(KodairaSymbol("IV*"))
-        y0 = _quad_double_root(beta, gamma, p)
+        y0 = _quad2_double_root(1, beta, gamma, p)
         co = _translate(co, 0, 0, p * p * y0)
         a1, a2, a3, a4, a6 = co
         assert a3 % p**3 == 0 and a6 % p**5 == 0

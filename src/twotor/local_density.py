@@ -1,22 +1,26 @@
 """p-adic densities of reduction patterns and the Euler products built from them.
 
-Densities are exact Fractions.  The "empirical" counterparts really count
-residue pairs; they are the oracle the closed forms are tested against.
+Every density and every local factor is an integer polynomial in
+x = p^{-1/4}, written {power of x: coefficient}, whose coefficients do not
+depend on p.  ``density_kodaira`` evaluates one exactly at p.  The
+"empirical" counterparts really count residue pairs; they are the oracle the
+closed forms are tested against.
 
 The 2,3 family is ``curve_core.family_at_2 & family_at_3``, which reads
 (a, b) mod 32 and mod 3 only, so its mass is a count over the residue grids
 mod 32, 3 and 96.  MT1_PREFACTOR folds that mass (1/32) into the lattice
 pair-count constant.
 
-Index-weighted local sums live in Q[q]/(q^4 - p) so that the per-prime
-identity between the assembled Dirichlet sums and the closed-form Euler
-factors can be checked with exact arithmetic rather than floats.
+The index-weighted Dirichlet local sum of a family is assembled from the
+density polynomials, an index p^e weighing x^{-3e}.  That it equals the
+family's Euler factor F is an identity of polynomials, checked exactly on
+every ``dirichlet_index_sum`` call, so it holds at every prime.
 
-Euler products are zeta-factored.  Each factor is an integer polynomial F in
-x = p^{-1/4}, deviating from 1 only like 2 p^{-5/4}, so a plain product needs
-primes to ~4e7 for two digits.  Instead F = prod_k (1 - x^k)^{-e_k} is split
-off as zeta values: the primes 5 <= p <= 100 are multiplied in float64, the
-rest is prod_k zeta_{>100}(k/4)^{e_k} from mpmath, and what remains is
+Euler products are zeta-factored.  Each factor F deviates from 1 only like
+2 p^{-5/4}, so a plain product needs primes to ~4e7 for two digits.  Instead
+F = prod_k (1 - x^k)^{-e_k} is split off as zeta values: the primes
+5 <= p <= 100 are multiplied in float64, the rest is
+prod_k zeta_{>100}(k/4)^{e_k} from mpmath, and what remains is
 1 + O(p^{-(K+1)/4}) with a rigorous bound.  Every family reaches 1e-12 in a
 few tens of milliseconds.
 """
@@ -36,9 +40,28 @@ from . import arithmetic as ar
 from ._constants import PAIR_COUNT_CONST
 from .curve_core import family_at_2, family_at_3
 
-FAMILIES = ("CondPoly", "CubeFree", "Kappa")
+# The Euler factor F of each family, with x = p^{-1/4}.  dirichlet_index_sum
+# checks each one against the local sum assembled from the pattern densities.
+_SERIES = {
+    "CondPoly": {0: 1, 24: -1},
+    "CubeFree": {0: 1, 5: 2, 8: -2, 9: -4, 12: 1, 13: 2},
+    "Kappa": {0: 1, 5: 2, 6: 3, 7: 2, 8: 1, 9: -2, 10: -3, 11: -2, 12: -2},
+}
+
+FAMILIES = tuple(_SERIES)
+DEFAULT_TOL = 1e-12  # the Euler-product tolerance when none is given
 
 ClassName = Union[str, tuple]
+
+# Pattern densities: Good (p-1)^2/p^2, III (p-1)/p^3, I0* (p-1)/p^4 and
+# III* (p-1)/p^6.  Semistable with index power p^k, 2(p-1)^2/p^{k+2}, is
+# 2 x^{4k} times Good (_density).
+_DENSITY = {
+    "Good": {0: 1, 4: -2, 8: 1},
+    "III": {8: 1, 12: -1},
+    "I0*": {12: 1, 16: -1},
+    "III*": {20: 1, 24: -1},
+}
 
 _MIN_M = {"Good": 1, "III": 2, "I0*": 3, "III*": 4}
 _SCAN_LIMIT = 2 * 10**9  # refuse p^{2m} grids beyond this
@@ -68,23 +91,74 @@ def _normalize_class(cls: ClassName, k: Optional[int]) -> tuple[str, Optional[in
     raise ValueError(f"unknown reduction class {cls!r}")
 
 
+# ---------------------------------------------------------------------------
+# Integer polynomials in x = p^{-1/4}, as {power of x: coefficient}.
+# ---------------------------------------------------------------------------
+
+
+def _add(*polys: dict) -> dict:
+    """The sum, with zero coefficients dropped."""
+    out: dict = {}
+    for poly in polys:
+        for j, c in poly.items():
+            out[j] = out.get(j, 0) + c
+    return {j: c for j, c in out.items() if c}
+
+
+def _shift(poly: dict, n: int, scale: int = 1) -> dict:
+    """scale x^n poly."""
+    return {j + n: scale * c for j, c in poly.items()}
+
+
+def _geometric(poly: dict, r: int) -> dict:
+    """sum_{k >= 0} x^{rk} poly = poly / (1 - x^r), which must be a polynomial."""
+    out: dict = {}
+    top = max(poly)
+    for n in range(min(poly), top + 1):
+        c = poly.get(n, 0) + out.get(n - r, 0)
+        if c:
+            out[n] = c
+    # the quotient stops at x^{top - r}; a term above it is a nonzero remainder
+    assert max(out, default=0) <= top - r, "the series does not terminate"
+    return out
+
+
+def _q_coefficients(poly: dict, p: int) -> tuple[Fraction, ...]:
+    """(c0, c1, c2, c3) with poly(p^{-1/4}) = c0 + c1 q + c2 q^2 + c3 q^3, q = p^{1/4}.
+
+    x^j = q^{-j} = q^{4m - j} / p^m with m = ceil(j/4), so the terms group by
+    j mod 4; each group is summed over the common denominator p^top.
+    """
+    ms = {j: -(-j // 4) for j in poly}
+    top = max([0, *ms.values()])
+    num = [0] * 4
+    for j, c in poly.items():
+        num[4 * ms[j] - j] += c * p ** (top - ms[j])
+    return tuple(Fraction(n, p**top) for n in num)
+
+
+def _q_float(coeffs: tuple, p: int) -> float:
+    q = p**0.25
+    return math.fsum(float(c) * q**i for i, c in enumerate(coeffs))
+
+
+def _density(cls: str, k: Optional[int] = None) -> dict:
+    if cls == "semistable":
+        return _shift(_DENSITY["Good"], 4 * k, 2)
+    return _DENSITY[cls]
+
+
 def density_kodaira(p: int, cls: ClassName, k: Optional[int] = None) -> Fraction:
     """Closed-form density of a valuation pattern among (a, b) mod powers of p.
 
     Good: (p-1)^2/p^2; III: (p-1)/p^3; I0*: (p-1)/p^4; III*: (p-1)/p^6;
-    semistable with index power p^k: 2(p-1)^2/p^{k+2}.
+    semistable with index power p^k: 2(p-1)^2/p^{k+2}.  Each is a polynomial
+    in x^4 = 1/p, evaluated exactly.
     """
     _check_p(p)
-    cls, k = _normalize_class(cls, k)
-    if cls == "Good":
-        return Fraction((p - 1) ** 2, p**2)
-    if cls == "III":
-        return Fraction(p - 1, p**3)
-    if cls == "I0*":
-        return Fraction(p - 1, p**4)
-    if cls == "III*":
-        return Fraction(p - 1, p**6)
-    return Fraction(2 * (p - 1) ** 2, p ** (k + 2))
+    value, *irrational = _q_coefficients(_density(*_normalize_class(cls, k)), p)
+    assert not any(irrational)
+    return value
 
 
 def _exact_valuation_mask(arr: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -110,16 +184,20 @@ def _count_semistable(p: int, m: int, k: int) -> int:
     return total
 
 
-def density_empirical(p: int, m: int, cls: ClassName, k: Optional[int] = None) -> Fraction:
+def density_empirical(p: int, m: Optional[int], cls: ClassName,
+                      k: Optional[int] = None) -> Fraction:
     """Count residue pairs mod p^m matching the class pattern, over p^{2m}.
 
     Patterns: III is p | a, p || b; I0* is p | a, p^2 || b; III* is p^2 | a,
     p^3 || b; semistable k is v(b) = k xor v(a^2-4b) = k with the other one 0;
-    Good is p dividing neither b nor a^2-4b.
+    Good is p dividing neither b nor a^2-4b.  m = None takes the smallest m
+    the pattern can be read at.
     """
     _check_p(p)
     cls, k = _normalize_class(cls, k)
     min_m = _MIN_M[cls] if cls != "semistable" else k + 1
+    if m is None:
+        m = min_m
     if m < min_m:
         raise ValueError(f"{cls} needs m >= {min_m}")
     if p ** (2 * m) > _SCAN_LIMIT:
@@ -189,12 +267,7 @@ class LocalDensityTable:
 
 
 def local_density_table(p: int, k_max: int = 3) -> LocalDensityTable:
-    entries = {
-        "Good": density_kodaira(p, "Good"),
-        "III": density_kodaira(p, "III"),
-        "I0*": density_kodaira(p, "I0*"),
-        "III*": density_kodaira(p, "III*"),
-    }
+    entries = {cls: density_kodaira(p, cls) for cls in _DENSITY}
     for k in range(1, k_max + 1):
         entries[("semistable", k)] = density_kodaira(p, "semistable", k)
     table = LocalDensityTable(p, entries)
@@ -204,130 +277,58 @@ def local_density_table(p: int, k_max: int = 3) -> LocalDensityTable:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic in Q[q]/(q^4 - p), q standing for p^{1/4}.
+# Euler factors and Dirichlet local sums.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Q4:
-    """Element c0 + c1 q + c2 q^2 + c3 q^3 with q^4 = p, coefficients rational."""
-
-    p: int
-    coeffs: tuple
-
-    @classmethod
-    def rational(cls, p: int, x) -> "Q4":
-        return cls(p, (Fraction(x), Fraction(0), Fraction(0), Fraction(0)))
-
-    @classmethod
-    def q_power(cls, p: int, k: int) -> "Q4":
-        """q^k reduced by q^4 = p."""
-        scalar = Fraction(p) ** (k // 4)
-        coeffs = [Fraction(0)] * 4
-        coeffs[k % 4] = scalar
-        return cls(p, tuple(coeffs))
-
-    def _coerce(self, other) -> "Q4":
-        if isinstance(other, Q4):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        return Q4.rational(self.p, other)
-
-    def __add__(self, other) -> "Q4":
-        o = self._coerce(other)
-        return Q4(self.p, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Q4":
-        o = self._coerce(other)
-        return Q4(self.p, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
-
-    def __mul__(self, other) -> "Q4":
-        o = self._coerce(other)
-        raw = [Fraction(0)] * 7
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(o.coeffs):
-                raw[i + j] += x * y
-        out = list(raw[:4])
-        for i in range(4, 7):
-            out[i - 4] += raw[i] * self.p
-        return Q4(self.p, tuple(out))
-
-    __rmul__ = __mul__
-
-    def to_float(self) -> float:
-        q = self.p**0.25
-        return math.fsum(float(c) * q**i for i, c in enumerate(self.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Euler factors and products.
-# ---------------------------------------------------------------------------
-
-
-def euler_factor_q4(p: int, family: str) -> Q4:
-    """Exact local factor as an element of Q[q]/(q^4 - p)."""
-    _check_p(p)
-    one = Fraction(1)
-    if family == "CondPoly":
-        return Q4.rational(p, one - Fraction(1, p**6))
-    if family == "CubeFree":
-        const = one - Fraction(2 * p - 1, p**3)
-        q3 = Fraction(2 * (p - 1) ** 2, p**4)
-        return Q4(p, (const, Fraction(0), Fraction(0), q3))
-    if family == "Kappa":
-        # 1 - 1/p^2 + (p-1) q^2/p^3 + 2(p-1)(1 + q + q^2 + q^3)/p^3
-        w = Fraction(2 * (p - 1), p**3)
-        const = one - Fraction(1, p**2) + w
-        return Q4(p, (const, w, Fraction(p - 1, p**3) + w, w))
-    raise ValueError(f"unknown family {family!r}")
+def _series(family: str) -> dict:
+    try:
+        return _SERIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
 
 
 def euler_factor(p: int, family: str) -> float:
-    return float(euler_factor_q4(p, family).to_float())
+    _check_p(p)
+    return _q_float(_q_coefficients(_series(family), p), p)
 
 
-def dirichlet_local_sum_q4(p: int, family: str) -> Q4:
-    """sum over reduction patterns of density * (index p-part)^{3/4}.
+def _local_sum(family: str) -> dict:
+    """sum over reduction patterns of density * (index p-part)^{3/4}, in x.
 
     Index p-parts: 1 for Good and III, p^{k-1} for semistable k, p^2 for I0*,
-    p^4 for III*.  CondPoly applies no index weight (ordering is by the
-    conductor polynomial) and must sum all minimal patterns to 1 - p^{-6};
-    CubeFree keeps patterns with v(conductor poly) <= 2; Kappa keeps all.
+    p^4 for III*; an index p^e weighs x^{-3e}.  CondPoly applies no index
+    weight (ordering is by the conductor polynomial) and sums all minimal
+    patterns, to 1 - p^{-6}; CubeFree keeps patterns with v(conductor poly)
+    <= 2; Kappa keeps all.
     """
-    _check_p(p)
-    good = density_kodaira(p, "Good")
-    iii = density_kodaira(p, "III")
+    good, iii, ss1 = _density("Good"), _density("III"), _density("semistable", 1)
     if family == "CondPoly":
-        ss_all = Fraction(2 * (p - 1), p**2)  # sum of 2(p-1)^2/p^{k+2}, k >= 1
-        additive_parts = [
-            iii,  # p | a, p || b
-            Fraction(p - 1, p**4),  # p | a, p^2 || b
-            Fraction((p - 1) ** 2, p**6),  # p || a, p^3 || b
-            Fraction(p - 1, p**6),  # p^2 | a, p^3 || b
-            Fraction(1, p**5) - Fraction(1, p**6),  # p | a, p^4 | b, minimal
-        ]
-        total = good + ss_all + sum(additive_parts)
-        assert total == 1 - Fraction(1, p**6)
-        return Q4.rational(p, total)
-    if family == "CubeFree":
-        ss1 = density_kodaira(p, "semistable", 1)
-        ss2 = density_kodaira(p, "semistable", 2)
-        return (
-            Q4.rational(p, good + ss1 + iii)
-            + Q4.q_power(p, 3) * ss2
+        return _add(
+            good, iii,
+            _geometric(ss1, 4),  # semistable k >= 1, each x^4 times the one before
+            _density("I0*"),  # p | a, p^2 || b
+            _shift(good, 16),  # p || a, p^3 || b: (p-1)^2/p^6
+            _density("III*"),  # p^2 | a, p^3 || b
+            {20: 1, 24: -1},  # p | a, p^4 | b, minimal: 1/p^5 - 1/p^6
         )
+    if family == "CubeFree":
+        return _add(good, ss1, iii, _shift(_density("semistable", 2), -3))
     if family == "Kappa":
-        # semistable sum: 2(p-1)^2/p^3 * sum_j q^{-j} = 2(p-1)(p+q+q^2+q^3)/p^3
-        w = Fraction(2 * (p - 1), p**3)
-        ss = Q4(p, (w * p, w, w, w))
-        out = Q4.rational(p, good + iii) + ss
-        out = out + Q4.q_power(p, 6) * density_kodaira(p, "I0*")
-        out = out + Q4.q_power(p, 12) * density_kodaira(p, "III*")
-        return out
+        return _add(
+            good, iii,
+            _geometric(ss1, 1),  # semistable k weighs x^{-3(k-1)}: each x times the last
+            _shift(_density("I0*"), -6),
+            _shift(_density("III*"), -12),
+        )
     raise ValueError(f"unknown family {family!r}")
+
+
+def dirichlet_local_sum_q4(p: int, family: str) -> tuple[Fraction, ...]:
+    """The family's local sum at p, as the exact coefficients of 1, q, q^2, q^3
+    with q = p^{1/4}."""
+    _check_p(p)
+    return _q_coefficients(_local_sum(family), p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +346,8 @@ def dirichlet_local_sum_q4(p: int, family: str) -> Q4:
 # Hardy-Littlewood constants") and P. Moree (Manuscripta Math. 101, 2000).
 # ---------------------------------------------------------------------------
 
-# F as {power of x: coefficient}; the tests check F(p^{-1/4}) against
-# euler_factor_q4 exactly in Q[q]/(q^4 - p).
-_SERIES = {
-    "CondPoly": {0: 1, 24: -1},
-    "CubeFree": {0: 1, 5: 2, 8: -2, 9: -4, 12: 1, 13: 2},
-    "Kappa": {0: 1, 5: 2, 6: 3, 7: 2, 8: 1, 9: -2, 10: -3, 11: -2, 12: -2},
-}
-
 _HEAD_CUTOFF = 100  # P: the primes 5 <= p <= P are multiplied directly
 _MAX_ORDER = 64  # the largest K; tolerances it cannot reach are unreachable
-
-
-def _series(family: str) -> dict:
-    try:
-        return _SERIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
 
 
 def _head_primes(P: int) -> np.ndarray:
@@ -373,16 +359,6 @@ def _prime_sum_bound(s: float, P: float) -> float:
     """Bound on sum_{p > P} p^{-s}, s > 1, from pi(t) <= 1.3 t/log t and
     partial summation: (1.3 s/(s-1)) P^{1-s}/log P."""
     return 1.3 * s / (s - 1) * P ** (1 - s) / math.log(P)
-
-
-# |f_p - 1| <= C_DEV p^{-theta}: (theta, C_DEV) per family.
-_TAIL_PARAMS = {"CondPoly": (6.0, 1.0), "CubeFree": (1.25, 2.2), "Kappa": (1.25, 3.0)}
-
-
-def _tail_bound(family: str, P: float) -> float:
-    """Bound on sum_{p > P} |f_p - 1|, what the plain product to P leaves out."""
-    theta, c_dev = _TAIL_PARAMS[family]
-    return c_dev * _prime_sum_bound(theta, P)
 
 
 def _exponents(family: str, K: int) -> list[int]:
@@ -516,21 +492,17 @@ def euler_product(family: str, tol: float) -> tuple[float, int]:
 def dirichlet_index_sum(family: str, tol: float) -> tuple[float, int]:
     """Euler product of the index-weighted local density sums.
 
-    Each local sum up to P is assembled exactly from the pattern densities and
-    checked against the closed-form factor (an identity in Q[q]/(q^4 - p));
-    beyond P they are the closed forms, so the same zeta tail applies.
+    The local sum assembled from the pattern densities is checked against the
+    Euler factor F, an identity of polynomials in x that holds at every p.
+    Up to P each local sum is evaluated exactly at p; beyond P they are F, so
+    the same zeta tail applies.
     """
     P, log_tail = _zeta_tail(family, tol)
-    logs = []
-    for p in _head_primes(P):
-        local = dirichlet_local_sum_q4(int(p), family)
-        assert local == euler_factor_q4(int(p), family), (
-            f"{family}: local sum differs from the Euler factor at p = {p}")
-        logs.append(math.log(local.to_float()))
+    assert _local_sum(family) == _SERIES[family], (
+        f"{family}: the local sum differs from the Euler factor")
+    logs = [math.log(_q_float(dirichlet_local_sum_q4(p, family), p))
+            for p in map(int, _head_primes(P))]
     return math.exp(math.fsum(logs) + log_tail), P
-
-
-_DEFAULT_TOL = {family: 1e-12 for family in FAMILIES}
 
 
 def mt1_constant(family: str, tol: Optional[float] = None) -> float:
@@ -538,6 +510,6 @@ def mt1_constant(family: str, tol: Optional[float] = None) -> float:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if tol is None:
-        tol = _DEFAULT_TOL[family]
+        tol = DEFAULT_TOL
     value, _ = euler_product(family, tol)
     return MT1_PREFACTOR * value

@@ -13,7 +13,7 @@ both certificates are feasible and tight at the same optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -278,30 +278,10 @@ class ExponentVector:
                 raise ValueError(f"component {name} is negative: {v}")
 
     def as_dict(self) -> dict:
-        return {
-            "gamma_I0star": self.gamma_I0star,
-            "gamma_III": self.gamma_III,
-            "gamma_IIIstar": self.gamma_IIIstar,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "upsilon": self.upsilon,
-            "nu": self.nu,
-        }
+        return asdict(self)
 
     def as_tuple(self) -> tuple:
-        return (
-            self.gamma_I0star,
-            self.gamma_III,
-            self.gamma_IIIstar,
-            self.alpha1,
-            self.alpha2,
-            self.beta1,
-            self.beta2,
-            self.upsilon,
-            self.nu,
-        )
+        return astuple(self)
 
 
 def avg_szpiro_from_exponents(v: ExponentVector):

@@ -144,15 +144,23 @@ def center_integral(tol: float = 1e-12) -> float:
     return val
 
 
-def _tail_integrand(t):
-    return 2.0 / (np.sqrt(1 + t**4) + np.sqrt(np.maximum(1 - t**4, 0.0)))
+def _tail_integrand(s):
+    """2 / (sqrt(1+t^4) + sqrt(1-t^4)) at t = 1 - s^2, times dt/ds = 2s.
+
+    In t the integrand behaves like sqrt(1-t) at t = 1, a kink that bisection
+    resolves slowly.  With 1 - t^4 = s^2 (2 - s^2)(1 + t^2) it is smooth in s
+    on [0, 1], and free of cancellation near s = 0.
+    """
+    t = 1 - s * s
+    return 4 * s / (np.sqrt(1 + t**4) + s * np.sqrt((2 - s * s) * (1 + t * t)))
 
 
 def tail_integral(tol: float = 1e-12) -> float:
     """int_1^inf sqrt(z^4+1) - sqrt(z^4-1) dz, compactified by z -> 1/t.
 
     After the substitution the integrand is 2 / (sqrt(1+t^4) + sqrt(1-t^4)),
-    which also removes the cancellation between the two square roots.
+    which also removes the cancellation between the two square roots; it is
+    integrated in s with t = 1 - s^2 (_tail_integrand).
     """
     val, err = _quad(_tail_integrand, (0.0, 1.0), tol)
     if not err <= tol:
@@ -174,12 +182,13 @@ def area_pieces(Z: float, tol: float = 1e-10) -> tuple[float, float, float]:
     scale = Z**0.75
     # m1 = Z^{3/4} int_0^sqrt2 sqrt(u^4 + 4) du
     center, e1 = _quad(lambda u: np.sqrt(u**4 + 4), (0.0, SQRT2), tol / 4)
-    # int_{x0}^inf (sqrt(x^4+4Z) - sqrt(x^4-4Z)) dx under x = x0/t, x0 = sqrt2 Z^{1/4}
-    tail_t, e2 = _quad(_tail_integrand, (0.0, 1.0), tol / (4 * 2 * SQRT2))
+    # int_{x0}^inf (sqrt(x^4+4Z) - sqrt(x^4-4Z)) dx under x = x0/t, x0 = sqrt2 Z^{1/4},
+    # then t = 1 - s^2
+    tail, e2 = _quad(_tail_integrand, (0.0, 1.0), tol / (4 * 2 * SQRT2))
     err = e1 + 2 * SQRT2 * e2
     if not err <= tol:
         raise QuadratureError(f"area pieces error estimate {err} per Z^(3/4) exceeds {tol}")
-    m2 = SQRT2 * scale * tail_t
+    m2 = SQRT2 * scale * tail
     return scale * center, m2, m2
 
 

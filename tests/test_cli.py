@@ -183,6 +183,15 @@ class TestLocalDensityCommand:
         assert code == 0
         assert doc["density"]["density"] == {"num": 32, "den": 625}
 
+    def test_grid_below_the_class_minimum_is_exit_2(self, capsys):
+        for m in ("0", "1", "-1"):
+            assert cli.main(["local-density", "--p", "5", "--class", "III",
+                             "--check", "--m", m]) == 2
+        code, doc = run_json(capsys, ["local-density", "--p", "5", "--class", "III",
+                                      "--check", "--m", "3"])
+        assert code == 0
+        assert doc["density"]["match"] is True
+
     def test_forced_mismatch_is_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.local_density, "density_empirical",
                             lambda *a, **k: Fraction(1, 2))
@@ -271,7 +280,7 @@ class TestEulerCommand:
         code, doc = run_json(capsys, ["euler"])
         assert code == 0
         assert doc["euler"]["family"] == "CondPoly"
-        assert doc["euler"]["tol"] == local_density._DEFAULT_TOL["CondPoly"]
+        assert doc["euler"]["tol"] == local_density.DEFAULT_TOL
         assert doc["euler"]["mt1_constant"] == pytest.approx(0.2637393, abs=1e-6)
 
     def test_unreachable_tolerance(self, capsys):
@@ -396,6 +405,25 @@ def _one(words):
     return words.map(lambda w: [w])
 
 
+@st.composite
+def _local_density_check(draw):
+    """local-density --check.  It scans p^(2m) residue pairs for a semistable
+    class and p^m residues for the others, m defaulting to the class's
+    minimum (k + 1 for semistable); m is capped so a scan stays <= 1e7 cells."""
+    p = draw(st.one_of(st.sampled_from([5, 7, 11, 13]), st.sampled_from([-3, 0, 1, 2, 3, 9])))
+    cls = draw(st.sampled_from(["Good", "III", "I0*", "III*", "semistable"]))
+    span = 2 if cls == "semistable" else 1
+    top = 1
+    while top < 8 and abs(p) ** (span * (top + 1)) <= 10**7:
+        top += 1
+    # mostly give k exactly when the class takes one
+    k = draw(st.integers(-2, top - 1))
+    with_k = (cls == "semistable") == draw(st.sampled_from([True, True, True, False]))
+    return draw(_argv(
+        st.just(["local-density", "--check", "--class", cls, "--p", str(p)]),
+        st.just(["--k", str(k)] if with_k else []), _opt("--m", _ints(-1, top))))
+
+
 _GRID = _word(st.lists(st.integers(-2, 1000), min_size=1, max_size=3).map(
     lambda xs: ",".join(map(str, xs))))
 _FRACTION = _word(st.fractions(-1, 1, max_denominator=200).map(str))
@@ -406,6 +434,7 @@ _ARGV = st.one_of(
     _argv(st.just(["local-density"]), _opt("--p", _ints(-3, 60)),
           _opt("--class", st.sampled_from(["Good", "III", "I0*", "III*", "semistable", "II"])),
           _opt("--k", _ints(-2, 30))),
+    _local_density_check(),
     _argv(st.just(["real-density", "--method", "closed"]), _opt("--z", _floats(-10, 1e12))),
     _argv(st.just(["real-density", "--method", "quad"]), _opt("--z", _floats(-10, 1.7e308)),
           _opt("--tol", _floats(1e-300, 1))),

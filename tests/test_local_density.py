@@ -17,9 +17,14 @@ from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 F = Fraction
 
 
+# |f_p - 1| <= c p^{-theta}: (theta, c) per family.
+_DEVIATION = {"CubeFree": (1.25, 2.2), "Kappa": (1.25, 3.0)}
+
+
 def _truncated_oracle(family, P):
     """(t, b): the plain float64 product over 5 <= p <= P, by the closed forms
-    of the factors, and the bound b on the log of what it leaves out."""
+    of the factors, and b, a bound on sum_{p > P} |f_p - 1|, which bounds the
+    log of what the product leaves out."""
     p = ar.primes_up_to(P)
     p = p[p >= 5].astype(np.float64)
     if family == "CubeFree":
@@ -27,7 +32,24 @@ def _truncated_oracle(family, P):
     else:
         q = p**0.25
         f = 1 - p**-2 + (p - 1) * p**-2.5 + 2 * (p - 1) ** 2 / (p**3 * (q - 1))
-    return math.exp(math.fsum(np.log(f))), ld._tail_bound(family, P)
+    theta, c = _DEVIATION[family]
+    return math.exp(math.fsum(np.log(f))), c * ld._prime_sum_bound(theta, P)
+
+
+def _closed_form_factor(p, family):
+    """The Euler factor at p, derived by hand, as the coefficients of 1, q,
+    q^2, q^3 with q = p^{1/4}."""
+    if family == "CondPoly":
+        return (1 - F(1, p**6), 0, 0, 0)
+    if family == "CubeFree":
+        return (1 - F(2 * p - 1, p**3), 0, 0, F(2 * (p - 1) ** 2, p**4))
+    # 1 - 1/p^2 + (p-1) q^2/p^3 + 2(p-1)(1 + q + q^2 + q^3)/p^3
+    w = F(2 * (p - 1), p**3)
+    return (1 - F(1, p**2) + w, w, F(p - 1, p**3) + w, w)
+
+
+_HEAD_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def _vp(n: int, p: int) -> int:
@@ -47,6 +69,15 @@ class TestKodairaDensities:
         assert ld.density_kodaira(5, "semistable", 1) == F(32, 125)
         assert ld.density_kodaira(5, ("semistable", 2)) == F(32, 625)
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 97, 1009])
+    def test_polynomials_are_the_formulas(self, p):
+        assert ld.density_kodaira(p, "Good") == F((p - 1) ** 2, p**2)
+        assert ld.density_kodaira(p, "III") == F(p - 1, p**3)
+        assert ld.density_kodaira(p, "I0*") == F(p - 1, p**4)
+        assert ld.density_kodaira(p, "III*") == F(p - 1, p**6)
+        for k in (1, 2, 5):
+            assert ld.density_kodaira(p, "semistable", k) == F(2 * (p - 1) ** 2, p ** (k + 2))
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             ld.density_kodaira(4, "Good")
@@ -63,6 +94,7 @@ class TestKodairaDensities:
 class TestEmpiricalDensities:
     def test_examples_at_5(self):
         assert ld.density_empirical(5, 2, "III") == F(20, 625)
+        assert ld.density_empirical(5, None, "III") == F(20, 625)
         assert ld.density_empirical(5, 3, "I0*") == F(100, 15625)
         assert ld.density_empirical(5, 2, "semistable", 1) == F(160, 625)
 
@@ -158,38 +190,43 @@ class TestDensityTable:
         assert abs(float(acc) - (1 - p**-2)) < 1e-40
 
 
-class TestQ4Arithmetic:
-    def test_q4_reduction(self):
-        assert ld.Q4.q_power(5, 4) == ld.Q4.rational(5, 5)
-        assert ld.Q4.q_power(5, 6) == ld.Q4(5, (F(0), F(0), F(5), F(0)))
-        assert ld.Q4.q_power(5, 12) == ld.Q4.rational(5, 125)
+class TestXPolynomials:
+    """Integer polynomials in x = p^{-1/4} and their exact values at p."""
 
-    def test_multiplication(self):
-        q = ld.Q4.q_power(5, 1)
-        assert q * q * q * q == ld.Q4.rational(5, 5)
-        lhs = (ld.Q4.rational(5, 1) + q) * (ld.Q4.rational(5, 1) + q)
-        assert lhs == ld.Q4(5, (F(1), F(2), F(1), F(0)))
+    def test_q_coefficients_reduce_by_p(self):
+        # x^{-j} = q^j, reduced by q^4 = p
+        assert ld._q_coefficients({-4: 1}, 5) == (5, 0, 0, 0)
+        assert ld._q_coefficients({-6: 1}, 5) == (0, 0, 5, 0)
+        assert ld._q_coefficients({-12: 1}, 5) == (125, 0, 0, 0)
+        # x = q^3 / p, x^8 = 1/p^2
+        assert ld._q_coefficients({1: 3, 8: 2}, 5) == (F(2, 25), 0, 0, F(3, 5))
+        assert ld._q_coefficients({}, 5) == (0, 0, 0, 0)
 
-    def test_mixed_primes_rejected(self):
-        with pytest.raises(ValueError):
-            ld.Q4.q_power(5, 1) + ld.Q4.q_power(7, 1)
+    def test_q_float(self):
+        assert abs(ld._q_float(ld._q_coefficients({-1: 1}, 5), 5) - 5**0.25) < 1e-15
+        assert ld._q_float(ld._q_coefficients({0: 1, 24: -1}, 5), 5) == 1 - 5.0**-6
 
-    def test_to_float(self):
-        val = float(ld.Q4.q_power(5, 1).to_float())
-        assert abs(val - 5**0.25) < 1e-15
-
-    @given(
-        st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-        st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-    )
+    @given(st.dictionaries(st.integers(-12, 24), st.integers(-9, 9), max_size=8),
+           st.sampled_from([5, 7, 97]))
     @settings(max_examples=60, deadline=None)
-    def test_mul_commutes_and_matches_floats(self, x0, x1, x2, y0, y1, y2):
-        x = ld.Q4(7, (F(x0), F(x1), F(x2), F(0)))
-        y = ld.Q4(7, (F(y0), F(y1), F(y2), F(0)))
-        assert x * y == y * x
-        lhs = float((x * y).to_float())
-        rhs = float(x.to_float() * y.to_float())
-        assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-9)
+    def test_q_coefficients_match_floats(self, poly, p):
+        exact = ld._q_float(ld._q_coefficients(poly, p), p)
+        direct = math.fsum(c * p ** (-j / 4) for j, c in poly.items())
+        scale = math.fsum(abs(c) * p ** (-j / 4) for j, c in poly.items())
+        assert abs(exact - direct) <= 1e-14 * max(scale, 1)
+
+    def test_add_and_shift(self):
+        good = ld._DENSITY["Good"]
+        assert ld._add(good, ld._shift(good, 0, -1)) == {}
+        assert ld._shift(good, 4, 2) == {4: 2, 8: -4, 12: 2}
+
+    def test_geometric(self):
+        # (1 - x^4)^2 / (1 - x) = (1 + x + x^2 + x^3)(1 - x^4)
+        assert ld._geometric(ld._DENSITY["Good"], 1) == {
+            0: 1, 1: 1, 2: 1, 3: 1, 4: -1, 5: -1, 6: -1, 7: -1}
+        assert ld._geometric({2: 1, 6: -1}, 4) == {2: 1}
+        with pytest.raises(AssertionError):
+            ld._geometric({0: 1, 1: 1}, 1)
 
 
 class TestEulerFactors:
@@ -219,14 +256,25 @@ class TestEulerFactors:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             ld.euler_factor(5, "Squarefree")
+        with pytest.raises(ValueError):
+            ld.dirichlet_local_sum_q4(5, "Squarefree")
 
 
 class TestDirichletIdentity:
     @pytest.mark.parametrize("family", ld.FAMILIES)
     def test_local_sum_equals_euler_factor(self, family):
-        for p in [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                  61, 67, 71, 73, 79, 83, 89, 97]:
-            assert ld.dirichlet_local_sum_q4(p, family) == ld.euler_factor_q4(p, family)
+        # one identity of polynomials in x, so it holds at every p ...
+        assert ld._local_sum(family) == ld._SERIES[family]
+        # ... and the local sum at each head prime is the hand-derived factor
+        for p in _HEAD_PRIMES:
+            assert ld.dirichlet_local_sum_q4(p, family) == _closed_form_factor(p, family)
+
+    def test_mismatch_is_an_internal_check_failure(self, monkeypatch, capsys):
+        from twotor import cli
+
+        monkeypatch.setitem(ld._DENSITY, "III*", {20: 1, 24: -2})
+        assert cli.main(["euler", "--family", "kappa", "--tol", "0.01"]) == 3
+        assert "the local sum differs from the Euler factor" in capsys.readouterr().err
 
 
 class TestEulerProducts:
@@ -267,7 +315,7 @@ class TestEulerProducts:
 
 class TestLeadingConstants:
     def test_condpoly_constant(self):
-        value, _ = ld.euler_product("CondPoly", ld._DEFAULT_TOL["CondPoly"])
+        value, _ = ld.euler_product("CondPoly", ld.DEFAULT_TOL)
         expected = float(MT1_PREFACTOR) * value
         assert math.isclose(ld.mt1_constant("CondPoly"), expected, rel_tol=1e-12)
         assert math.isclose(ld.mt1_constant("CondPoly"), 0.2637393, abs_tol=2e-6)
@@ -300,17 +348,18 @@ class TestZetaFactored:
     @pytest.mark.parametrize("family", ld.FAMILIES)
     def test_series_is_the_euler_factor(self, family):
         for p in [5, 7, 11, 13, 97, 101]:
-            value = ld.Q4.rational(p, 0)
+            value = [F(0)] * 4
             for j, c in ld._SERIES[family].items():
-                m = -(-j // 4)  # x^j = q^{-j} = q^{4m - j} / p^m
-                value = value + ld.Q4.q_power(p, 4 * m - j) * F(c, p**m)
-            assert value == ld.euler_factor_q4(p, family)
+                # x^j = q^{-j} = q^{(-j) mod 4} p^{floor(-j/4)}
+                value[-j % 4] += c * F(p) ** (-j // 4)
+            assert tuple(value) == _closed_form_factor(p, family)
+            assert ld._q_coefficients(ld._SERIES[family], p) == tuple(value)
 
     def test_condpoly_is_inverse_zeta6(self):
         zeta6 = math.pi**6 / 945
         oracle = (1 / zeta6) / ((1 - 2.0**-6) * (1 - 3.0**-6))
         for tol in (1e-12, None):
-            value, _ = ld.euler_product("CondPoly", tol or ld._DEFAULT_TOL["CondPoly"])
+            value, _ = ld.euler_product("CondPoly", tol or ld.DEFAULT_TOL)
             assert abs(value - oracle) < 1e-14
 
     @pytest.mark.parametrize("family", ["CubeFree", "Kappa"])
