@@ -2,10 +2,11 @@
 
 Everything downstream (reduction types, conductors, censuses, tail statistics)
 consumes factorizations produced here.  The workhorse is a smallest-prime-factor
-table, 2^16 entries at import; it grows only when a batch caller asks
-(``ensure_sieve``), up to a configurable cap (env CENSUS_SIEVE_BOUND, default
-10**8).  Values past the table fall back to trial division by small primes,
-then deterministic Miller-Rabin, then Pollard rho with Brent cycling.
+table of 2^16 entries, built at import and never grown.  A batch of values
+(``prime_to_6_profile``) is peeled against the table below it and
+trial-divided in bulk above it.  A lone value past the table goes through
+trial division by small primes, then deterministic Miller-Rabin, then Pollard
+rho with Brent cycling.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -13,15 +14,11 @@ Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SIEVE_CAP = 10**8
-_SIEVE_ENV = "CENSUS_SIEVE_BOUND"
-
-# Initial sieve size. Small so importing the package stays cheap; grows on demand.
+# The SPF table's size. Small, so importing the package stays cheap.
 _INITIAL_SIEVE = 1 << 16
 
 # Sieve entries built at a time: 4 MiB of uint32, so a segment stays in cache
@@ -30,27 +27,6 @@ _SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def sieve_cap() -> int:
-    """The sieve cap from CENSUS_SIEVE_BOUND (unset or empty: the default).
-
-    The value is an integer written either plainly or in float notation
-    ("100000", "1e5").
-    """
-    raw = os.environ.get(_SIEVE_ENV)
-    if not raw:
-        return DEFAULT_SIEVE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        try:
-            cap = int(float(raw))
-        except (ValueError, OverflowError):
-            raise ValueError(f"{_SIEVE_ENV}={raw!r} is not an integer") from None
-    if cap < _INITIAL_SIEVE:
-        raise ValueError(f"{_SIEVE_ENV} must be at least {_INITIAL_SIEVE}")
-    return cap
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -66,11 +42,10 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 class _SpfSieve:
-    """Smallest-prime-factor table, grown only by ``ensure``.
+    """Smallest-prime-factor table of _INITIAL_SIEVE entries.
 
-    spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0).  Growth doubles
-    at least, so repeated slightly-larger queries do not thrash.  The table is
-    immutable between growths and reads are safe for concurrent use.
+    spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0).  The table is
+    immutable, so reads are safe for concurrent use and forked workers share it.
     """
 
     def __init__(self) -> None:
@@ -104,18 +79,6 @@ class _SpfSieve:
     def limit(self) -> int:
         return len(self._spf) - 1
 
-    def ensure(self, n: int) -> bool:
-        """Grow the table to cover n if allowed; return True when covered."""
-        if n <= self.limit:
-            return True
-        cap = sieve_cap()
-        if n > cap:
-            return False
-        target = max(n, 2 * self.limit)
-        target = min(target, cap)
-        self._spf = self._build(target)
-        return n <= self.limit
-
     def spf(self, n: int) -> int:
         return int(self._spf[n])
 
@@ -124,16 +87,6 @@ class _SpfSieve:
 
 
 _sieve = _SpfSieve()
-
-
-def ensure_sieve(n: int) -> bool:
-    """Grow the SPF table toward n (clamped to the cap); True when covered.
-
-    This is the only way the table grows.  Batch callers use it once up front
-    so forked workers inherit the table; a lone ``factorize`` reads the table
-    where it reaches and trial-divides beyond it.
-    """
-    return _sieve.ensure(max(2, min(n, sieve_cap())))
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -359,48 +312,74 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _divide_out(rem: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each rem in place by the full power of its p, which divides it;
+    return (p^e, e) per entry."""
+    rem //= p
+    pe = p.copy()
+    e = np.ones_like(p)
+    hit = np.flatnonzero(rem % p == 0)
+    while hit.size:
+        rem[hit] //= p[hit]
+        pe[hit] *= p[hit]
+        e[hit] += 1
+        hit = hit[rem[hit] % p[hit] == 0]
+    return pe, e
+
+
 def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per nonzero value n: (rad, part, emax) of its primes p >= 5, as int64 arrays.
 
     rad is the product of the primes p >= 5 dividing n, part is |n| with its
     powers of 2 and 3 removed, and emax is the largest v_p(n) over p >= 5
-    (0 when there is none).  Values the SPF table covers as it stands are
-    peeled in bulk, one prime per pass over the still-unfinished values;
-    larger ones go through ``factorize``, so callers size the table first
-    (``ensure_sieve``).
+    (0 when there is none).  Values below the SPF table are peeled in bulk,
+    one prime per pass over the still-unfinished values.  The others are
+    trial-divided in bulk by each prime p <= sqrt(max |n|); a cofactor
+    retires once p^2 exceeds it, when what is left is 1 or a prime.  |n| is
+    at most 2^40.
     """
     n = np.abs(np.asarray(values, dtype=np.int64))
     if (n == 0).any():
         raise ValueError("expected nonzero values")
+    if (n > 1 << 40).any():  # keeps the trial primes, to sqrt(max |n|), below 2^20
+        raise ValueError("values beyond 2^40")
     rad = np.ones_like(n)
     part = np.ones_like(n)
     emax = np.zeros_like(n)
+
+    def credit(at, p, pe, e):
+        rad[at] *= p
+        part[at] *= pe
+        emax[at] = np.maximum(emax[at], e)
+
     spf = _sieve.array()
     big = n >= len(spf)
-    for i in np.flatnonzero(big):
-        for p, e in factorize(int(n[i])).factors:
+    idx = np.flatnonzero(big)
+    rem = n[idx]
+    top = math.isqrt(int(rem.max())) if rem.size else 0
+    for p in [*primes_up_to(top).tolist(), top + 1]:  # top + 1 retires all
+        live = rem >= p * p
+        if not live.all():
+            done = ~live & (rem >= 5)  # 1 or a prime is left
+            credit(idx[done], rem[done], rem[done], 1)
+            idx, rem = idx[live], rem[live]
+            if not idx.size:
+                break
+        hit = np.flatnonzero(rem % p == 0)
+        if hit.size:
+            cofactor = rem[hit]
+            pe, e = _divide_out(cofactor, np.full(hit.size, p, dtype=np.int64))
+            rem[hit] = cofactor
             if p >= 5:
-                rad[i] *= p
-                part[i] *= p**e
-                emax[i] = max(int(emax[i]), e)
+                credit(idx[hit], p, pe, e)
+
     idx = np.flatnonzero(~big & (n > 1))
     rem = n[idx]
     while idx.size:
         p = spf[rem].astype(np.int64)
-        rem //= p
-        pe = p.copy()
-        e = np.ones_like(p)
-        hit = np.flatnonzero(rem % p == 0)
-        while hit.size:
-            rem[hit] //= p[hit]
-            pe[hit] *= p[hit]
-            e[hit] += 1
-            hit = hit[rem[hit] % p[hit] == 0]
+        pe, e = _divide_out(rem, p)
         large = p >= 5
-        at = idx[large]
-        rad[at] *= p[large]
-        part[at] *= pe[large]
-        emax[at] = np.maximum(emax[at], e[large])
+        credit(idx[large], p[large], pe[large], e[large])
         more = rem > 1
         idx, rem = idx[more], rem[more]
     return rad, part, emax

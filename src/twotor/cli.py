@@ -25,7 +25,6 @@ from importlib import metadata
 from pathlib import Path
 from typing import Optional
 
-from . import arithmetic
 from . import census
 from . import curve_core as cc
 from . import local_density
@@ -199,16 +198,7 @@ def _parse_grid(text: Optional[str]) -> Optional[tuple]:
     return tuple(_parse_bound(tok) for tok in text.split(","))
 
 
-def _check_sieve_env() -> None:
-    """Reject a bad CENSUS_SIEVE_BOUND up front; the sweeps size the table."""
-    try:
-        arithmetic.sieve_cap()
-    except ValueError as e:
-        raise ConfigError(f"bad CENSUS_SIEVE_BOUND: {e}") from None
-
-
 def _cmd_census(args):
-    _check_sieve_env()
     config = census.CensusConfig(
         X=_parse_bound(args.x),
         family=_FAMILY_NAMES[args.family.lower()],
@@ -279,7 +269,6 @@ def _cmd_lp(args):
 
 
 def _cmd_tails(args):
-    _check_sieve_env()
     grid = _parse_grid(args.grid) or (_parse_bound(args.x),)
     if args.kind == "index":
         counts = census.tail_counts_index(grid, args.delta, workers=args.workers)

@@ -520,21 +520,34 @@ class Reduction:
         return math.log(self.disc_min) / math.log(self.conductor_6)
 
     def avg_szpiro(self) -> float:
-        """(beta_E + beta_phi(E)) / 2, both on minimal discriminants, no further factoring.
+        """(beta_E + beta_phi(E)) / 2 off the local data (``avg_szpiro_of_parts``)."""
+        large = [r for r in self.local if r.p >= 5]
+        return avg_szpiro_of_parts(
+            self.minimal.a, self.minimal.b, math.prod(r.p**r.v_b for r in large),
+            math.prod(r.p**r.v_c for r in large), self.conductor_6)
 
-        phi(E) = (-2a, c) has b' = c and c' = 16 b: at p >= 5 it is minimal,
-        bad at E's primes, with v_p(Delta) = v_p(b) + 2 v_p(c).  Its model is
-        never 2-minimal; Tate's algorithm gives the minimal valuations at 2
-        and 3.  The conductor is isogeny-invariant.
-        """
-        beta_e = self.szpiro_ratio()
-        phi = isogeny(self.minimal)
-        co = (0, phi.a, 0, phi.b, 0)
-        d = 2 ** tate_on_model(co, 2)[2] * 3 ** tate_on_model(co, 3)[2]
-        for r in self.local:
-            if r.p >= 5:
-                d *= r.p ** (r.v_b + 2 * r.v_c)
-        return (beta_e + math.log(d) / math.log(self.conductor_6)) / 2.0
+
+def avg_szpiro_of_parts(a: int, b: int, part_b: int, part_c: int, conductor_6: int) -> float:
+    """(beta_E + beta_phi(E)) / 2 of a p >= 5-minimal pair, both on minimal discriminants.
+
+    part_b and part_c are |b| and |c| (c = a^2 - 4b) without their 2s and 3s.
+    phi(E) = (-2a, c) has b' = c and c' = 16 b: at p >= 5 it is minimal, with
+    v_p(Delta) = v_p(b) + 2 v_p(c) against E's 2 v_p(b) + v_p(c).  Its model
+    is never 2-minimal; Tate's algorithm gives the minimal valuations at 2
+    and 3 (on E at 3 only when 3 | bc, the primes ``reduction`` visits).  The
+    conductor is isogeny-invariant.  No factoring.
+    """
+    if conductor_6 <= 1:
+        raise ValueError("conductor 1: Szpiro ratio undefined (log C = 0)")
+    c = a * a - 4 * b
+    e, phi = (0, a, 0, b, 0), (0, -2 * a, 0, c, 0)
+    disc_e = 2 ** tate_on_model(e, 2)[2] * part_b * part_b * part_c
+    if b * c % 3 == 0:
+        disc_e *= 3 ** tate_on_model(e, 3)[2]
+    disc_phi = (2 ** tate_on_model(phi, 2)[2] * 3 ** tate_on_model(phi, 3)[2]
+                * part_b * part_c * part_c)
+    beta_e = math.log(disc_e) / math.log(conductor_6)
+    return (beta_e + math.log(disc_phi) / math.log(conductor_6)) / 2.0
 
 
 def reduction(c: CurveParams) -> Reduction:

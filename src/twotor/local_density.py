@@ -167,20 +167,24 @@ def _exact_valuation_mask(arr: np.ndarray, p: int, k: int) -> np.ndarray:
 
 
 def _count_semistable(p: int, m: int, k: int) -> int:
-    """Count (a, b) mod p^m with {v(b), v(a^2-4b)} = {0, k} by scanning the grid."""
-    M = p**m
-    b = np.arange(M, dtype=np.int64)
-    b_is_k = _exact_valuation_mask(b, p, k)
-    b_is_0 = b % p != 0
-    pk, pk1 = p**k, p ** (k + 1)
+    """Count (a, b) mod p^m with {v(b), v(a^2-4b)} = {0, k} by scanning the grid.
+
+    The pattern reads c mod P = p^(k+1) only: a cell adds a^2 mod P to -4b
+    mod P, looks up the class of c (0: unit, 1: v(c) = k, 2: other) and
+    matches the class its b needs (3 where b is neither a unit nor v(b) = k).
+    """
+    M, P = p**m, p ** (k + 1)
+    r = np.arange(2 * P, dtype=np.int64) % P
+    c_class = np.where(r % p != 0, 0, np.where(_exact_valuation_mask(r, p, k), 1, 2))
+    b = np.arange(M, dtype=np.int64)  # also the residues a
+    wanted = np.where(_exact_valuation_mask(b, p, k), 0, np.where(b % p != 0, 1, 3))
+    c_class, wanted = c_class.astype(np.int8), wanted.astype(np.int8)
+    a_squared, minus_4b = (b * b % P).astype(np.int32), (-4 * b % P).astype(np.int32)
     total = 0
-    chunk = max(1, min(M, (1 << 24) // M))
+    chunk = max(1, min(M, (1 << 22) // M))
     for lo in range(0, M, chunk):
-        a = np.arange(lo, min(lo + chunk, M), dtype=np.int64)
-        c = a[:, None] * a[:, None] - 4 * b[None, :]
-        case1 = b_is_k[None, :] & (c % p != 0)
-        case2 = b_is_0[None, :] & (c % pk == 0) & (c % pk1 != 0)
-        total += int(np.count_nonzero(case1)) + int(np.count_nonzero(case2))
+        c = a_squared[lo:lo + chunk, None] + minus_4b[None, :]
+        total += int(np.count_nonzero(c_class[c] == wanted))
     return total
 
 

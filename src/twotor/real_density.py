@@ -215,25 +215,31 @@ def _overlap(a, b, c, d):
     return np.maximum(np.minimum(b, d) - np.maximum(a, c), 0.0)
 
 
-def _truncated_slice_length(x, Z: float):
-    """Length of {y : |y(x^2-y)| <= Z, |y| >= 4, |x^2-y| >= 4} at each x.
+def _slice_parts(x, Z: float):
+    """(band, cut) at each x: the slice length of |y(x^2-y)| <= Z, and the
+    part of it in the strips |y| < 4 or |x^2-y| < 4.
 
     The slice is the band [x^2/2 - upper, x^2/2 + upper], less the gap
     (x^2/2 - inner, x^2/2 + inner) once x^4/4 > Z; it is taken as two bands
-    that touch at x^2/2 when there is no gap.  Each band loses its overlap
-    with the strips (-4, 4) and (x^2 - 4, x^2 + 4), and gets back its overlap
-    with their intersection (x^2 - 4, 4), which is empty for x^2 >= 8.
+    that touch at x^2/2 when there is no gap.  y -> x^2 - y swaps the bands
+    and the two strips, so both parts are twice the lower band's: its length,
+    and its overlap with the strips less that with their intersection
+    (x^2 - 4, 4).  Nothing cancels, and nothing overflows once x^4 leaves
+    the float range (Z from about 5e154).
     """
     t = x * x
     half = t / 2
-    peak = t * t / 4
-    upper = np.sqrt(peak + Z)
-    inner = np.sqrt(np.maximum(peak - Z, 0.0))
-    length = 0.0
-    for a, b in ((half - upper, half - inner), (half + inner, half + upper)):
-        length = (length + (b - a) - _overlap(a, b, -4.0, 4.0)
-                  - _overlap(a, b, t - 4.0, t + 4.0) + _overlap(a, b, t - 4.0, 4.0))
-    return length
+    root_z = math.sqrt(Z)
+    upper = np.hypot(half, root_z)
+    with np.errstate(over="ignore"):
+        gap = half * half - Z  # inner^2 as x^4/4 - Z rounds it; inf past the float range
+    inner = np.where(np.isfinite(gap), np.sqrt(np.maximum(gap, 0.0)),
+                     np.sqrt(np.maximum(half - root_z, 0.0)) * np.sqrt(half + root_z))
+    lo = -Z / (half + upper)  # half - upper
+    hi = np.where(half > root_z, Z / np.maximum(half + inner, root_z), half)  # half - inner
+    cut = (_overlap(lo, hi, -4.0, 4.0) + _overlap(lo, hi, t - 4.0, t + 4.0)
+           - _overlap(lo, hi, t - 4.0, 4.0))
+    return 2 * (hi - lo), 2 * cut
 
 
 def _truncated_edges(Z: float) -> list[float]:
@@ -247,20 +253,39 @@ def _truncated_edges(Z: float) -> list[float]:
     return [0.0, *sorted({p for p in points if 0 < p < xmax}), xmax]
 
 
-def truncated_area_quadrature(Z: float, tol: float = 1e-8) -> float:
+def truncated_area_quadrature(Z: float, tol: float = 3e-13) -> float:
     """Area of the truncated region by slicewise quadrature.
 
     The truncated region is empty for Z < 16 (|y| >= 4 and |x^2-y| >= 4 force
     |y (x^2-y)| >= 16) and always fits in |x| <= sqrt(Z/4 + 4), |y| <= Z/4.
+    tol is per Z^{3/4} unit, as for ``area_quadrature``; the default bounds
+    the absolute error by 1e-8 up to Z = 1e6.  Beyond x0 = sqrt(2) Z^{1/4}
+    the bands decay like 4Z/x^2 over a range too wide to bisect in x: they
+    are integrated as the area's tail, and in x only their part in the
+    strips, at most 16 per unit of x, is taken off.
     """
     if not Z > 0:
         raise ValueError("Z must be positive")
     if Z < 16:
         return 0.0
-    val, err = _quad(lambda x: _truncated_slice_length(x, Z), _truncated_edges(Z), tol / 2)
-    if not err <= tol:
-        raise QuadratureError(f"truncated area error estimate {err} > {tol}")
-    return 2 * val
+    budget = tol * Z**0.75
+    edges = _truncated_edges(Z)
+    x0 = min(SQRT2 * Z**0.25, edges[-1])
+
+    def in_x(x):  # the slice up to x0, then the strips' part alone
+        band, cut = _slice_parts(x, Z)
+        return np.where(x < x0, band, 0.0) - cut
+
+    sliced, e1 = _quad(in_x, edges, budget / 4)
+    # x = x0 / t, t = 1 - s^2 takes the bands on [x0, x] to s in [0, sqrt(1 - x0/x)]
+    scale = 2 * SQRT2 * Z**0.75
+    tail, e2 = _quad(_tail_integrand, [math.sqrt(1 - x0 / x) for x in edges if x >= x0],
+                     budget / (4 * scale))
+    err = e1 + scale * e2
+    if not err <= budget:
+        raise QuadratureError(
+            f"truncated area error estimate {err / Z**0.75} per Z^(3/4) exceeds {tol}")
+    return 2 * (sliced + scale * tail)
 
 
 def area_monte_carlo(

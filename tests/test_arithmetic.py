@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -174,19 +175,6 @@ def test_blocked_spf_build_matches_plain_sieve(n):
     assert np.array_equal(ar._SpfSieve._build(n), plain_spf(n))
 
 
-def test_sieve_cap_parsing(monkeypatch):
-    monkeypatch.delenv("CENSUS_SIEVE_BOUND", raising=False)
-    assert ar.sieve_cap() == ar.DEFAULT_SIEVE_CAP
-    for raw, cap in (("", ar.DEFAULT_SIEVE_CAP), ("100000", 10**5), ("1e5", 10**5),
-                     ("2.5e6", 2_500_000)):
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", raw)
-        assert ar.sieve_cap() == cap
-    for raw in ("abc", "inf", "nan", "1000"):
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", raw)
-        with pytest.raises(ValueError):
-            ar.sieve_cap()
-
-
 def _profile_by_factorize(n):
     rad, part, emax = 1, 1, 0
     for p, e in ar.factorize(n).factors:
@@ -197,8 +185,7 @@ def _profile_by_factorize(n):
 
 @pytest.mark.parametrize("sieve_limit", [None, 2**16])
 def test_prime_to_6_profile_matches_factorize(monkeypatch, sieve_limit):
-    if sieve_limit is not None:  # a small fresh table, so larger values fall back
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", str(sieve_limit))
+    if sieve_limit is not None:  # a fresh table
         monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
     values = list(range(-3000, 0)) + list(range(1, 3000))
     values += [5**13, -(7**9) * 2**5, 2**40, 3**20 * 11, 999966000289, 10**12 - 11]
@@ -209,3 +196,21 @@ def test_prime_to_6_profile_matches_factorize(monkeypatch, sieve_limit):
     assert [len(x) for x in ar.prime_to_6_profile([])] == [0, 0, 0]
     with pytest.raises(ValueError):
         ar.prime_to_6_profile([5, 0])
+
+
+def test_trial_division_matches_factorize():
+    # values past the 2^16 table: both sides of it, prime squares and cubes
+    # above it, semiprimes of two primes near 1e6 (up to 1e12), and 2^40
+    assert ar._sieve.limit == 2**16
+    big_primes = [65537, 65539, 1000003, 999983, 2**31 - 1]
+    values = [2**16 + k for k in range(-300, 300)]
+    values += [p**2 for p in [257, 4099, *big_primes[:4]]] + [p**3 for p in (41, 4099, 10007)]
+    values += [-(p**2) * 2**3 * 3 * 7 for p in big_primes[:2]]
+    values += [p * q for p in (999983, 999979, 999961) for q in (1000003, 1000033)]
+    values += [999983 * 5**4, 2**31 - 1, 2 * 3**5 * (2**31 - 1), 3**25, 2**40]
+    values += random.Random(5).sample(range(2**16, 10**12), 300)
+    rad, part, emax = ar.prime_to_6_profile(values)
+    got = list(zip(rad.tolist(), part.tolist(), emax.tolist()))
+    assert got == [_profile_by_factorize(v) for v in values]
+    with pytest.raises(ValueError):
+        ar.prime_to_6_profile([2**40 + 1])

@@ -16,6 +16,7 @@ from twotor._constants import PAIR_COUNT_CONST
 from twotor.curve_core import (
     CurveParams,
     avg_szpiro,
+    avg_szpiro_of_parts,
     in_family,
     in_good_family,
     reduction,
@@ -162,9 +163,8 @@ class TestCurveRecords:
 
 @pytest.fixture(params=["default sieve", "sieve capped at 65536"])
 def sieve(request, monkeypatch):
-    """The shared SPF table, or a fresh one capped below the region bound."""
+    """The shared SPF table, or a fresh one: 2^16 entries, below the region bound."""
     if request.param != "default sieve":
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "65536")
         monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
     return request.param
 
@@ -302,27 +302,37 @@ class TestRunCensus:
         assert report.counts[-1] == expected == report.total_curves
         assert "szpiro_tail_theta_0.25" in report.tails
 
-    def test_kappa_avg_szpiro_once_per_window_curve(self, monkeypatch):
-        X, cap = 10**4, 100
-        calls = []
-
-        def counting(c):
-            calls.append((c.a, c.b))
-            return avg_szpiro(c)
-
-        monkeypatch.setattr(census, "avg_szpiro", counting)
+    def test_kappa_filter_matches_avg_szpiro(self):
+        # the filter reads the ratio off exact discriminants; avg_szpiro is the
+        # per-curve oracle, and the float it gives must be the same float
+        X, cap, kappa = 10**4, 100, 2.2
         cfg = census.CensusConfig(
-            X=X, family="Kappa", kappa=2.2, order_by="Conductor", index_cap=cap
+            X=X, family="Kappa", kappa=kappa, order_by="Conductor", index_cap=cap
         )
         report = census.run_census(cfg)
         records, _ = census._census_records(X * cap)
-        window = sum(1 for r in records if 1 < r[3] <= X)
-        assert 0 < report.total_curves < window
-        assert len(calls) <= window
-        assert len(set(calls)) == len(calls)
-        ratios = [avg_szpiro(CurveParams(*c)) for c in calls]
+        window = records[(records["conductor"] > 1) & (records["conductor"] <= X)]
+        ratios = []
+        for a, b, cond in zip(window["a"].tolist(), window["b"].tolist(),
+                              window["conductor"].tolist()):
+            ratio = avg_szpiro(CurveParams(a, b))
+            parts = [math.prod(p**e for p, e in ar.factorize(n).factors if p >= 5)
+                     for n in (b, a * a - 4 * b)]
+            assert avg_szpiro_of_parts(a, b, *parts, cond) == ratio
+            ratios.append(ratio)
+        kept = sorted(cond for cond, r in zip(window["conductor"].tolist(), ratios)
+                      if r <= kappa)
+        assert 0 < report.total_curves == len(kept) < len(window)
+        assert report.counts == tuple(
+            sum(1 for cond in kept if cond <= cut) for cut in report.cutoffs)
         assert report.tails["szpiro_tail_theta_0.25"] == sum(
-            1 for r in ratios if 1.5 + 0.25 < r <= 2.2)
+            1 for r in ratios if 1.5 + 0.25 < r <= kappa)
+
+    def test_sweep_leaves_the_table_alone(self):
+        # values past the SPF table are trial-divided; the table keeps its size
+        report = census.run_census(census.CensusConfig(X=5 * 10**6))
+        assert report.total_curves > 0
+        assert ar._sieve.limit == 2**16
 
     def test_workers_do_not_change_report(self):
         X = 600

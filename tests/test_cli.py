@@ -146,26 +146,14 @@ class TestCensusCommand:
     def test_config_errors(self, argv, capsys):
         assert cli.main(argv) == 2
 
-    def test_sieve_env_hook(self, monkeypatch, capsys):
-        # the variable is validated up front and only caps the table: a sweep
-        # sizes it to its own bound, here 100 X = 1000, which needs no growth
-        monkeypatch.setattr(arithmetic, "_sieve", arithmetic._SpfSieve())
-        start = arithmetic._sieve.limit
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "abc")
-        assert cli.main(["tails", "index", "--x", "10"]) == 2
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "1e8")
-        assert cli.main(["tails", "index", "--x", "10"]) == 0
-        assert arithmetic._sieve.limit == start < 10**8
-
-    def test_sieve_env_float_notation(self, monkeypatch, capsys):
-        argv = ["census", "--x", "1e4"]
-        _, plain = run_json(capsys, argv)
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "1e5")
-        code, doc = run_json(capsys, argv)
-        assert code == 0
-        assert doc["report"] == plain["report"]
-        monkeypatch.setenv("CENSUS_SIEVE_BOUND", "abc")
-        assert cli.main(argv) == 2
+    def test_two_workers_give_the_same_report(self, capsys):
+        # forked workers take the trial-division path for |b|, |a^2 - 4b| > 2^16
+        _, one = run_json(capsys, ["census", "--x", "1e6", "--workers", "1"])
+        code, two = run_json(capsys, ["census", "--x", "1e6", "--workers", "2"])
+        assert code == 0 and one["report"]["total_curves"] > 0
+        assert two["report"]["config"].pop("workers") == 2
+        one["report"]["config"].pop("workers")
+        assert two["report"] == one["report"]
 
 
 class TestLocalDensityCommand:

@@ -373,16 +373,18 @@ def _oracle_check(c, red):
 
 class TestReduction:
     def test_census_records_against_oracles(self):
-        records, _ = census._census_records(10**4)
-        assert len(records) > 100
-        for a, b, _, cond_6, index_6, *_ in records.tolist():
-            c = CurveParams(a, b)
-            red = reduction(c)
-            _oracle_check(c, red)
-            assert (red.conductor_6, red.index_6) == (cond_6, index_6)
-            if cond_6 > 1:
-                phi_ratio = szpiro_ratio(isogeny(c))
-                assert red.avg_szpiro() == (szpiro_ratio(c) + phi_ratio) / 2.0
+        # off the family (Z = 2000), E and phi(E) also have bad reduction at 2 and 3
+        for Z, use_family in ((10**4, True), (2000, False)):
+            records, _ = census._census_records(Z, use_family=use_family)
+            assert len(records) > 100
+            for a, b, _, cond_6, index_6, *_ in records.tolist():
+                c = CurveParams(a, b)
+                red = reduction(c)
+                _oracle_check(c, red)
+                assert (red.conductor_6, red.index_6) == (cond_6, index_6)
+                if cond_6 > 1:
+                    phi_ratio = szpiro_ratio(isogeny(c))
+                    assert red.avg_szpiro() == (szpiro_ratio(c) + phi_ratio) / 2.0
 
     def test_large_seeded_curves_against_oracles(self):
         base = _seeded_curves()

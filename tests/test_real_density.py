@@ -176,22 +176,38 @@ class TestGaussKronrod:
 
     @pytest.mark.parametrize("Z", [30.0, 100.0, 256.0, 400.0, 1600.0, 1e6])
     def test_truncated_area_matches_scipy(self, Z):
-        tol = 1e-8
-        assert abs(rd.truncated_area_quadrature(Z, tol) - _scipy_truncated_area(Z, tol / 2)) <= tol
+        tol = 1e-8  # absolute; the function takes it per Z^(3/4) unit
+        assert abs(rd.truncated_area_quadrature(Z, tol / Z**0.75)
+                   - _scipy_truncated_area(Z, tol / 2)) <= tol
 
     def test_converges_near_the_rounding_floor(self):
         # at Z = 3e6 the rounding floors of the K15 estimates take about 90 % of
-        # the 5e-9 budget; the intervals above their floor must still get there
+        # an absolute 5e-9 budget; the intervals above their floor must still get there
         Z = 3e6
-        assert math.isclose(rd.truncated_area_quadrature(Z), _scipy_truncated_area(Z, 5e-9),
-                            rel_tol=1e-13)
+        assert math.isclose(rd.truncated_area_quadrature(Z, 1e-8 / Z**0.75),
+                            _scipy_truncated_area(Z, 5e-9), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("Z", [5e6, 1e7])
+    def test_truncated_area_past_an_absolute_floor(self, Z):
+        # an absolute 1e-8 is below the rounding floor here; the default tol
+        # is per Z^(3/4) unit and is met
+        budget = 3e-13 * Z**0.75
+        assert abs(rd.truncated_area_quadrature(Z) - _scipy_truncated_area(Z, budget / 2)) <= budget
+
+    @pytest.mark.parametrize("Z", [1e200, 1.7e308])
+    def test_truncated_area_finite_at_large_Z(self, Z):
+        # the cut is O(sqrt Z), far below the budget of 3e-13 Z^(3/4)
+        got = rd.truncated_area_quadrature(Z)
+        assert math.isfinite(got)
+        assert abs(got - rd.area_closed_form(Z)) <= 3e-13 * Z**0.75
 
     @pytest.mark.parametrize("Z", [16.0, 30.0, 256.0, 1e4, 1e6])
     def test_slice_length_matches_interval_lists(self, Z):
         edges = rd._truncated_edges(Z)
         xs = np.unique(np.concatenate([np.linspace(0, edges[-1] * 1.01, 20001), edges]))
         want = np.array([truncated_slice_length(x, Z) for x in xs])
-        np.testing.assert_allclose(rd._truncated_slice_length(xs, Z), want,
+        band, cut = rd._slice_parts(xs, Z)
+        np.testing.assert_allclose(band - cut, want,
                                    rtol=1e-12, atol=1e-12 * math.sqrt(Z))
 
     def test_unreachable_tolerance_is_quick(self):
