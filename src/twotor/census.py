@@ -23,6 +23,7 @@ rescaled copies of a smaller pair.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,6 +223,8 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
     ]
     parts: list[np.ndarray] = []
     anomalies: list = []
+    # a fork pool starts all its processes at the first submit: ask for no more than can work
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         results = map(_block_records, blocks)
     else:

@@ -113,8 +113,6 @@ def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
     if out.endswith(".json"):
         Path(out).write_text(text)
         return
-    if not out.endswith(".csv"):
-        raise ConfigError("--out must end in .csv or .json")
     buf = io.StringIO()
     for key in ("subcommand", "version", "seed"):
         buf.write(f"# {key}: {getattr(manifest, key)}\n")
@@ -305,6 +303,13 @@ def _cmd_euler(args):
 # ---------------------------------------------------------------------------
 
 
+def _out_path(text: str) -> str:
+    """An --out path; its suffix picks the format, so it is checked before any work."""
+    if not text.endswith((".csv", ".json")):
+        raise argparse.ArgumentTypeError(f"must end in .csv or .json: {text!r}")
+    return text
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Census and verification tools for y^2 = x(x^2+ax+b).",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out",
+    common.add_argument("--out", type=_out_path,
                         help="output file (.csv or .json); default JSON to stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -410,8 +415,9 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         _emit(args.out, manifest, scalars, header, rows, payload)
-    except ConfigError as e:
-        print(f"twotor: config error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"twotor: config error: cannot write {args.out}: {e.strerror or e}",
+              file=sys.stderr)
         return 2
     return 0
 

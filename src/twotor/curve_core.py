@@ -1,20 +1,26 @@
 """Invariants and local reduction data for curves E_{a,b}: y^2 = x(x^2 + ax + b).
 
-Two classifiers are provided and cross-checked against each other:
+Two classifiers fill ``LocalReduction`` from the same valuations of a, b and
+c = a^2 - 4b, and are cross-checked against each other:
 
-* kodaira_symbol_large_p: the (v_p(c4), v_p(Delta)) lookup valid for minimal
-  models at p >= 5.  It refuses non-minimal inputs (p^2 | a and p^4 | b).
-* tate_algorithm: a full implementation of Tate's algorithm on general
-  Weierstrass coefficients, valid at every prime including 2 and 3, with
-  non-minimal restarts.  This is the ground-truth oracle; any disagreement
-  with the lookup is a reportable defect, not something to paper over.
+* kodaira_symbol_large_p: the rule at p >= 5 on a p-minimal pair.  With
+  n = 2 v_p(b) + v_p(c), p dividing neither b nor c is good, p dividing one
+  is I_n, and p dividing both is III (n = 3), I0* (n = 6), III* (n = 9 with
+  p^2 | a) or I*_{n-6}; no other type occurs at p >= 5.  It refuses
+  non-minimal inputs (p^2 | a and p^4 | b).
+* tate_algorithm: Tate's algorithm on general Weierstrass coefficients, valid
+  at every prime including 2 and 3, with non-minimal restarts.  This is the
+  ground-truth oracle; any disagreement with the rule is a reportable
+  defect, not something to paper over.
 
 Conductor exponents come from the Ogg-Saito relation f = v(Delta_min) - m + 1
 where m is the number of components of the special fiber.
 
-reduction(c) runs both at every bad prime of the minimal pair, from one
+reduction(c) classifies every bad prime of the minimal pair, from one
 factorization each of b and a^2 - 4b; the conductor, the prime-to-6 index,
-|Delta_min| and the Szpiro ratios are read off that record.
+|Delta_min| and the Szpiro ratios are read off that record.  Tate's
+algorithm runs at most once per (model, prime): on E and on phi(E) at 2,
+and at 3 when 3 | bc.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class FamilyMembershipError(ValueError):
 
 
 class NonMinimalModelError(ValueError):
-    """Valuation pair falls outside the minimal-model lookup table."""
+    """p^2 | a and p^4 | b at a prime p >= 5: (a/p^2, b/p^4) is the minimal model."""
 
 
 class ClassificationError(AssertionError):
@@ -95,9 +101,11 @@ GOOD = KodairaSymbol("Good")
 class LocalReduction:
     """Per-prime reduction data.  v_a is None when a = 0 (infinite valuation).
 
-    v_disc and v_c4 are valuations of the literal model quantities
-    16 b^2 (a^2-4b) and 16(a^2-3b); v_disc_min is the valuation of the
-    minimal discriminant at p.  v_c4 is None when c4 = 0.
+    v_b and v_c are the valuations of b and c = a^2 - 4b, v_disc that of the
+    literal discriminant 16 b^2 c, and v_disc_min that of the minimal
+    discriminant at p.  At p >= 5 the symbol is Good, I_n (f = 1), or one of
+    III, I0*, I_n* and III* (f = 2): the rule in ``kodaira_symbol_large_p``.
+    At 2 and 3 Tate's algorithm may give any type.
     """
 
     p: int
@@ -105,7 +113,6 @@ class LocalReduction:
     v_b: int
     v_c: int
     v_disc: int
-    v_c4: Optional[int]
     symbol: KodairaSymbol
     conductor_exponent: int
     v_disc_min: int
@@ -187,55 +194,47 @@ def _vp(n: int, p: int) -> int:
     return e
 
 
-def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
-    """Classify reduction at p >= 5 from (v_p(c4), v_p(Delta)) on a minimal model.
+def _valuations(a: int, b: int, p: int) -> tuple[Optional[int], int, int, int]:
+    """(v_a, v_b, v_c, v_disc) at p: of a (None when a = 0), b, c = a^2 - 4b and 16 b^2 c."""
+    v_b, v_c = _vp(b, p), _vp(a * a - 4 * b, p)
+    return None if a == 0 else _vp(a, p), v_b, v_c, (4 if p == 2 else 0) + 2 * v_b + v_c
 
-    Raises NonMinimalModelError when the valuations fall outside the table,
-    which for this family happens exactly when p^2 | a and p^4 | b.
+
+def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
+    """Reduction at p >= 5 of a p-minimal pair, read off v_p(b), v_p(c) and p^2 | a.
+
+    With c = a^2 - 4b and n = v_p(Delta) = 2 v_p(b) + v_p(c):
+
+    * p divides neither b nor c: good reduction.
+    * p divides exactly one of them: I_n, f = 1 (p does not divide c4 = 16(c + b)).
+    * p divides both, so p | a^2 = c + 4b: additive, f = 2.  n = 3 gives III,
+      n = 6 gives I0*, n = 9 with p^2 | a gives III*, every other n I*_{n-6}.
+
+    Derivation in the additive case, by v_b = v_p(b):
+      v_b = 1: v_p(a^2) >= 2 > v_b, so v_c = 1 and n = 3.
+      v_b = 2: p^2 | a gives v_c = 2, n = 6.  v_p(a) = 1 leaves v_c = k >= 2
+        free: n = 4 + k, I0* at k = 2 and I*_{k-2} beyond (n = 9 at k = 5).
+      v_b = 3: p^2 | a gives v_c = 3, n = 9: III*.  v_p(a) = 1 gives v_c = 2,
+        n = 8: I2*.
+      v_b >= 4: v_p(a) = 1 gives v_c = 2, n = 2 v_b + 2 >= 10.  p^2 | a makes
+        the model non-minimal: u = p takes (a, b) to (a/p^2, b/p^4).
+    So II, IV, IV* and II* never occur on this family at p >= 5.
+
+    Raises NonMinimalModelError when p^2 | a and p^4 | b.
     """
     if p < 5 or not ar.is_prime(p):
         raise ValueError("requires a prime p >= 5")
-    a, b = c.a, c.b
-    cc = a * a - 4 * b
-    v_b = _vp(b, p)
-    v_c = _vp(cc, p)
-    v_disc = 2 * v_b + v_c
-    v_a = None if a == 0 else _vp(a, p)
-    c4 = 16 * (a * a - 3 * b)
-    v_c4 = None if c4 == 0 else _vp(c4, p)
-
-    def c4_ge(k: int) -> bool:
-        return v_c4 is None or v_c4 >= k
-
-    def c4_eq(k: int) -> bool:
-        return v_c4 == k
-
-    n = v_disc
-    if n == 0:
-        sym, f = GOOD, 0
-    elif v_c4 == 0:
-        sym, f = KodairaSymbol("I", n), 1
-    elif n == 2:
-        sym, f = KodairaSymbol("II"), 2
-    elif n == 3 and c4_eq(1):
-        sym, f = KodairaSymbol("III"), 2
-    elif n == 4 and c4_ge(2):
-        sym, f = KodairaSymbol("IV"), 2
-    elif n == 6 and c4_ge(2):
-        sym, f = KodairaSymbol("I0*"), 2
-    elif n >= 7 and c4_eq(2):
-        sym, f = KodairaSymbol("I*", n - 6), 2
-    elif n == 8 and c4_ge(3):
-        sym, f = KodairaSymbol("IV*"), 2
-    elif n == 9 and c4_eq(3):
-        sym, f = KodairaSymbol("III*"), 2
-    elif n == 10 and c4_ge(4):
-        sym, f = KodairaSymbol("II*"), 2
+    v_a, v_b, v_c, n = _valuations(c.a, c.b, p)
+    a_deep = v_a is None or v_a >= 2
+    if v_b == 0 or v_c == 0:
+        sym, f = (GOOD, 0) if n == 0 else (KodairaSymbol("I", n), 1)
+    elif a_deep and v_b >= 4:
+        raise NonMinimalModelError(f"p^2 | a and p^4 | b at p={p}: the model is not minimal")
+    elif n in (3, 6) or (n == 9 and a_deep):
+        sym, f = KodairaSymbol({3: "III", 6: "I0*", 9: "III*"}[n]), 2
     else:
-        raise NonMinimalModelError(
-            f"(v_c4, v_disc) = ({v_c4}, {n}) at p={p} is not a minimal-model pattern"
-        )
-    return LocalReduction(p, v_a, v_b, v_c, v_disc, v_c4, sym, f, v_disc_min=n)
+        sym, f = KodairaSymbol("I*", n - 6), 2
+    return LocalReduction(p, v_a, v_b, v_c, n, sym, f, v_disc_min=n)
 
 
 # ---------------------------------------------------------------------------
@@ -295,35 +294,26 @@ def _singular_point(co: Coeffs, p: int, disc: int, c4: int) -> tuple[int, int]:
     return r, t
 
 
+def _step6_done(co: Coeffs, p: int) -> bool:
+    a1, a2, a3, a4, a6 = co
+    return (a1 % p == 0 and a2 % p == 0 and a3 % (p * p) == 0 and a4 % (p * p) == 0
+            and a6 % p**3 == 0)
+
+
 def _step6_shift(co: Coeffs, p: int) -> Coeffs:
     """Translate so that p | a1, a2; p^2 | a3, a4; p^3 | a6."""
     if p <= 3:
         for s in range(p):
             for t in range(p**3):
                 co2 = _translate(co, 0, s, t)
-                a1, a2, a3, a4, a6 = co2
-                if (
-                    a1 % p == 0
-                    and a2 % p == 0
-                    and a3 % (p * p) == 0
-                    and a4 % (p * p) == 0
-                    and a6 % p**3 == 0
-                ):
+                if _step6_done(co2, p):
                     return co2
         raise ClassificationError(f"step-6 translation not found at p={p}")
-    a1 = co[0]
-    s = (-a1 * pow(2, -1, p)) % p
+    s = (-co[0] * pow(2, -1, p)) % p
     co2 = _translate(co, 0, s, 0)
     t = (-co2[2] * pow(2, -1, p * p)) % (p * p)
     co2 = _translate(co2, 0, 0, t)
-    a1, a2, a3, a4, a6 = co2
-    if not (
-        a1 % p == 0
-        and a2 % p == 0
-        and a3 % (p * p) == 0
-        and a4 % (p * p) == 0
-        and a6 % p**3 == 0
-    ):
+    if not _step6_done(co2, p):
         raise ClassificationError(f"step-6 valuations failed at p={p}")
     return co2
 
@@ -466,24 +456,8 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
 
 def tate_algorithm(c: CurveParams, p: int) -> LocalReduction:
     """Ground-truth local reduction of E_{a,b} at any prime p."""
-    a, b = c.a, c.b
-    sym, f, v_min, _ = tate_on_model((0, a, 0, b, 0), p)
-    cc = a * a - 4 * b
-    v_b = _vp(b, p)
-    v_c = _vp(cc, p)
-    disc = 16 * b * b * cc
-    c4 = 16 * (a * a - 3 * b)
-    return LocalReduction(
-        p=p,
-        v_a=None if a == 0 else _vp(a, p),
-        v_b=v_b,
-        v_c=v_c,
-        v_disc=_vp(disc, p),
-        v_c4=None if c4 == 0 else _vp(c4, p),
-        symbol=sym,
-        conductor_exponent=f,
-        v_disc_min=v_min,
-    )
+    sym, f, v_min, _ = tate_on_model((0, c.a, 0, c.b, 0), p)
+    return LocalReduction(p, *_valuations(c.a, c.b, p), sym, f, v_min)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +494,33 @@ class Reduction:
         return math.log(self.disc_min) / math.log(self.conductor_6)
 
     def avg_szpiro(self) -> float:
-        """(beta_E + beta_phi(E)) / 2 off the local data (``avg_szpiro_of_parts``)."""
-        large = [r for r in self.local if r.p >= 5]
-        return avg_szpiro_of_parts(
-            self.minimal.a, self.minimal.b, math.prod(r.p**r.v_b for r in large),
-            math.prod(r.p**r.v_c for r in large), self.conductor_6)
+        """(beta_E + beta_phi(E)) / 2: E off disc_min, phi(E) as in ``avg_szpiro_of_parts``."""
+        m = self.minimal
+        disc_phi = _disc_min_23(-2 * m.a, m.a * m.a - 4 * m.b) * math.prod(
+            r.p ** (r.v_b + 2 * r.v_c) for r in self.local if r.p >= 5)
+        return _szpiro_mean(self.disc_min, disc_phi, self.conductor_6)
+
+
+def _szpiro_mean(disc_e: int, disc_phi: int, conductor_6: int) -> float:
+    """(log disc_e / log C + log disc_phi / log C) / 2, in this operation order."""
+    if conductor_6 <= 1:
+        raise ValueError("conductor 1: Szpiro ratio undefined (log C = 0)")
+    return (math.log(disc_e) / math.log(conductor_6)
+            + math.log(disc_phi) / math.log(conductor_6)) / 2.0
+
+
+def _disc_min_23(a: int, b: int) -> int:
+    """The 2,3-part of |Delta_min| of y^2 = x(x^2 + ax + b), by Tate's algorithm.
+
+    Tate runs at 2, and at 3 only when 3 | b(a^2 - 4b), the 3-support of
+    Delta = 16 b^2 (a^2 - 4b).  E and phi(E) share it: phi(E) = (-2a, c) has
+    Delta = 256 b c^2.
+    """
+    model = (0, a, 0, b, 0)
+    part = 2 ** tate_on_model(model, 2)[2]
+    if b * (a * a - 4 * b) % 3 == 0:
+        part *= 3 ** tate_on_model(model, 3)[2]
+    return part
 
 
 def avg_szpiro_of_parts(a: int, b: int, part_b: int, part_c: int, conductor_6: int) -> float:
@@ -533,21 +529,13 @@ def avg_szpiro_of_parts(a: int, b: int, part_b: int, part_c: int, conductor_6: i
     part_b and part_c are |b| and |c| (c = a^2 - 4b) without their 2s and 3s.
     phi(E) = (-2a, c) has b' = c and c' = 16 b: at p >= 5 it is minimal, with
     v_p(Delta) = v_p(b) + 2 v_p(c) against E's 2 v_p(b) + v_p(c).  Its model
-    is never 2-minimal; Tate's algorithm gives the minimal valuations at 2
-    and 3 (on E at 3 only when 3 | bc, the primes ``reduction`` visits).  The
-    conductor is isogeny-invariant.  No factoring.
+    is never 2-minimal; Tate's algorithm gives the minimal valuations of both
+    curves at 2 and 3 (``_disc_min_23``).  The conductor is isogeny-invariant.
+    No factoring.
     """
-    if conductor_6 <= 1:
-        raise ValueError("conductor 1: Szpiro ratio undefined (log C = 0)")
     c = a * a - 4 * b
-    e, phi = (0, a, 0, b, 0), (0, -2 * a, 0, c, 0)
-    disc_e = 2 ** tate_on_model(e, 2)[2] * part_b * part_b * part_c
-    if b * c % 3 == 0:
-        disc_e *= 3 ** tate_on_model(e, 3)[2]
-    disc_phi = (2 ** tate_on_model(phi, 2)[2] * 3 ** tate_on_model(phi, 3)[2]
-                * part_b * part_c * part_c)
-    beta_e = math.log(disc_e) / math.log(conductor_6)
-    return (beta_e + math.log(disc_phi) / math.log(conductor_6)) / 2.0
+    return _szpiro_mean(_disc_min_23(a, b) * part_b * part_b * part_c,
+                        _disc_min_23(-2 * a, c) * part_b * part_c * part_c, conductor_6)
 
 
 def reduction(c: CurveParams) -> Reduction:

@@ -461,7 +461,7 @@ def lattice_corpus(size: int = 200, seed: int = 0) -> list:
     A fifth of the corpus is the extremal row-resonance family
     ((1,0),(0,d)) with R2 = d: its two full rows at height +-d against one
     pair of points on the axis give count = 4 (R1 R2 / det + 1) exactly, so
-    the fitted constant is pinned at 4 and resampling stays put.
+    the fitted constant is pinned at 4 by them; the random rest stays <= 4.
     """
     rng = np.random.default_rng(seed)
     corpus = []

@@ -1,6 +1,7 @@
 """Region enumeration against brute force, census counts against recounts."""
 
 import math
+import os
 import random
 from fractions import Fraction
 from math import isqrt
@@ -341,6 +342,37 @@ class TestRunCensus:
         assert r1.counts == r2.counts
         assert r1.total_curves == r2.total_curves
         assert r1.anomalies == r2.anomalies
+
+    def test_pool_size_capped(self, monkeypatch):
+        # a fork pool starts every worker at the first submit: the recorder
+        # stands in for it, so no process is started whatever is asked for
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", Recorder)
+        cpus = os.cpu_count() or 1
+        # X = 1e6 sweeps a in [-2000, 2000]: four blocks of 1024 columns
+        records, _ = census._census_records(10**6, workers=10**6)
+        assert pools == ([min(4, cpus)] if cpus > 1 else [])
+        assert np.array_equal(records, census._census_records(10**6)[0])
+        for cpu_count, expected in ((64, 4), (3, 3)):
+            pools.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+            census._census_records(10**6, workers=10**6)
+            assert pools == [expected]
+        # X = 1e3 is one block: no pool, and the config keeps what was asked
+        pools.clear()
+        report = census.run_census(census.CensusConfig(X=10**3, workers=64))
+        assert pools == [] and report.config.workers == 64
 
     def test_explicit_cutoffs(self):
         report = census.run_census(census.CensusConfig(X=500), cutoffs=(100, 500))

@@ -7,7 +7,9 @@ import math
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,20 @@ class TestPlumbing:
     def test_bad_out_extension(self, capsys):
         assert cli.main(["classify", "5", "5", "--out", "/tmp/x.txt"]) == 2
 
+    def test_bad_out_extension_before_any_work(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(census, "run_census",
+                            lambda *a, **k: pytest.fail("census ran before --out was checked"))
+        assert cli.main(["census", "--x", "1e3", "--out", str(tmp_path / "x.txt")]) == 2
+        assert "must end in .csv or .json" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("name", ["missing/x.json", "missing/x.csv", "d.json"])
+    def test_unwritable_out(self, name, tmp_path, capsys):
+        (tmp_path / "d.json").mkdir()
+        assert cli.main(["classify", "5", "5", "--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["tails", "index", "--x", "0"],
         ["tails", "index", "--grid", "0,10"],
@@ -460,3 +476,26 @@ def test_argv_fuzz_exit_codes(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 0 and "--help" not in argv:
         json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+_OUT_KINDS = st.sampled_from(["x.json", "x.csv", "x.txt", "missing/x.json", "missing/x.csv"])
+
+
+@given(_ARGV, _OUT_KINDS)
+@settings(max_examples=250, deadline=None)
+def test_argv_fuzz_out_exit_codes(argv, name):
+    # a fresh directory per example: hypothesis cannot reuse function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--out", str(path)])
+        assert code in (0, 2, 3), (argv, name, code)
+        assert "Traceback" not in err.getvalue(), (argv, name)
+        if code == 0 and "--help" not in argv:
+            assert out.getvalue() == "" and name in ("x.json", "x.csv"), (argv, name)
+            text = path.read_text()
+            if name == "x.json":
+                json.loads(text, parse_constant=_no_constant)
+            else:
+                assert text.startswith("# subcommand:"), (argv, text[:80])

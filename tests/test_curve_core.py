@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from twotor import arithmetic as ar
 from twotor import census
+from twotor import cli
+from twotor import curve_core
 from twotor import local_density as ld
 from twotor.curve_core import (
     CurveParams,
@@ -118,6 +120,37 @@ class TestLargePTable:
     def test_nonminimal_rejected(self):
         with pytest.raises(NonMinimalModelError):
             kodaira_symbol_large_p(CurveParams(25, 625), 5)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_rule_matches_tate_on_power_lifts(self, p):
+        # criterion 4's grid never reaches v_p(b) >= 4: take a = u p^i (and a = 0),
+        # b = w p^j for p-units u, w, and lift v_p(c) on a = 2 u p, b = p^2 (u^2 - s p^m),
+        # where c = 4 s p^(m+2)
+        rng = random.Random(p)
+        units = [1, -1] + [x for x in (rng.randint(-p**3, p**3) for _ in range(12))
+                           if x % p][:5]
+        pairs = [(0 if i is None else u * p**i, w * p**j)
+                 for i in (None, 0, 1, 2, 3) for u in units for j in range(10) for w in units]
+        pairs += [(2 * u * p, p * p * (u * u - s * p**m))
+                  for u in units for s in units for m in range(14)]
+        seen, non_minimal = set(), 0
+        for a, b in pairs:
+            if b == 0 or a * a == 4 * b:
+                continue
+            c = CurveParams(a, b)
+            tate = tate_algorithm(c, p)
+            try:
+                rule = kodaira_symbol_large_p(c, p)
+            except NonMinimalModelError:
+                assert a % (p * p) == 0 and b % p**4 == 0, (a, b, p)
+                assert tate_on_model((0, a, 0, b, 0), p)[3] >= 1, (a, b, p)
+                non_minimal += 1
+                continue
+            assert rule == tate, (a, b, p)
+            seen.add(str(rule.symbol))
+        assert non_minimal > 0
+        assert {"Good", "III", "I0*", "III*"} | {f"I{n}*" for n in range(1, 15)} <= seen
+        assert not seen & {"II", "IV", "IV*", "II*"}
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
@@ -401,6 +434,45 @@ class TestReduction:
             if red.conductor_6 > 1:
                 phi_ratio = szpiro_ratio(isogeny(c))
                 assert avg_szpiro(c) == (szpiro_ratio(c) + phi_ratio) / 2.0
+
+    def test_tate_once_per_model_and_prime(self, monkeypatch):
+        # E and phi(E) at 2, and at 3 exactly when 3 | bc (their shared 3-support)
+        calls = []
+        tate = curve_core.tate_on_model
+        monkeypatch.setattr(curve_core, "tate_on_model",
+                            lambda co, p: calls.append((co, p)) or tate(co, p))
+
+        def expected(a, b):
+            c = a * a - 4 * b
+            primes = (2, 3) if b * c % 3 == 0 else (2,)
+            return sorted((m, p) for m in ((0, a, 0, b, 0), (0, -2 * a, 0, c, 0))
+                          for p in primes)
+
+        for a, b in ((123457, 98765432101), (5, 5), (1, -5), (150, 3125)):
+            m = reduction(CurveParams(a, b)).minimal
+            calls.clear()
+            assert cli.main(["classify", str(a), str(b)]) == 0
+            assert sorted(calls) == expected(m.a, m.b), (a, b)
+
+        checked = []
+        of_parts = census.avg_szpiro_of_parts
+
+        def traced(a, b, *rest):
+            calls.clear()
+            ratio = of_parts(a, b, *rest)
+            assert sorted(calls) == expected(a, b), (a, b)
+            assert ratio == avg_szpiro(CurveParams(a, b)), (a, b)
+            checked.append(b * (a * a - 4 * b) % 3 == 0)
+            return ratio
+
+        monkeypatch.setattr(census, "avg_szpiro_of_parts", traced)
+        census.run_census(census.CensusConfig(
+            X=10**4, family="Kappa", kappa=2.2, order_by="Conductor", index_cap=100))
+        assert checked and not any(checked)  # the family is prime to 3
+        checked.clear()
+        census.run_census(census.CensusConfig(
+            X=10**4, family="Kappa", kappa=2.0, good_reduction_filter=False))
+        assert any(checked) and not all(checked)
 
     def test_two_factorizations_per_curve(self, monkeypatch):
         calls = []

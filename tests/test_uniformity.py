@@ -459,6 +459,15 @@ class TestFittedCorpora:
         assert c1 == pytest.approx(4.0, rel=1e-9)
         assert abs(c1 - c2) / c1 <= 0.2
 
+    @pytest.mark.parametrize("seed", [101, 202, 11, 12, 21, 22])
+    def test_random_remainder_below_claimed_bounds(self, seed):
+        # the fitted constants are pinned at 4 by the extremal fifth of each
+        # corpus; the random rest must stay below what the docstrings claim
+        quadrics = un.quadric_corpus(100, seed=seed)
+        assert un.fitted_quadric_constant(quadrics[100 // 5:]) < 2.7
+        lattices = un.lattice_corpus(100, seed=seed)
+        assert un.fitted_lattice_constant(lattices[100 // 5:]) <= 4
+
     def test_bound_dominates_corpus(self):
         corpus = un.quadric_corpus(60, seed=3)
         c = un.fitted_quadric_constant(corpus)
