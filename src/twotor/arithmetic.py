@@ -1,12 +1,13 @@
 """Exact integer arithmetic: factorization, valuations, square-free structure.
 
 Everything downstream (reduction types, conductors, censuses, tail statistics)
-consumes factorizations produced here.  The workhorse is a smallest-prime-factor
-table of 2^16 entries, built at import and never grown.  A batch of values
-(``prime_to_6_profile``) is peeled against the table below it and
-trial-divided in bulk above it.  A lone value past the table goes through
-trial division by small primes, then deterministic Miller-Rabin, then Pollard
-rho with Brent cycling.
+consumes factorizations produced here.  The workhorse for batches is a
+smallest-prime-factor table of 2^16 entries, built at import and never grown.
+A batch of values (``prime_to_6_profile``) is peeled against the table below
+it and trial-divided in bulk above it.  A lone value of any size is factored
+one way: the primes p <= min(sqrt(n), 10^5) that divide it are found in one
+step and divided out, then the cofactor goes through deterministic
+Miller-Rabin, a perfect-square split and Pollard rho with Brent cycling.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -20,10 +21,6 @@ import numpy as np
 
 # The SPF table's size. Small, so importing the package stays cheap.
 _INITIAL_SIEVE = 1 << 16
-
-# Sieve entries built at a time: 4 MiB of uint32, so a segment stays in cache
-# while every base prime writes to it.
-_SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,25 +50,15 @@ class _SpfSieve:
 
     @staticmethod
     def _build(limit: int) -> np.ndarray:
-        """spf[0..limit], built one cache-sized segment of _SEGMENT entries at a time.
+        """spf[0..limit] by a plain sieve.
 
-        A segment's odd slots start as themselves; then each odd prime
-        p <= sqrt(limit), largest first, writes p over its odd multiples from
-        p^2 on.  The smallest prime factor writes last, so no write has to
-        read the slot first.
+        Every slot starts as itself; then each prime p <= sqrt(limit), largest
+        first, writes p over p^2, p^2 + p, ...  The smallest prime factor
+        writes last, so no write has to read the slot first.
         """
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        spf[2::2] = 2
-        primes = primes_up_to(math.isqrt(limit))[1:]  # odd primes, ascending
-        for lo in range(0, limit + 1, _SEGMENT):  # lo is even
-            hi = min(lo + _SEGMENT, limit + 1)
-            seg = spf[lo:hi]
-            seg[1::2] = np.arange(lo + 1, hi, 2, dtype=np.uint32)
-            p = primes[: np.searchsorted(primes * primes, hi)]
-            start = np.maximum(p * p, (lo + p - 1) // p * p)
-            start += p * (start % 2 == 0)  # first odd multiple
-            for q, s in zip(p[::-1].tolist(), (start - lo)[::-1].tolist()):
-                seg[s:: 2 * q] = q
+        spf = np.arange(limit + 1, dtype=np.uint32)
+        for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
+            spf[p * p:: p] = p
         spf[1] = 0
         return spf
 
@@ -95,9 +82,7 @@ def smallest_prime_factor(n: int) -> int:
         raise ValueError("smallest_prime_factor needs n >= 2")
     if n <= _sieve.limit:
         return _sieve.spf(n)
-    for f in factorize(n).factors:
-        return f[0]
-    raise AssertionError("unreachable")
+    return factorize(n).factors[0][0]
 
 
 _TRIAL_PRIMES: np.ndarray | None = None
@@ -122,7 +107,7 @@ def is_prime(n: int) -> bool:
         return False
     if n <= _sieve.limit:
         return _sieve.spf(n) == n
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -194,39 +179,37 @@ class Factorization:
 
 
 def _factor_abs(n: int) -> list[tuple[int, int]]:
-    """Factor n >= 1 into sorted (prime, exponent) pairs."""
-    out: dict[int, int] = {}
-    if n <= _sieve.limit:
-        spf = _sieve.array()
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = out.get(p, 0) + e
+    """Factor n >= 1 into sorted (prime, exponent) pairs.
+
+    The trial primes p <= min(sqrt(n), 10^5) that divide n are found in one
+    step: a numpy remainder while n < 2^63, a Python-int test above.  Their
+    powers are divided out; the cofactor left is split by a stack of
+    Miller-Rabin, the perfect-square test and Pollard-Brent.
+    """
+    primes = _trial_primes()
+    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    if n < 1 << 63:
+        hits = primes[n % primes == 0].tolist()
     else:
-        for p in _trial_primes():
-            p = int(p)
-            if p * p > n:
-                break
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
-        stack = [n] if n > 1 else []
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            r = math.isqrt(m)
-            if r * r == m:
-                stack.extend((r, r))
-                continue
-            d = _pollard_brent(m)
-            stack.extend((d, m // d))
+        hits = [p for p in primes.tolist() if n % p == 0]
+    out: dict[int, int] = {}
+    for p in hits:
+        out[p] = _vp(n, p)
+        n //= p ** out[p]
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            stack.extend((r, r))
+            continue
+        d = _pollard_brent(m)
+        stack.extend((d, m // d))
     return sorted(out.items())
 
 
@@ -247,7 +230,11 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("valuation of 0 is undefined here")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = abs(n)
+    return _vp(n, p)
+
+
+def _vp(n: int, p: int) -> int:
+    """Largest e with p**e | n, for n != 0 and p >= 2 (the one valuation loop)."""
     e = 0
     while n % p == 0:
         n //= p

@@ -331,7 +331,10 @@ def run_census(
     window = records[key] <= X
     if config.family == "Kappa":
         records = records[window & (records["conductor"] > 1)]
-        _, part_b, _ = ar.prime_to_6_profile(records["b"])
+        # |b| without its 2s and 3s: 2^62 and 3^39 are the top powers in int64
+        part_b = np.abs(records["b"])
+        part_b //= np.gcd(part_b, 1 << 62)
+        part_b //= np.gcd(part_b, 3**39)
         part_c = records["index_6"] * records["conductor"] // part_b
         cols = (records["a"], records["b"], part_b, part_c, records["conductor"])
         szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])

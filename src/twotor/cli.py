@@ -65,14 +65,14 @@ def _canonical_config(args: argparse.Namespace) -> dict:
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in sorted(cfg.items())}
 
 
-def _build_manifest(args: argparse.Namespace) -> RunManifest:
+def _build_manifest(args: argparse.Namespace, wall_time_s: float) -> RunManifest:
     cfg = _canonical_config(args)
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return RunManifest(
         subcommand=args.subcommand,
         config=cfg,
         seed=getattr(args, "seed", None),
-        wall_time_s=0.0,
+        wall_time_s=wall_time_s,
         version=_VERSION,
         input_hashes={"config_sha256": hashlib.sha256(blob.encode()).hexdigest()},
     )
@@ -310,6 +310,17 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _workers(text: str) -> int:
+    """A --workers count: checked here, so census and tails reject the same values."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1: {text!r}")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-by", default="condpoly", dest="order_by",
                    choices=sorted(_ORDER_NAMES) + sorted(_ORDER_NAMES.values()))
     p.add_argument("--index-cap", type=int, default=10**4, dest="index_cap")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--grid", help="comma-separated cutoffs, e.g. 1e4,1e5,1e6")
     p.add_argument("--euler-tol", type=_finite_float, default=None, dest="euler_tol")
     p.add_argument("--all-residues", action="store_true",
@@ -353,9 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("local-density", help="closed-form vs counted p-adic density")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True, choices=_CLASS_CHOICES)
-    p.add_argument("--k", type=int, default=None, help="index power for semistable")
+    p.add_argument("--k", type=int, default=None,
+                   help="index power for semistable, 1 <= k <= 10000")
     p.add_argument("--m", type=int, default=None,
-                   help="grid exponent; default the smallest the class needs")
+                   help="grid exponent, with p^(2m) <= 2e9; "
+                        "default the smallest the class needs")
     p.add_argument("--check", action="store_true",
                    help="also count residues and compare exactly")
     p.set_defaults(func=_cmd_local_density)
@@ -381,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_finite_float, default=0.1)
     p.add_argument("--theta", type=_finite_float, default=0.25)
     p.add_argument("--kappa", type=_finite_float, default=2.2)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=_cmd_tails)
 
     p = add("euler", help="Euler products and the leading constant")
@@ -401,7 +414,6 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    manifest = _build_manifest(args)
     start = time.perf_counter()
     try:
         scalars, header, rows, payload = args.func(args)
@@ -411,13 +423,16 @@ def main(argv: Optional[list] = None) -> int:
     except (AssertionError, cc.ClassificationError) as e:
         print(f"twotor: internal check failed: {e}", file=sys.stderr)
         return 3
-    manifest.wall_time_s = time.perf_counter() - start
+    wall_time_s = time.perf_counter() - start
 
     try:
-        _emit(args.out, manifest, scalars, header, rows, payload)
+        _emit(args.out, _build_manifest(args, wall_time_s), scalars, header, rows, payload)
     except OSError as e:
         print(f"twotor: config error: cannot write {args.out}: {e.strerror or e}",
               file=sys.stderr)
+        return 2
+    except ValueError as e:  # an integer past Python's int-to-str digit limit
+        print(f"twotor: config error: cannot print the report: {e}", file=sys.stderr)
         return 2
     return 0
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import arithmetic as ar
+from .arithmetic import _vp
 
 
 class FamilyMembershipError(ValueError):
@@ -184,14 +185,6 @@ def in_good_family(c: CurveParams) -> bool:
 def isogeny(c: CurveParams) -> CurveParams:
     """The 2-isogenous curve (a, b) -> (-2a, a^2 - 4b)."""
     return CurveParams(-2 * c.a, c.a * c.a - 4 * c.b)
-
-
-def _vp(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def _valuations(a: int, b: int, p: int) -> tuple[Optional[int], int, int, int]:

@@ -65,6 +65,7 @@ _DENSITY = {
 
 _MIN_M = {"Good": 1, "III": 2, "I0*": 3, "III*": 4}
 _SCAN_LIMIT = 2 * 10**9  # refuse p^{2m} grids beyond this
+_MAX_K = 10**4  # refuse semistable index powers p^k beyond this, before forming p^k
 
 
 class ToleranceUnreachable(ValueError):
@@ -81,8 +82,8 @@ def _normalize_class(cls: ClassName, k: Optional[int]) -> tuple[str, Optional[in
     if isinstance(cls, tuple):
         cls, k = cls
     if cls in ("semistable", "ss"):
-        if k is None or k < 1:
-            raise ValueError("semistable class needs k >= 1")
+        if k is None or not 1 <= k <= _MAX_K:
+            raise ValueError(f"semistable class needs 1 <= k <= {_MAX_K}")
         return "semistable", k
     if cls in _MIN_M:
         if k is not None:
@@ -204,7 +205,8 @@ def density_empirical(p: int, m: Optional[int], cls: ClassName,
         m = min_m
     if m < min_m:
         raise ValueError(f"{cls} needs m >= {min_m}")
-    if p ** (2 * m) > _SCAN_LIMIT:
+    # 2m > bit_length(limit) already gives p^{2m} > 2^{2m} > limit: no power formed
+    if 2 * m > _SCAN_LIMIT.bit_length() or p ** (2 * m) > _SCAN_LIMIT:
         raise ValueError("residue grid too large to scan")
     M = p**m
 

@@ -35,6 +35,39 @@ def test_factorize_examples():
     assert fm.factors == ((5, 1), (19, 1))
 
 
+# Both sides of the 2^16 table and of 2^63 (the numpy and the Python-int trial
+# division), prime powers and semiprimes past the 10^5 trial primes.
+_EDGE_VALUES = [1, 2, 3, 4, 2**16 - 1, 2**16, 2**16 + 1, 65521, 65537, 99991 * 100003,
+                1000003**2, 1000003 * 1000033, 2**61 - 1, 2**63 - 1, 2**63, 2**63 + 1,
+                3**40, 10**20 - 4, 99991**2 * 7**5 * 2**70]
+
+
+@pytest.mark.parametrize("n", _EDGE_VALUES + [-n for n in _EDGE_VALUES])
+def test_factorize_edge_cases(n):
+    f = ar.factorize(n)
+    assert f.reassemble() == n and f.sign == (1 if n > 0 else -1)
+    primes = [p for p, _ in f.factors]
+    assert all(p < q for p, q in zip(primes, primes[1:]))
+    assert all(ar.is_prime(p) and e >= 1 for p, e in f.factors)
+    if abs(n) < 10**12:
+        assert f.factors == tuple(brute_factor(n))
+
+
+def test_factorize_below_1e10_needs_no_rho(monkeypatch):
+    # the trial primes reach 10^5, so anything <= 10^10 leaves 1 or a prime
+    monkeypatch.setattr(ar, "_pollard_brent", lambda n: pytest.fail(f"rho on {n}"))
+    for n in (99991 * 99989, 99991**2, 3 * 99991 * 33331, 10**10 - 1, 10**10, 9999999967):
+        f = ar.factorize(n)
+        assert f.reassemble() == n and all(ar.is_prime(p) for p, _ in f.factors)
+
+
+def test_smallest_prime_factor_past_the_table():
+    assert ar.smallest_prime_factor(2**16 + 1) == 65537
+    assert ar.smallest_prime_factor(1000003 * 1000033) == 1000003
+    assert ar.smallest_prime_factor(2**63 + 1) == 3
+    assert ar.smallest_prime_factor(99991**2) == 99991
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         ar.factorize(0)
@@ -44,6 +77,7 @@ def test_valuation_examples():
     assert ar.valuation(512, 2) == 9
     assert ar.valuation(7, 5) == 0
     assert ar.valuation(2000, 5) == 3
+    assert ar.valuation(-2000, 5) == 3 and ar.valuation(-(2**70), 2) == 70
     with pytest.raises(ValueError):
         ar.valuation(0, 2)
     with pytest.raises(ValueError):
@@ -168,10 +202,10 @@ def plain_spf(n):
     return spf
 
 
-@pytest.mark.parametrize("n", [ar._SEGMENT - 1, ar._SEGMENT, ar._SEGMENT + 1,
-                               3 * ar._SEGMENT + 12345, 5 * 10**6 + 3])
+@pytest.mark.parametrize("n", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1,
+                               3 * (1 << 20) + 12345, 5 * 10**6 + 3])
 def test_blocked_spf_build_matches_plain_sieve(n):
-    # segment boundaries that are not multiples of the segment size
+    # limits on both sides of 2^20 and far past the 2^16 table
     assert np.array_equal(ar._SpfSieve._build(n), plain_spf(n))
 
 

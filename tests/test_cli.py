@@ -1,6 +1,7 @@
 """Exit codes, report formats, and manifest determinism for the CLI."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -10,6 +11,11 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +107,25 @@ class TestClassify:
         assert arithmetic.factorize(-50000000).factors == ((2, 7), (5, 8))
         assert arithmetic.factorize(200000001).factors == _trial_factors(200000001)
         assert arithmetic._sieve.limit == start
+
+    # |a^2 - 4b| >= 2^63: the lone factorizations take the Python-int trial division
+    @pytest.mark.parametrize("a, b, local", [
+        (10**10, 1, [(2, 10, 0, 2, 6, 6, "II", 6), (3, 0, 0, 1, 1, 1, "I1", 1),
+                     (17, 0, 0, 1, 1, 1, "I1", 1), (14033, 0, 0, 1, 1, 1, "I1", 1),
+                     (20959, 0, 0, 1, 1, 1, "I1", 1), (1666666667, 0, 0, 1, 1, 1, "I1", 1)]),
+        (-3 * 10**12, 7 * 10**20 + 1, [
+            (2, 12, 0, 2, 6, 6, "II", 6), (13, 0, 0, 1, 1, 1, "I1", 1),
+            (881, 0, 0, 1, 1, 1, "I1", 1), (1709, 0, 1, 0, 2, 2, "I2", 1),
+            (95482253, 0, 0, 1, 1, 1, "I1", 1), (2056863466711, 0, 0, 1, 1, 1, "I1", 1),
+            (409596255119953189, 0, 1, 0, 2, 2, "I2", 1)]),
+    ])
+    def test_discriminant_past_2_63(self, a, b, local, capsys):
+        assert abs(a * a - 4 * b) >= 2**63
+        code, doc = run_json(capsys, ["classify", str(a), str(b)])
+        assert code == 0
+        header = ["p", "v_a", "v_b", "v_c", "v_disc", "v_disc_min",
+                  "symbol", "conductor_exponent"]
+        assert [tuple(row[k] for k in header) for row in doc["local"]] == local
 
     def test_singular_rejected(self, capsys):
         assert cli.main(["classify", "2", "1"]) == 2
@@ -314,6 +339,50 @@ class TestPlumbing:
         assert "config error: cannot write" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ["local-density", "--p", "5", "--class", "semistable", "--k", "7000"],
+        ["lp", "--r", "1e5000"],
+    ])
+    def test_unprintable_report(self, argv, capsys):
+        # Python refuses to print an int of more than 4300 digits
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "config error: cannot print the report" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["local-density", "--p", "5", "--class", "semistable", "--k", str(10**9)],
+        ["local-density", "--p", "5", "--class", "semistable", "--k", "3",
+         "--m", str(10**9), "--check"],
+    ])
+    def test_huge_powers_rejected_before_forming_them(self, argv):
+        # a subprocess with a timeout: p^k or p^(2m) here would not finish
+        proc = subprocess.run([sys.executable, "-m", "twotor.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["tails", "index", "--grid", "1e3"],
+        ["tails", "szpiro", "--grid", "1e3"],
+        ["tails", "szpiro", "--grid", "1e3", "--theta", "1", "--kappa", "2"],
+        ["census", "--x", "1e3"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-4", "x"])
+    def test_bad_workers(self, argv, workers, monkeypatch, capsys):
+        monkeypatch.setattr(census, "_census_records",
+                            lambda *a, **k: pytest.fail("swept before --workers was checked"))
+        assert cli.main(argv + ["--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --workers" in captured.err
+
+    def test_import_leaves_mpmath_precision(self):
+        code = ("import mpmath; mpmath.mp.dps = 23; import twotor.cli; "
+                "print(mpmath.mp.dps)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "23"
+
+    @pytest.mark.parametrize("argv", [
         ["tails", "index", "--x", "0"],
         ["tails", "index", "--grid", "0,10"],
         ["tails", "szpiro", "--x", "inf"],
@@ -359,13 +428,21 @@ class TestPlumbing:
             assert doc["manifest"]["subcommand"] == argv[0]
             assert doc["manifest"]["version"]
 
-    @pytest.mark.skipif(shutil.which("twotor") is None,
-                        reason="console script not on PATH")
-    def test_console_script(self):
-        proc = subprocess.run(["twotor", "lp", "--delta", "0", "--r", "0"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["rows"][0]["match"] is True
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+    def test_console_script(self, capsys):
+        # the entry pyproject.toml installs, resolved and called in this process
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["twotor"]
+        assert entry == "twotor.cli:main"
+        module, attr = entry.split(":")
+        main = getattr(importlib.import_module(module), attr)
+        assert main(["lp", "--delta", "0", "--r", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["match"] is True
+        if shutil.which("twotor") is not None:  # an installed tree: the script itself
+            proc = subprocess.run(["twotor", "lp", "--delta", "0", "--r", "0"],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)["rows"][0]["match"] is True
 
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -430,14 +507,18 @@ def _local_density_check(draw):
 
 _GRID = _word(st.lists(st.integers(-2, 1000), min_size=1, max_size=3).map(
     lambda xs: ",".join(map(str, xs))))
-_FRACTION = _word(st.fractions(-1, 1, max_denominator=200).map(str))
+_FRACTION = _word(st.one_of(
+    st.fractions(-1, 1, max_denominator=200).map(str),
+    # exponent form: 1e5000 or 3e-4400 is a fraction too long to print
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-6000, 6000))))
+_WORKERS = _ints(-2, 2)  # small: never a large pool
 
 _ARGV = st.one_of(
     _argv(st.just(["classify"]), _one(_ints(-10**6, 10**6)), _one(_ints(-10**6, 10**6))),
     _argv(st.just(["lp"]), _opt("--delta", _FRACTION), _opt("--r", _FRACTION)),
     _argv(st.just(["local-density"]), _opt("--p", _ints(-3, 60)),
           _opt("--class", st.sampled_from(["Good", "III", "I0*", "III*", "semistable", "II"])),
-          _opt("--k", _ints(-2, 30))),
+          _opt("--k", st.one_of(_ints(-2, 30), _ints(-2, 10**9)))),
     _local_density_check(),
     _argv(st.just(["real-density", "--method", "closed"]), _opt("--z", _floats(-10, 1e12))),
     _argv(st.just(["real-density", "--method", "quad"]), _opt("--z", _floats(-10, 1.7e308)),
@@ -448,11 +529,12 @@ _ARGV = st.one_of(
           _opt("--family", st.sampled_from(["condpoly", "cubefree", "kappa", "Kappa", "x"])),
           _opt("--kappa", _floats(0, 3)),
           _opt("--order-by", st.sampled_from(["condpoly", "conductor", "height"])),
-          _opt("--index-cap", _ints(-1, 100)), _opt("--grid", _GRID)),
+          _opt("--index-cap", _ints(-1, 100)), _opt("--grid", _GRID),
+          _opt("--workers", _WORKERS)),
     _argv(st.just(["tails"]), _one(st.sampled_from(["index", "szpiro", "bogus"])),
           _opt("--x", _ints(-5, 1000)), _opt("--grid", _GRID),
           _opt("--delta", _floats(-1, 1)), _opt("--theta", _floats(-1, 2)),
-          _opt("--kappa", _floats(0, 3))),
+          _opt("--kappa", _floats(0, 3)), _opt("--workers", _WORKERS)),
     _argv(st.just(["euler"]),
           _opt("--family", st.sampled_from(["condpoly", "cubefree", "kappa", "Kappa", "x"])),
           _opt("--tol", _word(st.one_of(st.floats(1e-12, 0.5), st.sampled_from(
