@@ -216,6 +216,8 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
     """
     if Z > _MAX_Z:
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     A = isqrt(4 * Z + 1)
     blocks = [
         (Z, a_lo, min(a_lo + _BLOCK - 1, A), use_family)
@@ -439,15 +441,12 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     if not 1 < kappa < KAPPA_MAX:
         raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
     grid = tuple(grid)
-    lo = 1.5 + theta
-    if lo >= kappa:
-        return [0] * len(grid)
     records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
     records = records[records["good_23"] & (records["conductor"] > 1)]
     cond = records["conductor"]
     ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
              / (2 * np.log(cond.astype(np.float64))))
-    band = (lo < ratio) & (ratio <= kappa)
+    band = (1.5 + theta < ratio) & (ratio <= kappa)
     return [
         int(np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X)))
         for X in grid

@@ -310,17 +310,6 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _workers(text: str) -> int:
-    """A --workers count: checked here, so census and tails reject the same values."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1: {text!r}")
-    return value
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -354,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-by", default="condpoly", dest="order_by",
                    choices=sorted(_ORDER_NAMES) + sorted(_ORDER_NAMES.values()))
     p.add_argument("--index-cap", type=int, default=10**4, dest="index_cap")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid", help="comma-separated cutoffs, e.g. 1e4,1e5,1e6")
     p.add_argument("--euler-tol", type=_finite_float, default=None, dest="euler_tol")
     p.add_argument("--all-residues", action="store_true",
@@ -394,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_finite_float, default=0.1)
     p.add_argument("--theta", type=_finite_float, default=0.25)
     p.add_argument("--kappa", type=_finite_float, default=2.2)
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_tails)
 
     p = add("euler", help="Euler products and the leading constant")

@@ -439,6 +439,18 @@ class TestTails:
         assert sweeps[2:] == [X * census.TAIL_INDEX_CAP for X in grid] * 2
         assert all(type(n) is int for n in index + szpiro) and min(index + szpiro) > 0
 
+    @pytest.mark.parametrize("count", [
+        lambda w: census.tail_counts_index((100,), 0.1, workers=w),
+        lambda w: census.tail_counts_szpiro((100,), 0.25, 2.2, workers=w),
+        lambda w: census.tail_counts_szpiro((100,), 1.0, 2.0, workers=w),  # an empty band
+    ])
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_bad_workers_rejected(self, count, workers, monkeypatch):
+        monkeypatch.setattr(census, "_block_records",
+                            lambda *a: pytest.fail("swept before workers was checked"))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            count(workers)
+
 
 @pytest.fixture(scope="module")
 def szpiro_window():
