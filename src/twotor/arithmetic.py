@@ -128,15 +128,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Polynomial steps one Pollard rho call may take, over its whole sweep of c:
+# enough for a smallest prime factor up to about 10^11, and about a second of
+# work on a 40-digit n before it gives up.
+_RHO_STEPS = 1 << 21
+
+
+class FactoringBudgetError(ArithmeticError):
+    """Pollard rho took its step budget without splitting a composite."""
+
+
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent-cycle Pollard rho)."""
+    """A nontrivial factor of odd composite n (Brent-cycle Pollard rho).
+
+    Raises FactoringBudgetError once _RHO_STEPS steps find none.
+    """
     if n % 2 == 0:
         return 2
+    steps = 0
     # Deterministic parameter sweep keeps factorize() reproducible.
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # this round's steps, at most
+            if steps > _RHO_STEPS:
+                raise FactoringBudgetError(
+                    f"Pollard rho found no factor of {n} in {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -156,7 +174,7 @@ def _pollard_brent(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"pollard rho failed on {n}")
+    raise FactoringBudgetError(f"Pollard rho found no factor of {n} with c < 100")
 
 
 @dataclass(frozen=True)
@@ -312,6 +330,42 @@ def _divide_out(rem: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         e[hit] += 1
         hit = hit[rem[hit] % p[hit] == 0]
     return pe, e
+
+
+def _squarefree_primes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, p) for every prime p of every square-free value > 1, sorted by
+    index, then by p.
+
+    Each pass takes every unfinished value's smallest prime factor: from the
+    SPF table where the value is in it, and by bulk trial division by the
+    primes up to sqrt(max value) above it, where a value no such prime
+    divides is itself prime.
+    """
+    spf = _sieve.array()
+    idx = np.flatnonzero(values > 1)
+    rem = values[idx]
+    found_idx, found_p = [idx[:0]], [rem[:0]]
+    while idx.size:
+        p = np.zeros_like(rem)
+        small = rem < len(spf)
+        p[small] = spf[rem[small]]
+        big = np.flatnonzero(~small)
+        if big.size:
+            for q in primes_up_to(math.isqrt(int(rem[big].max()))).tolist():
+                hit = rem[big] % q == 0
+                p[big[hit]] = q
+                big = big[~hit]
+                if not big.size:
+                    break
+            p[big] = rem[big]
+        found_idx.append(idx)
+        found_p.append(p)
+        rem = rem // p
+        more = rem > 1
+        idx, rem = idx[more], rem[more]
+    idx, p = np.concatenate(found_idx), np.concatenate(found_p)
+    order = np.argsort(idx, kind="stable")  # a pass finds each value's primes in increasing order
+    return idx[order], p[order]
 
 
 def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ The family is ``curve_core.family_at_2 & family_at_3``: the sweep generates
 only the b in the residue classes mod 96 that it allows for a, and the
 records' good_23 column is ``curve_core.good_family``.
 
-The region |b (a^2 - 4b)| <= Z is swept in blocks of a-columns; per column
+The region |b (a^2 - 4b)| <= Z is swept in blocks of consecutive a-columns,
+cut so that each holds about the same number of pairs (``_blocks``); per column
 the admissible b form one interval, or two once a^4 > 16 Z opens a hole
 around b = a^2/4.  The interval ends of a whole block are estimated in
 float64 and then decided exactly by vectorized int64 nudge passes over
@@ -35,20 +36,24 @@ import numpy as np
 from . import arithmetic as ar
 from . import local_density
 from .curve_core import (
+    ADDITIVE_TAGS,
     CurveParams,
+    KodairaSymbol,
+    additive_type,
     avg_szpiro,  # not called here: perfbench's tracer counts calls through this name
     avg_szpiro_of_parts,
     family_at_2,
     family_at_3,
     good_family,
-    kodaira_symbol_large_p,
     tate_algorithm,
 )
 
 KAPPA_MAX = Fraction(155, 68)
 TAIL_INDEX_CAP = 100
 _MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
-_BLOCK = 1024  # a-values per worker block; fixed so merges are worker-count independent
+# Pairs (all residues) per worker block, over sqrt(Z): a block pays one bulk
+# trial-division pass per prime up to about sqrt(Z), however few rows it holds.
+_PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 
 # One row per minimal curve: |cond poly|, the prime-to-6 conductor and index,
@@ -167,44 +172,56 @@ def _block_records(args) -> tuple[np.ndarray, list]:
     On a minimal pair a prime p >= 5 dividing only one of b, c = a^2 - 4b has
     conductor exponent 1, and one dividing both has exponent 2 (additive
     reduction).  So the conductor is rad(b)_{6'} rad(c)_{6'} and the index is
-    |bc|_{6'} over it.  Only pairs with a shared prime go through scalar code:
-    the rescaled-copy skip and the Kodaira symbol at each shared prime.
+    |bc|_{6'} over it.  A shared prime also divides a; the shared primes get
+    one row each, with columns v_p(b), v_p(c) and p^2 | a, which
+    ``curve_core.additive_type`` reads: the rescaled-copy skip, the cube-free
+    correction (v_p(bc) > 2) and the I*_n rows reported as anomalies.
     """
     Z, a_lo, a_hi, use_family = args
     a, b, f = _block_pairs(Z, a_lo, a_hi, use_family)
+    c = a * a - 4 * b
     rad_b, part_b, emax_b = ar.prime_to_6_profile(b)
-    rad_c, part_c, emax_c = ar.prime_to_6_profile(a * a - 4 * b)
+    rad_c, part_c, emax_c = ar.prime_to_6_profile(c)
     cond = rad_b * rad_c
     idx6 = part_b * part_c // cond
     cubefree = (emax_b <= 2) & (emax_c <= 2)
+    row, p = ar._squarefree_primes(np.gcd(rad_b, rad_c))
+    _, v_b = ar._divide_out(np.abs(b[row]), p)
+    _, v_c = ar._divide_out(np.abs(c[row]), p)
+    non_minimal, kind = additive_type(v_b, v_c, a[row] % (p * p) == 0)
     keep = np.ones(len(a), dtype=bool)
-    anomalies: list = []
-    shared = np.gcd(rad_b, rad_c)
-    for i in np.flatnonzero(shared > 1).tolist():
-        ai, bi, g = int(a[i]), int(b[i]), int(shared[i])
-        primes = []
-        while g > 1:  # g is square-free
-            p = ar.smallest_prime_factor(g)
-            primes.append(p)
-            g //= p
-        if any(bi % p**4 == 0 and ai % (p * p) == 0 for p in primes):
-            keep[i] = False
-            continue
-        for p in primes:
-            red = kodaira_symbol_large_p(CurveParams(ai, bi), p)
-            assert red.conductor_exponent == 2, (
-                f"({ai}, {bi}) at p={p}: shared prime with conductor exponent"
-                f" {red.conductor_exponent}, not 2")
-            if red.v_b + red.v_c > 2:
-                cubefree[i] = False
-            tag = str(red.symbol)
-            if tag not in ("III", "I0*", "III*"):
-                anomalies.append((ai, bi, p, tag))
+    keep[row[non_minimal]] = False
+    cubefree[row[v_b + v_c > 2]] = False
+    star = (kind == ADDITIVE_TAGS.index("I*")) & keep[row]  # I*_{n-6}, n = v_p(Delta)
+    anomalies = [
+        (ai, bi, pi, str(KodairaSymbol("I*", n - 6)))
+        for ai, bi, pi, n in zip(a[row][star].tolist(), b[row][star].tolist(),
+                                 p[star].tolist(), (2 * v_b + v_c)[star].tolist())
+    ]
     records = np.empty(np.count_nonzero(keep), dtype=RECORD_DTYPE)
     columns = (a, b, np.abs(f), cond, idx6, cubefree, good_family(a, b))
     for name, col in zip(RECORD_DTYPE.names, columns):
         records[name] = col[keep]
     return records, anomalies
+
+
+def _blocks(Z: int) -> list[tuple[int, int]]:
+    """Consecutive a-ranges (a_lo, a_hi) covering |a| <= sqrt(4 Z + 1), each
+    about _PAIRS_PER_ROOT_Z * sqrt(Z) pairs wide.
+
+    A column's width is its pair count up to rounding, with t = a^2: the gap
+    sqrt(t^2 + 16 Z) / 4 between the outer roots minus the hole's
+    sqrt(t^2 - 16 Z) / 4 once t^2 > 16 Z, in float64.  No column is wider
+    than sqrt(Z).  The cut depends on Z alone, and records are merged in
+    block order, so it changes no output.
+    """
+    A = isqrt(4 * Z + 1)
+    tt = np.arange(-A, A + 1, dtype=np.float64) ** 4
+    width = np.sqrt(tt + 16.0 * Z)
+    width -= np.sqrt(np.maximum(tt - 16.0 * Z, 0.0, out=tt), out=tt)
+    block = np.cumsum(width, out=width) // (4 * _PAIRS_PER_ROOT_Z * sqrt(Z))
+    starts = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), 2 * A + 1]
+    return [(lo - A, hi - 1 - A) for lo, hi in zip(starts, starts[1:])]
 
 
 def _census_records(Z: int, workers: int = 1, use_family: bool = True):
@@ -218,11 +235,7 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    A = isqrt(4 * Z + 1)
-    blocks = [
-        (Z, a_lo, min(a_lo + _BLOCK - 1, A), use_family)
-        for a_lo in range(-A, A + 1, _BLOCK)
-    ]
+    blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in _blocks(Z)]
     parts: list[np.ndarray] = []
     anomalies: list = []
     # a fork pool starts all its processes at the first submit: ask for no more than can work
@@ -342,7 +355,7 @@ def run_census(
         szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])
         kept = szpiro <= config.kappa
         records, szpiro = records[kept], szpiro[kept]
-    else:
+    elif not window.all():  # under CondPoly ordering Z = X: the window is the whole sweep
         records = records[window]
 
     keys = np.sort(records[key])

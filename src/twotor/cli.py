@@ -25,6 +25,7 @@ from importlib import metadata
 from pathlib import Path
 from typing import Optional
 
+from . import arithmetic as ar
 from . import census
 from . import curve_core as cc
 from . import local_density
@@ -406,7 +407,8 @@ def main(argv: Optional[list] = None) -> int:
     start = time.perf_counter()
     try:
         scalars, header, rows, payload = args.func(args)
-    except (ConfigError, ValueError, real_density.QuadratureError) as e:
+    except (ConfigError, ValueError, real_density.QuadratureError,
+            ar.FactoringBudgetError) as e:
         print(f"twotor: config error: {e}", file=sys.stderr)
         return 2
     except (AssertionError, cc.ClassificationError) as e:

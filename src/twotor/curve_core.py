@@ -193,6 +193,26 @@ def _valuations(a: int, b: int, p: int) -> tuple[Optional[int], int, int, int]:
     return None if a == 0 else _vp(a, p), v_b, v_c, (4 if p == 2 else 0) + 2 * v_b + v_c
 
 
+# The additive rule at p >= 5, written once: on Python ints and int64 arrays
+# alike (hence & and arithmetic on flags), for kodaira_symbol_large_p and the
+# census's shared-prime columns.
+
+ADDITIVE_TAGS = ("III", "I0*", "III*", "I*")
+
+
+def additive_type(v_b, v_c, a_deep):
+    """The reduction type at p >= 5 where p divides both b and c = a^2 - 4b.
+
+    a_deep is p^2 | a.  Returns (non_minimal, kind).  non_minimal is p^2 | a
+    and p^4 | b: the model is not p-minimal and kind means nothing.  Otherwise
+    kind indexes ADDITIVE_TAGS by n = 2 v_b + v_c: III at n = 3, I0* at
+    n = 6, III* at n = 9 with p^2 | a, and I*_{n-6} (kind 3) at every other n.
+    """
+    n = 2 * v_b + v_c
+    kind = 3 - 3 * (n == 3) - 2 * (n == 6) - ((n == 9) & a_deep)
+    return a_deep & (v_b >= 4), kind
+
+
 def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
     """Reduction at p >= 5 of a p-minimal pair, read off v_p(b), v_p(c) and p^2 | a.
 
@@ -200,8 +220,9 @@ def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
 
     * p divides neither b nor c: good reduction.
     * p divides exactly one of them: I_n, f = 1 (p does not divide c4 = 16(c + b)).
-    * p divides both, so p | a^2 = c + 4b: additive, f = 2.  n = 3 gives III,
-      n = 6 gives I0*, n = 9 with p^2 | a gives III*, every other n I*_{n-6}.
+    * p divides both, so p | a^2 = c + 4b: additive, f = 2, typed by
+      ``additive_type``.  n = 3 gives III, n = 6 gives I0*, n = 9 with p^2 | a
+      gives III*, every other n I*_{n-6}.
 
     Derivation in the additive case, by v_b = v_p(b):
       v_b = 1: v_p(a^2) >= 2 > v_b, so v_c = 1 and n = 3.
@@ -221,12 +242,12 @@ def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
     a_deep = v_a is None or v_a >= 2
     if v_b == 0 or v_c == 0:
         sym, f = (GOOD, 0) if n == 0 else (KodairaSymbol("I", n), 1)
-    elif a_deep and v_b >= 4:
-        raise NonMinimalModelError(f"p^2 | a and p^4 | b at p={p}: the model is not minimal")
-    elif n in (3, 6) or (n == 9 and a_deep):
-        sym, f = KodairaSymbol({3: "III", 6: "I0*", 9: "III*"}[n]), 2
     else:
-        sym, f = KodairaSymbol("I*", n - 6), 2
+        non_minimal, kind = additive_type(v_b, v_c, a_deep)
+        if non_minimal:
+            raise NonMinimalModelError(f"p^2 | a and p^4 | b at p={p}: the model is not minimal")
+        tag = ADDITIVE_TAGS[kind]
+        sym, f = KodairaSymbol(tag, n - 6 if tag == "I*" else None), 2
     return LocalReduction(p, v_a, v_b, v_c, n, sym, f, v_disc_min=n)
 
 

@@ -68,6 +68,25 @@ def test_smallest_prime_factor_past_the_table():
     assert ar.smallest_prime_factor(99991**2) == 99991
 
 
+def test_pollard_rho_budget(monkeypatch):
+    monkeypatch.setattr(ar, "_RHO_STEPS", 64)
+    with pytest.raises(ar.FactoringBudgetError, match="in 64 steps"):
+        ar.factorize(1000003 * 1000033)
+
+
+def test_squarefree_primes_match_factorize():
+    # both sides of the SPF table: 65537 and 65539 are the first primes past it
+    rng = random.Random(13)
+    primes = ar.primes_up_to(70000).tolist()
+    values = [1, 2, 3, 30, 65521, 65536 - 1, 65537, 65545, 65537 * 65539, 5 * 65537, 2 * 65521]
+    for _ in range(300):
+        picked = sorted(set(rng.sample(primes, rng.randint(1, 3))))
+        values.append(math.prod(picked))
+    idx, p = ar._squarefree_primes(np.array(values, dtype=np.int64))
+    want = [(i, q) for i, v in enumerate(values) if v > 1 for q, _ in ar.factorize(v).factors]
+    assert list(zip(idx.tolist(), p.tolist())) == want
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         ar.factorize(0)

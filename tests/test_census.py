@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from twotor import arithmetic as ar
 from twotor import census
+from twotor import curve_core
 from twotor._constants import PAIR_COUNT_CONST
 from twotor.curve_core import (
     CurveParams,
@@ -218,6 +219,43 @@ class TestColumnarSweep:
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records.tolist()}
 
+    def test_shared_primes_need_no_scalar_code(self, monkeypatch):
+        # the shared-prime rows are columns: no Kodaira call and no lone factoring
+        want = census._census_records(10**6, use_family=False)
+        for module, name in ((curve_core, "kodaira_symbol_large_p"), (ar, "factorize"),
+                             (ar, "smallest_prime_factor")):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} called"))
+        records, anomalies = census._census_records(10**6, use_family=False)
+        assert np.array_equal(records, want[0]) and anomalies == want[1]
+        assert len(anomalies) == 648 and (75, 1250) not in set(zip(records["a"].tolist(),
+                                                                   records["b"].tolist()))
+
+    def test_shared_radical_past_the_table(self):
+        # a = 0 with all residues is the one column where gcd(rad b, rad c) can
+        # pass the SPF table (|b| up to sqrt(Z) / 2 = 67082 here)
+        Z = 18 * 10**9
+        pairs = [b for lo, hi in b_intervals(0, Z) for b in range(lo, hi + 1) if b]
+        want = [curve_record(0, b) for b in pairs]
+        records, anomalies = census._block_records((Z, 0, 0, False))
+        assert records_as_tuples(records) == [rec for rec, _ in want if rec is not None]
+        assert anomalies == [x for _, anoms in want for x in anoms]
+        assert {65537, 65545, -65537} <= set(records["b"].tolist())
+
+    @pytest.mark.parametrize("Z", [10**6, 10**7])
+    @pytest.mark.parametrize("use_family", [True, False])
+    def test_partition_matches_fixed_width_blocks(self, Z, use_family):
+        # blocks balanced by pair count give what blocks of 1024 columns gave
+        A = isqrt(4 * Z + 1)
+        blocks = census._blocks(Z)
+        assert blocks[0][0] == -A and blocks[-1][1] == A
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        fixed = [(lo, min(lo + 1023, A)) for lo in range(-A, A + 1, 1024)]
+        assert blocks != fixed
+        parts = [census._block_records((Z, lo, hi, use_family)) for lo, hi in fixed]
+        records, anomalies = census._census_records(Z, use_family=use_family)
+        assert np.array_equal(records, np.concatenate([r for r, _ in parts]))
+        assert anomalies == [x for _, anoms in parts for x in anoms]
+
     def test_conductor_ordering_beyond_the_sieve(self, sieve):
         X, cap = 100, 1000  # the sweep covers |cond poly| <= 1e5
         report = census.run_census(
@@ -335,6 +373,13 @@ class TestRunCensus:
         assert report.total_curves > 0
         assert ar._sieve.limit == 2**16
 
+    def test_two_workers_give_the_same_records(self):
+        # 1e7: several blocks and 147 anomalies
+        one = census._census_records(10**7)
+        two = census._census_records(10**7, workers=2)
+        assert len(census._blocks(10**7)) > 2 and len(one[1]) == 147
+        assert np.array_equal(one[0], two[0]) and one[1] == two[1]
+
     def test_workers_do_not_change_report(self):
         X = 600
         r1 = census.run_census(census.CensusConfig(X=X, workers=1))
@@ -360,16 +405,18 @@ class TestRunCensus:
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", Recorder)
         cpus = os.cpu_count() or 1
-        # X = 1e6 sweeps a in [-2000, 2000]: four blocks of 1024 columns
+        blocks = len(census._blocks(10**6))
+        assert blocks > 3
         records, _ = census._census_records(10**6, workers=10**6)
-        assert pools == ([min(4, cpus)] if cpus > 1 else [])
+        assert pools == ([min(blocks, cpus)] if cpus > 1 else [])
         assert np.array_equal(records, census._census_records(10**6)[0])
-        for cpu_count, expected in ((64, 4), (3, 3)):
+        for cpu_count, expected in ((64, blocks), (3, 3)):
             pools.clear()
             monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
             census._census_records(10**6, workers=10**6)
             assert pools == [expected]
         # X = 1e3 is one block: no pool, and the config keeps what was asked
+        assert len(census._blocks(10**3)) == 1
         pools.clear()
         report = census.run_census(census.CensusConfig(X=10**3, workers=64))
         assert pools == [] and report.config.workers == 64

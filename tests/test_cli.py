@@ -361,6 +361,16 @@ class TestPlumbing:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_rho_budget_exhausted(self):
+        # b = (10^20 + 39)(3 10^20 + 53): two 21-digit primes, far past the
+        # budget; a subprocess with a timeout, as an unbounded rho would not finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "twotor.cli", "classify", "1",
+             "30000000000000000017000000000000000002067"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Pollard rho found no factor" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["tails", "index", "--grid", "1e3"],
         ["tails", "szpiro", "--grid", "1e3"],

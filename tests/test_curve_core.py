@@ -13,6 +13,7 @@ from twotor import cli
 from twotor import curve_core
 from twotor import local_density as ld
 from twotor.curve_core import (
+    ADDITIVE_TAGS,
     CurveParams,
     KodairaSymbol,
     NonMinimalModelError,
@@ -34,6 +35,7 @@ from twotor.curve_core import (
     tate_algorithm,
     tate_on_model,
     _translate,
+    additive_type,
 )
 
 
@@ -151,6 +153,19 @@ class TestLargePTable:
         assert non_minimal > 0
         assert {"Good", "III", "I0*", "III*"} | {f"I{n}*" for n in range(1, 15)} <= seen
         assert not seen & {"II", "IV", "IV*", "II*"}
+
+    def test_additive_type_on_arrays_and_ints(self):
+        # the one rule, on int64 columns and on Python ints, against its cases
+        # spelled out; kodaira_symbol_large_p reads it and is checked against Tate
+        v_b, v_c, deep = (x.ravel() for x in np.meshgrid(
+            np.arange(1, 9), np.arange(1, 13), np.array([False, True])))
+        non_minimal, kind = additive_type(v_b, v_c, deep)
+        assert non_minimal.dtype == np.bool_ and kind.dtype == np.int64
+        for i, (x, y, d) in enumerate(zip(v_b.tolist(), v_c.tolist(), deep.tolist())):
+            n = 2 * x + y
+            tag = "III" if n == 3 else "I0*" if n == 6 else "III*" if n == 9 and d else "I*"
+            want = (d and x >= 4, ADDITIVE_TAGS.index(tag))
+            assert additive_type(x, y, d) == want == (bool(non_minimal[i]), int(kind[i]))
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
