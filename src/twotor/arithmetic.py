@@ -3,11 +3,14 @@
 Everything downstream (reduction types, conductors, censuses, tail statistics)
 consumes factorizations produced here.  The workhorse for batches is a
 smallest-prime-factor table of 2^16 entries, built at import and never grown.
-A batch of values (``prime_to_6_profile``) is peeled against the table below
-it and trial-divided in bulk above it.  A lone value of any size is factored
-one way: the primes p <= min(sqrt(n), 10^5) that divide it are found in one
-step and divided out, then the cofactor goes through deterministic
-Miller-Rabin, a perfect-square split and Pollard rho with Brent cycling.
+A batch of int64 values is factored by one peel (``_peel``): against the
+table below it, by bulk trial division above it.  ``prime_to_6_profile``
+folds the peel of each value's prime-to-6 part into radicals and largest
+exponents, ``prime_divisors`` lists the primes it finds, and ``valuations``
+gives v_p entry by entry.  A lone value of any size is factored one way: the
+primes p <= min(sqrt(n), 10^5) that divide it are found in one step and
+divided out, then the cofactor goes through Miller-Rabin, a perfect-square
+split and Pollard rho with Brent cycling.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -22,8 +25,9 @@ import numpy as np
 # The SPF table's size. Small, so importing the package stays cheap.
 _INITIAL_SIEVE = 1 << 16
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes, deterministic for
+# n < 3317044064679887385961981 (the first 12 stop at 318665857834031151167461).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -100,8 +104,9 @@ def _trial_primes() -> np.ndarray:
 def is_prime(n: int) -> bool:
     """spf[n] == n where the SPF table covers n (it always covers n <= 2^16).
 
-    Above the table, Miller-Rabin with the fixed witness set, deterministic
-    for n < 3.3e24.
+    Above the table, Miller-Rabin with the first 13 primes as witnesses: a
+    proof for n < 3317044064679887385961981, a strong probable-prime test
+    above it.
     """
     if n < 2:
         return False
@@ -232,7 +237,11 @@ def _factor_abs(n: int) -> list[tuple[int, int]]:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization of a nonzero integer; deterministic."""
+    """Factorization of a nonzero integer; deterministic.
+
+    Exact for |n| < 3317044064679887385961981.  Above that a factor declared
+    prime has passed ``is_prime``'s strong probable-prime test, not a proof.
+    """
     if n == 0:
         raise ValueError("cannot factorize 0")
     sign = 1 if n > 0 else -1
@@ -317,55 +326,69 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _divide_out(rem: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _divide_out(rem: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Divide each rem in place by the full power of its p, which divides it;
-    return (p^e, e) per entry."""
+    return that power's exponent per entry."""
     rem //= p
-    pe = p.copy()
     e = np.ones_like(p)
     hit = np.flatnonzero(rem % p == 0)
     while hit.size:
         rem[hit] //= p[hit]
-        pe[hit] *= p[hit]
         e[hit] += 1
         hit = hit[rem[hit] % p[hit] == 0]
-    return pe, e
+    return e
 
 
-def _squarefree_primes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, p) for every prime p of every square-free value > 1, sorted by
-    index, then by p.
+def _peel(n: np.ndarray):
+    """Yield (at, p, e) int64 arrays with p^e exactly dividing n[at], until
+    every prime power of every value n >= 2 has been yielded once.
 
-    Each pass takes every unfinished value's smallest prime factor: from the
-    SPF table where the value is in it, and by bulk trial division by the
-    primes up to sqrt(max value) above it, where a value no such prime
-    divides is itself prime.
+    Values above the SPF table are trial-divided in bulk by each prime
+    p <= sqrt(max n); a cofactor drops out once p^2 exceeds it, when what is
+    left is 1 or a prime.  Values in the table are peeled against it, one
+    prime per pass over the unfinished values.  Each batch is yielded as it
+    is found, so a caller that folds them holds one batch at a time.
     """
     spf = _sieve.array()
-    idx = np.flatnonzero(values > 1)
-    rem = values[idx]
-    found_idx, found_p = [idx[:0]], [rem[:0]]
-    while idx.size:
-        p = np.zeros_like(rem)
-        small = rem < len(spf)
-        p[small] = spf[rem[small]]
-        big = np.flatnonzero(~small)
-        if big.size:
-            for q in primes_up_to(math.isqrt(int(rem[big].max()))).tolist():
-                hit = rem[big] % q == 0
-                p[big[hit]] = q
-                big = big[~hit]
-                if not big.size:
-                    break
-            p[big] = rem[big]
-        found_idx.append(idx)
-        found_p.append(p)
-        rem = rem // p
+    big = n >= len(spf)
+    at = np.flatnonzero(big)
+    rem = n[at]
+    top = math.isqrt(int(rem.max())) if rem.size else 0
+    for p in [*primes_up_to(top).tolist(), top + 1]:  # top + 1 retires all
+        live = rem >= p * p
+        if not live.all():
+            done = ~live & (rem > 1)
+            yield at[done], rem[done], np.ones_like(rem[done])
+            at, rem = at[live], rem[live]
+            if not at.size:
+                break
+        hit = np.flatnonzero(rem % p == 0)
+        if hit.size:
+            cofactor, q = rem[hit], np.full(hit.size, p, dtype=np.int64)
+            yield at[hit], q, _divide_out(cofactor, q)
+            rem[hit] = cofactor
+
+    at = np.flatnonzero(~big & (n > 1))
+    rem = n[at]
+    while at.size:
+        p = spf[rem].astype(np.int64)
+        yield at, p, _divide_out(rem, p)
         more = rem > 1
-        idx, rem = idx[more], rem[more]
-    idx, p = np.concatenate(found_idx), np.concatenate(found_p)
-    order = np.argsort(idx, kind="stable")  # a pass finds each value's primes in increasing order
-    return idx[order], p[order]
+        at, rem = at[more], rem[more]
+
+
+def valuations(values, primes) -> np.ndarray:
+    """v_p(n) >= 1 per entry, for int64 arrays of n and of primes p dividing them."""
+    return _divide_out(np.abs(np.asarray(values, dtype=np.int64)),
+                       np.asarray(primes, dtype=np.int64))
+
+
+def prime_divisors(values) -> tuple[np.ndarray, np.ndarray]:
+    """(row, p) for every prime p of every value n >= 2, sorted by row, then by p."""
+    found = [(np.zeros(0, dtype=np.int64),) * 3, *_peel(np.asarray(values, dtype=np.int64))]
+    row, p, _ = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((p, row))
+    return row[order], p[order]
 
 
 def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,54 +396,23 @@ def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     rad is the product of the primes p >= 5 dividing n, part is |n| with its
     powers of 2 and 3 removed, and emax is the largest v_p(n) over p >= 5
-    (0 when there is none).  Values below the SPF table are peeled in bulk,
-    one prime per pass over the still-unfinished values.  The others are
-    trial-divided in bulk by each prime p <= sqrt(max |n|); a cofactor
-    retires once p^2 exceeds it, when what is left is 1 or a prime.  |n| is
-    at most 2^40.
+    (0 when there is none).  rad and emax are folds over one batch peel of
+    part.  |n| is at most 2^40.
     """
     n = np.abs(np.asarray(values, dtype=np.int64))
     if (n == 0).any():
         raise ValueError("expected nonzero values")
     if (n > 1 << 40).any():  # keeps the trial primes, to sqrt(max |n|), below 2^20
         raise ValueError("values beyond 2^40")
+    part = n.copy()
+    for q in (2, 3):
+        at = np.flatnonzero(part % q == 0)
+        rest = part[at]
+        _divide_out(rest, np.full(at.size, q, dtype=np.int64))
+        part[at] = rest
     rad = np.ones_like(n)
-    part = np.ones_like(n)
     emax = np.zeros_like(n)
-
-    def credit(at, p, pe, e):
+    for at, p, e in _peel(part):  # at holds each row at most once
         rad[at] *= p
-        part[at] *= pe
         emax[at] = np.maximum(emax[at], e)
-
-    spf = _sieve.array()
-    big = n >= len(spf)
-    idx = np.flatnonzero(big)
-    rem = n[idx]
-    top = math.isqrt(int(rem.max())) if rem.size else 0
-    for p in [*primes_up_to(top).tolist(), top + 1]:  # top + 1 retires all
-        live = rem >= p * p
-        if not live.all():
-            done = ~live & (rem >= 5)  # 1 or a prime is left
-            credit(idx[done], rem[done], rem[done], 1)
-            idx, rem = idx[live], rem[live]
-            if not idx.size:
-                break
-        hit = np.flatnonzero(rem % p == 0)
-        if hit.size:
-            cofactor = rem[hit]
-            pe, e = _divide_out(cofactor, np.full(hit.size, p, dtype=np.int64))
-            rem[hit] = cofactor
-            if p >= 5:
-                credit(idx[hit], p, pe, e)
-
-    idx = np.flatnonzero(~big & (n > 1))
-    rem = n[idx]
-    while idx.size:
-        p = spf[rem].astype(np.int64)
-        pe, e = _divide_out(rem, p)
-        large = p >= 5
-        credit(idx[large], p[large], pe[large], e[large])
-        more = rem > 1
-        idx, rem = idx[more], rem[more]
     return rad, part, emax

@@ -185,9 +185,9 @@ def _block_records(args) -> tuple[np.ndarray, list]:
     cond = rad_b * rad_c
     idx6 = part_b * part_c // cond
     cubefree = (emax_b <= 2) & (emax_c <= 2)
-    row, p = ar._squarefree_primes(np.gcd(rad_b, rad_c))
-    _, v_b = ar._divide_out(np.abs(b[row]), p)
-    _, v_c = ar._divide_out(np.abs(c[row]), p)
+    row, p = ar.prime_divisors(np.gcd(rad_b, rad_c))
+    v_b = ar.valuations(b[row], p)
+    v_c = ar.valuations(c[row], p)
     non_minimal, kind = additive_type(v_b, v_c, a[row] % (p * p) == 0)
     keep = np.ones(len(a), dtype=bool)
     keep[row[non_minimal]] = False

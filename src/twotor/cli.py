@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -170,14 +171,17 @@ _ORDER_NAMES = {"condpoly": "CondPoly", "conductor": "Conductor"}
 
 
 def _parse_bound(text: str) -> int:
-    """A height bound >= 1, written 10000 or 1e4."""
+    """An integral height bound >= 1, written 10000 or 1e4, parsed exactly."""
     try:
-        value = int(float(text))
-    except (ValueError, OverflowError):
+        value = Decimal(text)
+    except InvalidOperation:
         raise ConfigError(f"bad bound {text!r}") from None
+    # the int64 cap also keeps int() from expanding an exponent such as 1e999999999
+    if not value.is_finite() or value != value.to_integral_value() or value >= 1 << 63:
+        raise ConfigError(f"bound {text!r} is not an integer below 2^63")
     if value < 1:
         raise ConfigError(f"bound {text!r} is below 1")
-    return value
+    return int(value)
 
 
 def _finite_float(text: str) -> float:

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._constants import AREA_CONST, CENTER_INTEGRAL, SQRT2, TAIL_INTEGRAL
-from .census import _MAX_Z, _block_pairs
+from .census import _MAX_Z, _block_pairs, _blocks
 
 
 class QuadratureError(RuntimeError):
@@ -368,17 +368,19 @@ def lattice_count_with_error(
 
     Counts (a, b) in the class with 0 < |b(a^2-4b)| <= X, |b| >= 4 and
     |a^2-4b| >= 4; the prediction is (sqrt2/2) nu(S) AREA_CONST X^{3/4}, the
-    covolume-4 lattice (a, 4b) against the region with parameter 4X.
+    covolume-4 lattice (a, 4b) against the region with parameter 4X.  The
+    region is swept in the census's blocks, so memory stays per block.
     """
     if not 1 <= X <= _MAX_Z:
         raise ValueError(f"need 1 <= X <= {_MAX_Z}")
-    A = math.isqrt(4 * X + 1)
-    a, b, _ = _block_pairs(X, -A, A, use_family=False)
     n = congruence.n
     in_class = np.zeros((n, n), dtype=bool)
     for a0, b0 in congruence.residues:
         in_class[a0, b0] = True
-    keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
-    count = int(np.count_nonzero(keep))
+    count = 0
+    for a_lo, a_hi in _blocks(X):
+        a, b, _ = _block_pairs(X, a_lo, a_hi, use_family=False)
+        keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
+        count += int(np.count_nonzero(keep))
     predicted = float(SQRT2 / 2 * float(congruence.density()) * area_closed_form(X))
     return count, predicted, abs(count - predicted)

@@ -82,7 +82,7 @@ def test_squarefree_primes_match_factorize():
     for _ in range(300):
         picked = sorted(set(rng.sample(primes, rng.randint(1, 3))))
         values.append(math.prod(picked))
-    idx, p = ar._squarefree_primes(np.array(values, dtype=np.int64))
+    idx, p = ar.prime_divisors(np.array(values, dtype=np.int64))
     want = [(i, q) for i, v in enumerate(values) if v > 1 for q, _ in ar.factorize(v).factors]
     assert list(zip(idx.tolist(), p.tolist())) == want
 
@@ -188,6 +188,14 @@ def test_is_prime_on_both_sides_of_the_table(monkeypatch):
     assert not any(ar.is_prime(n) for n in (561, 41041, 3215031751, (2**31 - 1) ** 2))
 
 
+def test_first_strong_pseudoprime_to_twelve_bases():
+    # the least strong pseudoprime to the first 12 prime bases; base 41 exposes it
+    n = 318665857834031151167461
+    assert not ar.is_prime(n)
+    assert ar.factorize(n).factors == ((399165290221, 1), (798330580441, 1))
+    assert ar.is_prime(399165290221) and ar.is_prime(798330580441)
+
+
 def test_primes_up_to():
     ps = ar.primes_up_to(100)
     assert list(ps[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -236,16 +244,25 @@ def _profile_by_factorize(n):
     return rad, part, emax
 
 
-@pytest.mark.parametrize("sieve_limit", [None, 2**16])
-def test_prime_to_6_profile_matches_factorize(monkeypatch, sieve_limit):
-    if sieve_limit is not None:  # a fresh table
+@pytest.mark.parametrize("table", [None, 2**8])
+def test_prime_to_6_profile_matches_factorize(monkeypatch, table):
+    # a 2^8 table sends most values, the powers 3 * 2^k (cofactor 3) and the
+    # squares of the first primes past the table through bulk trial division
+    if table is not None:
+        monkeypatch.setattr(ar, "_INITIAL_SIEVE", table)
         monkeypatch.setattr(ar, "_sieve", ar._SpfSieve())
+        assert ar._sieve.limit == table
     values = list(range(-3000, 0)) + list(range(1, 3000))
     values += [5**13, -(7**9) * 2**5, 2**40, 3**20 * 11, 999966000289, 10**12 - 11]
     values += [2**16 + k for k in range(-50, 50)]
+    values += [m * 2**k for m in (1, 3) for k in range(1, 30)] + [2 * 3**k for k in range(1, 20)]
+    values += [p**2 for p in (257, 263, 65537, 65539)] + [257 * 263, 5 * 257**2]
     rad, part, emax = ar.prime_to_6_profile(values)
     got = list(zip(rad.tolist(), part.tolist(), emax.tolist()))
     assert got == [_profile_by_factorize(v) for v in values]
+    row, p = ar.prime_divisors(np.abs(values))
+    want = [(i, q) for i, v in enumerate(values) if abs(v) > 1 for q, _ in ar.factorize(v).factors]
+    assert list(zip(row.tolist(), p.tolist())) == want
     assert [len(x) for x in ar.prime_to_6_profile([])] == [0, 0, 0]
     with pytest.raises(ValueError):
         ar.prime_to_6_profile([5, 0])

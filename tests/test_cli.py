@@ -108,6 +108,13 @@ class TestClassify:
         assert arithmetic.factorize(200000001).factors == _trial_factors(200000001)
         assert arithmetic._sieve.limit == start
 
+    def test_strong_pseudoprime_b_split(self, capsys):
+        # b = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+        code, doc = run_json(capsys, ["classify", "1129009934118", "318665857834031151167461"])
+        assert code == 0
+        assert [(row["p"], row["symbol"]) for row in doc["local"]][-2:] == [
+            (399165290221, "I2"), (798330580441, "I2")]
+
     # |a^2 - 4b| >= 2^63: the lone factorizations take the Python-int trial division
     @pytest.mark.parametrize("a, b, local", [
         (10**10, 1, [(2, 10, 0, 2, 6, 6, "II", 6), (3, 0, 0, 1, 1, 1, "I1", 1),
@@ -399,6 +406,11 @@ class TestPlumbing:
         ["tails", "szpiro", "--x", "inf"],
         ["census", "--x", "inf"],
         ["census", "--x", "100", "--grid", "0,100"],
+        ["census", "--x", "1000.9"],
+        ["census", "--x", "1000", "--grid", "100.5,1000"],
+        ["census", "--x", "1e999999999"],
+        ["tails", "index", "--x", "1000.5"],
+        ["tails", "szpiro", "--grid", "1000,2999.9"],
     ])
     def test_bad_bounds(self, argv, capsys):
         assert cli.main(argv) == 2

@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.special import gamma as scipy_gamma
 
 from oracles import truncated_slice_length
+from twotor import census
 from twotor import real_density as rd
 from twotor._constants import (
     AREA_CONST,
@@ -339,6 +340,21 @@ class TestLatticeCount:
             predicted, float(PAIR_COUNT_CONST) * (10**6) ** 0.75 / 32, rel_tol=1e-12
         )
         assert abs(count - predicted) / predicted < 0.1
+
+    @pytest.mark.parametrize("X, blocks", [(10**5, 2), (10**6, 4)])
+    def test_blockwise_count_matches_one_sweep(self, X, blocks):
+        # the count runs over the census's blocks; one _block_pairs call over
+        # every column is the reference
+        assert len(census._blocks(X)) == blocks
+        A = math.isqrt(4 * X + 1)
+        a, b, _ = census._block_pairs(X, -A, A, use_family=False)
+        for cong in (rd.CongruenceClass.everything(), rd.CongruenceClass.good_reduction()):
+            n = cong.n
+            in_class = np.zeros((n, n), dtype=bool)
+            for a0, b0 in cong.residues:
+                in_class[a0, b0] = True
+            keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
+            assert rd.lattice_count_with_error(cong, X)[0] == np.count_nonzero(keep)
 
     def test_empty_region(self):
         count, predicted, _ = rd.lattice_count_with_error(
