@@ -25,7 +25,6 @@ rescaled copies of a smaller pair.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -243,6 +242,9 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
     if workers <= 1:
         results = map(_block_records, blocks)
     else:
+        # imported here: it loads multiprocessing, which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         results = pool.map(_block_records, blocks)
     for recs, anoms in results:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -322,7 +323,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first call.
+
+    It holds no per-call state, so every ``main`` call reuses it: a parse
+    makes a fresh namespace from the fixed defaults, and help width and
+    stderr are read when a message is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="twotor",
         description="Census and verification tools for y^2 = x(x^2+ax+b).",

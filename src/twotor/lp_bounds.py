@@ -2,7 +2,8 @@
 
 The program lives on nine exponent variables
 (gamma_I0*, gamma_III, gamma_III*, alpha1, alpha2, beta1, beta2, upsilon, nu).
-Everything is done in Fractions: the target is exact equality of the simplex
+Everything is exact: programs and results are Fractions, and the simplex
+pivots an integer tableau.  The target is exact equality of the simplex
 optimum with the closed form 3/2 - 3 delta + 3 r, so floats have no place here.
 
 Rows 4 and 5 of the right-hand side carry r/2, not r: with r the closed-form
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 HALF = Fraction(1, 2)
@@ -136,84 +138,122 @@ def check_feasible(lp: LinearProgram, x: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex, Bland's rule, exact Fractions.
+# Two-phase simplex, Bland's rule, on an integer tableau (fraction-free).
+#
+# The tableau is held as integers over one common denominator d, with
+# Bareiss-style exact division: a pivot on (r, s) leaves row r as it is,
+# replaces every other row i by (p * row_i - row_i[s] * row_r) / d, which
+# divides exactly, and makes the pivot p the new d.  Row i of the true
+# tableau is row_i / (d * s_i) for a positive scale s_i of its own: the
+# common denominator L of the input for a constraint row not yet pivoted
+# on, 1 after, and L or the objective's Lc for the objective row.  Bland's
+# rule needs no true entry: it reads signs, and its ratio test compares
+# rhs_i / row_i[s] across rows, in which s_i cancels, by cross-multiplying.
+# So the pivot sequence, and the optimum and vertex read off at the end,
+# are those of the same simplex run in Fractions.
 # ---------------------------------------------------------------------------
 
 
-def _pivot(tab, basis, row, col) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+def _pivot(tab, basis, d, row, col) -> int:
+    """Pivot on tab[row][col]; returns the new common denominator (> 0)."""
+    prow = tab[row]
+    p = prow[col]
+    # where the pivot row is zero an entry is only rescaled by p / d
+    nonzero = [j for j, v in enumerate(prow) if v]
     for i, line in enumerate(tab):
-        if i != row and line[col] != 0:
-            f = line[col]
-            tab[i] = [a - f * b for a, b in zip(line, tab[row])]
+        f = line[col]
+        if i == row or (f == 0 and p == d):
+            continue
+        line = [v * p for v in line]
+        if f:
+            for j in nonzero:
+                line[j] -= f * prow[j]
+        tab[i] = line if d == 1 else [v // d for v in line]
     basis[row] = col
+    if p < 0:  # only the phase-1 clean-up pivots on a negative entry
+        tab[:] = [[-v for v in line] for line in tab]
+        p = -p
+    return p
 
 
-def _bland_step(tab, basis, n_cols) -> bool:
-    """One simplex step on tableau with objective in the last row.
+def _bland_pivot(tab, basis, n_cols) -> Optional[tuple]:
+    """(row, col) of the next pivot, objective in the last row; None at optimality.
 
-    Returns False at optimality; raises LPUnboundedError on an unbounded ray.
+    Raises LPUnboundedError on an unbounded ray.
     """
     obj = tab[-1]
     col = next((j for j in range(n_cols) if obj[j] < 0), None)
     if col is None:
-        return False
-    best: Optional[tuple] = None
+        return None
+    best = None
     for i in range(len(tab) - 1):
-        if tab[i][col] > 0:
-            ratio = tab[i][-1] / tab[i][col]
-            key = (ratio, basis[i])
-            if best is None or key < best[0]:
-                best = (key, i)
+        a = tab[i][col]
+        if a > 0:
+            if best is None:
+                best, num, den = i, tab[i][-1], a
+                continue
+            lhs, rhs = tab[i][-1] * den, num * a  # ratio_i vs the best ratio
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best, num, den = i, tab[i][-1], a
     if best is None:
         raise LPUnboundedError(f"unbounded along variable index {col}")
-    _pivot(tab, basis, best[1], col)
-    return True
+    return best, col
+
+
+def _phase(tab, basis, d, n_cols) -> int:
+    """Pivot by Bland's rule until optimal; returns the final common denominator."""
+    while (step := _bland_pivot(tab, basis, n_cols)) is not None:
+        d = _pivot(tab, basis, d, *step)
+    return d
+
+
+def _as_integers(rows) -> tuple:
+    """(integer rows, L): the rows times the least L > 0 that makes them integral."""
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+    L = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (L // v.denominator) for v in row] for row in rows], L
 
 
 def _simplex_min_eq(c, A, b):
     """min c.x subject to Ax = b, x >= 0; returns (optimum, x)."""
     m, n = len(A), len(c)
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
+    rows, L = _as_integers([*A[i], b[i]] for i in range(m))
     for row in rows:
         if row[-1] < 0:
             row[:] = [-v for v in row]
-    # phase 1: artificials n..n+m-1
-    tab = [rows[i][:-1] + [Fraction(int(i == j)) for j in range(m)] + [rows[i][-1]] for i in range(m)]
+    # phase 1: artificials n..n+m-1, every row still at its scale L
+    tab = [rows[i][:-1] + [L * (i == j) for j in range(m)] + [rows[i][-1]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):  # price out the artificial basis
-        phase1 = [a - b_ for a, b_ in zip(phase1, tab[i])]
+    phase1 = [0] * n + [L] * m + [0]
+    for line in tab:  # price out the artificial basis
+        phase1 = [a - b_ for a, b_ in zip(phase1, line)]
     tab.append(phase1)
-    while _bland_step(tab, basis, n + m):
-        pass
-    if -tab[-1][-1] != 0:
-        raise LPInfeasibleError(f"phase-1 optimum {-tab[-1][-1]} > 0")
+    d = _phase(tab, basis, 1, n + m)
+    if tab[-1][-1] != 0:
+        raise LPInfeasibleError(f"phase-1 optimum {Fraction(-tab[-1][-1], d * L)} > 0")
     # drive any lingering artificial out of the basis (degenerate rows)
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
+                d = _pivot(tab, basis, d, i, col)
+    # every kept row has been pivoted on, so it is exactly d * (true row)
     keep = [i for i in range(m) if basis[i] < n]
-    tab = [
-        [tab[i][j] for j in range(n)] + [tab[i][-1]]
-        for i in keep
-    ]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    obj = list(c) + [Fraction(0)]
+    # the objective row at scale d * Lc: d Lc c minus the basic rows, priced out
+    (cs,), Lc = _as_integers([c])
+    obj = [d * v for v in cs] + [0]
     for i, bi in enumerate(basis):  # reduced costs for the inherited basis
-        if obj[bi] != 0:
-            f = obj[bi]
+        if cs[bi] != 0:
+            f = cs[bi]
             obj = [a - f * b_ for a, b_ in zip(obj, tab[i])]
     tab.append(obj)
-    while _bland_step(tab, basis, n):
-        pass
+    d = _phase(tab, basis, d, n)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    return -tab[-1][-1], tuple(x)
+        x[bi] = Fraction(tab[i][-1], d)
+    return Fraction(-tab[-1][-1], d * Lc), tuple(x)
 
 
 def solve_simplex(lp: LinearProgram):
@@ -221,13 +261,13 @@ def solve_simplex(lp: LinearProgram):
     n, m = lp.n_vars, lp.n_rows
     if lp.sense == "min_ge":
         # surplus variables: Ax - s = b
-        A = [list(lp.matrix[i]) + [Fraction(-int(i == j)) for j in range(m)] for i in range(m)]
-        c = list(lp.objective) + [Fraction(0)] * m
+        A = [list(lp.matrix[i]) + [-int(i == j) for j in range(m)] for i in range(m)]
+        c = list(lp.objective) + [0] * m
         opt, x = _simplex_min_eq(c, A, list(lp.rhs))
         return opt, x[:n]
     # max c.x, Ax <= b: slacks, then minimize -c.x
-    A = [list(lp.matrix[i]) + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    c = [-v for v in lp.objective] + [Fraction(0)] * m
+    A = [list(lp.matrix[i]) + [int(i == j) for j in range(m)] for i in range(m)]
+    c = [-v for v in lp.objective] + [0] * m
     opt, x = _simplex_min_eq(c, A, list(lp.rhs))
     return -opt, x[:n]
 

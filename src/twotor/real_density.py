@@ -310,15 +310,27 @@ def area_monte_carlo(
     hits = 0
     done = 0
     index = 0
+    # Everything derived from a chunk's draws is computed in place: into the
+    # draws themselves and two masks allocated once per call.  |y w| is taken
+    # as |y| |w|, which rounds to the same float.
+    inside_buf = np.empty(min(chunk, samples), dtype=bool)
+    test_buf = np.empty_like(inside_buf)
     while done < samples:
         n = min(chunk, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         x = rng.uniform(-xmax, xmax, n)
         y = rng.uniform(-ymax, ymax, n)
-        w = x * x - y
-        # y * w overflows only where |y w| > Z anyway; inf compares as outside
+        inside, test = inside_buf[:n], test_buf[:n]
+        w = np.multiply(x, x, out=x)
+        w -= y
+        np.abs(w, out=w)
+        np.abs(y, out=y)
+        np.greater_equal(w, 4, out=inside)
+        inside &= np.greater_equal(y, 4, out=test)
+        # |y w| overflows only where it exceeds Z anyway; inf compares as outside
         with np.errstate(over="ignore"):
-            inside = (np.abs(y * w) <= Z) & (np.abs(y) >= 4) & (np.abs(w) >= 4)
+            yw = np.multiply(y, w, out=y)
+        inside &= np.less_equal(yw, Z, out=test)
         hits += int(np.count_nonzero(inside))
         done += n
         index += 1

@@ -5,17 +5,21 @@ block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
-here as an interval list at one x.  They are slow and simple on purpose.
+here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
+an integer tableau is here as the same two-phase Bland's-rule simplex in
+Fractions.  They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
 
 from twotor import arithmetic as ar
 from twotor.census import _MAX_Z
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
+from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
 # per-curve record: (a, b, |cond poly|, conductor, prime-to-6 index, cube-free flag)
 Record = tuple[int, int, int, int, int, bool]
@@ -148,3 +152,100 @@ def truncated_slice_length(x: float, Z: float) -> float:
     intervals = _subtract_open(intervals, -4.0, 4.0)
     intervals = _subtract_open(intervals, t - 4.0, t + 4.0)
     return sum(b - a for a, b in intervals)
+
+
+# ---------------------------------------------------------------------------
+# Two-phase simplex, Bland's rule, exact Fractions.
+# ---------------------------------------------------------------------------
+
+
+def _pivot(tab, basis, row, col) -> None:
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    for i, line in enumerate(tab):
+        if i != row and line[col] != 0:
+            f = line[col]
+            tab[i] = [a - f * b for a, b in zip(line, tab[row])]
+    basis[row] = col
+
+
+def _bland_step(tab, basis, n_cols) -> bool:
+    """One simplex step on tableau with objective in the last row.
+
+    Returns False at optimality; raises LPUnboundedError on an unbounded ray.
+    """
+    obj = tab[-1]
+    col = next((j for j in range(n_cols) if obj[j] < 0), None)
+    if col is None:
+        return False
+    best: Optional[tuple] = None
+    for i in range(len(tab) - 1):
+        if tab[i][col] > 0:
+            ratio = tab[i][-1] / tab[i][col]
+            key = (ratio, basis[i])
+            if best is None or key < best[0]:
+                best = (key, i)
+    if best is None:
+        raise LPUnboundedError(f"unbounded along variable index {col}")
+    _pivot(tab, basis, best[1], col)
+    return True
+
+
+def _simplex_min_eq(c, A, b):
+    """min c.x subject to Ax = b, x >= 0; returns (optimum, x)."""
+    m, n = len(A), len(c)
+    rows = [list(A[i]) + [b[i]] for i in range(m)]
+    for row in rows:
+        if row[-1] < 0:
+            row[:] = [-v for v in row]
+    # phase 1: artificials n..n+m-1
+    tab = [rows[i][:-1] + [Fraction(int(i == j)) for j in range(m)] + [rows[i][-1]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    for i in range(m):  # price out the artificial basis
+        phase1 = [a - b_ for a, b_ in zip(phase1, tab[i])]
+    tab.append(phase1)
+    while _bland_step(tab, basis, n + m):
+        pass
+    if -tab[-1][-1] != 0:
+        raise LPInfeasibleError(f"phase-1 optimum {-tab[-1][-1]} > 0")
+    # drive any lingering artificial out of the basis (degenerate rows)
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is not None:
+                _pivot(tab, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n]
+    tab = [
+        [tab[i][j] for j in range(n)] + [tab[i][-1]]
+        for i in keep
+    ]
+    basis = [basis[i] for i in keep]
+    obj = list(c) + [Fraction(0)]
+    for i, bi in enumerate(basis):  # reduced costs for the inherited basis
+        if obj[bi] != 0:
+            f = obj[bi]
+            obj = [a - f * b_ for a, b_ in zip(obj, tab[i])]
+    tab.append(obj)
+    while _bland_step(tab, basis, n):
+        pass
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    return -tab[-1][-1], tuple(x)
+
+
+def solve_simplex_fractions(lp: LinearProgram):
+    """(optimum, argopt) in the program's own sense, exact rationals."""
+    n, m = lp.n_vars, lp.n_rows
+    if lp.sense == "min_ge":
+        # surplus variables: Ax - s = b
+        A = [list(lp.matrix[i]) + [Fraction(-int(i == j)) for j in range(m)] for i in range(m)]
+        c = list(lp.objective) + [Fraction(0)] * m
+        opt, x = _simplex_min_eq(c, A, list(lp.rhs))
+        return opt, x[:n]
+    # max c.x, Ax <= b: slacks, then minimize -c.x
+    A = [list(lp.matrix[i]) + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    c = [-v for v in lp.objective] + [Fraction(0)] * m
+    opt, x = _simplex_min_eq(c, A, list(lp.rhs))
+    return -opt, x[:n]

@@ -1,5 +1,6 @@
 """Region enumeration against brute force, census counts against recounts."""
 
+import concurrent.futures
 import math
 import os
 import random
@@ -403,7 +404,8 @@ class TestRunCensus:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", Recorder)
+        # census imports the pool class where it starts one, from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         cpus = os.cpu_count() or 1
         blocks = len(census._blocks(10**6))
         assert blocks > 3

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -400,6 +401,16 @@ class TestPlumbing:
                               text=True, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "23"
 
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported where a census asks for workers > 1
+        code = ("import sys, twotor.cli; "
+                "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("argv", [
         ["tails", "index", "--x", "0"],
         ["tails", "index", "--grid", "0,10"],
@@ -474,6 +485,59 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariants"]["delta"] == 2000
+
+
+def _fresh_process(argv, env):
+    """(exit code, stdout, stderr) of argv run by ``python -m twotor.cli``."""
+    proc = subprocess.run([sys.executable, "-m", "twotor.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """One parser serves every main() call of a process; no call leaks into the next."""
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        # the help and usage width, the same in this process and a fresh one
+        monkeypatch.setenv("COLUMNS", "80")
+        return {**os.environ, "COLUMNS": "80"}
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert cli.main(["classify", "1", "-2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = json.loads(out.read_text())
+        out.unlink()
+        code, doc = run_json(capsys, ["classify", "1", "-2"])
+        assert code == 0 and not out.exists()
+        assert doc["manifest"]["config"] == written["manifest"]["config"]
+        assert doc["invariants"] == written["invariants"]
+
+    def test_parse_error_then_good_call(self, env, capsys):
+        bad, good = ["classify", "1"], ["lp", "--delta", "1/102", "--r", "1/100"]
+        assert cli.main(bad) == 2
+        err = capsys.readouterr().err
+        assert cli.main(good) == 0
+        captured = capsys.readouterr()
+        assert (2, "", err) == _fresh_process(bad, env)
+        code, out, fresh_err = _fresh_process(good, env)
+        assert code == 0 and captured.err == fresh_err == ""
+        assert strip_volatile(captured.out) == strip_volatile(out)
+
+    def test_defaults_per_call(self, env, capsys):
+        code, point = run_json(capsys, ["lp", "--delta", "1/10"])
+        assert code == 0 and len(point["rows"]) == 1
+        assert cli.main(["lp", "--sweep"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 44
+        assert doc["rows"][0]["delta"] == {"num": 0, "den": 1}
+        code, fresh, _ = _fresh_process(["lp", "--sweep"], env)
+        assert code == 0 and strip_volatile(out) == strip_volatile(fresh)
 
 
 # ---------------------------------------------------------------------------

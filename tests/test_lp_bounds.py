@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from oracles import solve_simplex_fractions
+from twotor import lp_bounds
 from twotor.lp_bounds import (
     ExponentVector,
     LinearProgram,
@@ -297,3 +299,50 @@ class TestScipyOracle:
         assert res.status == 0
         assert check_feasible(lp, x)
         assert abs(float(opt) - res.fun) < 1e-8
+
+
+@st.composite
+def small_lps(draw):
+    """Small programs of both senses; zero entries and repeated rows make degenerate ones."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    entry = st.one_of(st.just(F(0)), value)
+    c = tuple(draw(entry) for _ in range(n))
+    A = [tuple(draw(entry) for _ in range(n)) for _ in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        A[-1], b[-1] = A[0], b[0]
+    return LinearProgram(draw(st.sampled_from(["min_ge", "max_le"])), c, tuple(A), tuple(b))
+
+
+def _outcome(solve, lp):
+    try:
+        return solve(lp)
+    except (LPInfeasibleError, LPUnboundedError) as e:
+        return type(e)
+
+
+class TestFractionOracle:
+    """The integer-tableau simplex against the same simplex run in Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_lps())
+    @example(LinearProgram("min_ge", (F(1),), ((F(1),), (F(-1),)), (F(1), F(1))))  # infeasible
+    @example(LinearProgram("min_ge", (F(-1),), ((F(1),),), (F(0),)))  # unbounded
+    @example(LinearProgram("max_le", (F(1), F(1)), ((F(1), F(1)), (F(1), F(1))),
+                           (F(0), F(0))))  # degenerate, a redundant row
+    # ratio-test ties that Bland's rule breaks by basis index, not row order
+    @example(LinearProgram("min_ge", (F(0),) * 3,
+                           ((F(0), F(0), F(1, 2)), (F(-1, 2), F(0), F(1)),
+                            (F(0), F(3), F(1)), (F(3), F(1), F(1))),
+                           (F(0), F(0), F(0), F(3))))
+    @example(build_primal(F(1, 102), F(1, 100)))
+    @example(build_dual(build_primal(F(7, 100), F(1, 200))))
+    def test_same_optimum_vertex_or_exception(self, lp):
+        assert _outcome(solve_simplex, lp) == _outcome(solve_simplex_fractions, lp)
+
+    def test_sweep_rows(self, monkeypatch):
+        rows = sweep_grid()
+        monkeypatch.setattr(lp_bounds, "solve_simplex", solve_simplex_fractions)
+        assert sweep_grid() == rows

@@ -292,6 +292,19 @@ class TestMonteCarlo:
                 misses += 1
         assert misses <= 1
 
+    @pytest.mark.parametrize("args,estimate,stderr", [
+        ((256.0, 10**5, 7), "0x1.176a7b2339ba1p+8", "0x1.2191bf445dc89p+1"),
+        ((1e6, 10**7, 3), "0x1.4e3b2f3b366aap+18", "0x1.02757c2003991p+12"),
+        ((1e6, 10**7, 7), "0x1.5494328f2d5a2p+18", "0x1.04e666c983871p+12"),
+        # three full chunks of 2^18 and a last one of 17 samples
+        ((1e6, 3 * 2**18 + 17, 5), "0x1.4b8bdbc305c52p+18", "0x1.caf6180781976p+13"),
+        ((256.0, 3 * 10**4, 3, 1 << 12), "0x1.1b16d17884df3p+8", "0x1.09cde797fc06dp+2"),
+    ])
+    def test_pinned_estimates(self, args, estimate, stderr):
+        # recorded from the kernel that allocated fresh temporaries per chunk;
+        # the in-place kernel must give the same floats, bit for bit
+        assert rd.area_monte_carlo(*args) == (float.fromhex(estimate), float.fromhex(stderr))
+
     def test_box_overflow_is_a_value_error(self):
         est, se = rd.area_monte_carlo(1e205, 10**3, seed=0)
         assert math.isfinite(est) and math.isfinite(se)
