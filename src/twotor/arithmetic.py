@@ -4,13 +4,16 @@ Everything downstream (reduction types, conductors, censuses, tail statistics)
 consumes factorizations produced here.  The workhorse for batches is a
 smallest-prime-factor table of 2^16 entries, built at import and never grown.
 A batch of int64 values is factored by one peel (``_peel``): against the
-table below it, by bulk trial division above it.  ``prime_to_6_profile``
-folds the peel of each value's prime-to-6 part into radicals and largest
-exponents, ``prime_divisors`` lists the primes it finds, and ``valuations``
-gives v_p entry by entry.  A lone value of any size is factored one way: the
-primes p <= min(sqrt(n), 10^5) that divide it are found in one step and
-divided out, then the cofactor goes through Miller-Rabin, a perfect-square
-split and Pollard rho with Brent cycling.
+table below it, by bulk trial division above it, to the square root of the
+largest value or, for ``prime_to_6_profile``, to its cube root, where the
+cofactor left of each value is 1, a prime, a prime square or a product of
+two primes.  ``prime_to_6_profile`` folds the peel of each value's
+prime-to-6 part into radicals and largest exponents, ``prime_divisors``
+lists the primes it finds, and ``valuations`` gives v_p entry by entry.  A
+lone value of any size is factored one way: the primes p <= min(sqrt(n),
+10^5) that divide it are found in one step and divided out, then the
+cofactor goes through Miller-Rabin, a perfect-square split and Pollard rho
+with Brent cycling.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -326,6 +329,16 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= n, for n >= 0."""
+    r = int(round(n ** (1 / k)))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
 def _divide_out(rem: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Divide each rem in place by the full power of its p, which divides it;
     return that power's exponent per entry."""
@@ -339,26 +352,37 @@ def _divide_out(rem: np.ndarray, p: np.ndarray) -> np.ndarray:
     return e
 
 
-def _peel(n: np.ndarray):
+def _peel(n: np.ndarray, power: int = 2):
     """Yield (at, p, e) int64 arrays with p^e exactly dividing n[at], until
     every prime power of every value n >= 2 has been yielded once.
 
-    Values above the SPF table are trial-divided in bulk by each prime
-    p <= sqrt(max n); a cofactor drops out once p^2 exceeds it, when what is
-    left is 1 or a prime.  Values in the table are peeled against it, one
-    prime per pass over the unfinished values.  Each batch is yielded as it
-    is found, so a caller that folds them holds one batch at a time.
+    Values above the SPF table are trial-divided in bulk by each prime p up
+    to the power-th root of max n; a cofactor m drops out once p^power > m.
+    Every prime of m is then >= p, so m has fewer than power of them.  With
+    power 2, m is 1 or a prime.  With power 3 (``prime_to_6_profile``), m is
+    1, q, q^2 or q q', and the last batch yields radicals rather than primes:
+    (isqrt(m), 2) for a square, (m, 1) otherwise.  Values in the table are
+    peeled against it, one prime per pass over the unfinished values.  Each
+    batch is yielded as it is found, so a caller that folds them holds one
+    batch at a time.
     """
     spf = _sieve.array()
     big = n >= len(spf)
     at = np.flatnonzero(big)
     rem = n[at]
-    top = math.isqrt(int(rem.max())) if rem.size else 0
+    top = _iroot(int(rem.max()), power) if rem.size else 0
     for p in [*primes_up_to(top).tolist(), top + 1]:  # top + 1 retires all
-        live = rem >= p * p
+        live = rem >= p**power
         if not live.all():
             done = ~live & (rem > 1)
-            yield at[done], rem[done], np.ones_like(rem[done])
+            m = rem[done]
+            e = np.ones_like(m)
+            if power == 3:
+                # the float root is exact on squares, which are below 2^53
+                r = np.rint(np.sqrt(m)).astype(np.int64)
+                square = r * r == m
+                m[square], e[square] = r[square], 2
+            yield at[done], m, e
             at, rem = at[live], rem[live]
             if not at.size:
                 break
@@ -397,12 +421,14 @@ def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rad is the product of the primes p >= 5 dividing n, part is |n| with its
     powers of 2 and 3 removed, and emax is the largest v_p(n) over p >= 5
     (0 when there is none).  rad and emax are folds over one batch peel of
-    part.  |n| is at most 2^40.
+    part that stops trial division at the cube root (``_peel`` with power
+    3): its last batch gives each cofactor's radical and exponent, 2 for a
+    prime square and 1 for a prime or a product of two.  |n| is at most 2^40.
     """
     n = np.abs(np.asarray(values, dtype=np.int64))
     if (n == 0).any():
         raise ValueError("expected nonzero values")
-    if (n > 1 << 40).any():  # keeps the trial primes, to sqrt(max |n|), below 2^20
+    if (n > 1 << 40).any():  # keeps the trial primes, to cbrt(max |n|), below 2^14
         raise ValueError("values beyond 2^40")
     part = n.copy()
     for q in (2, 3):
@@ -412,7 +438,7 @@ def prime_to_6_profile(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         part[at] = rest
     rad = np.ones_like(n)
     emax = np.zeros_like(n)
-    for at, p, e in _peel(part):  # at holds each row at most once
+    for at, p, e in _peel(part, 3):  # at holds each row at most once
         rad[at] *= p
         emax[at] = np.maximum(emax[at], e)
     return rad, part, emax

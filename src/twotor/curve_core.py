@@ -166,20 +166,8 @@ def good_family(a, b):
             & ((b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)))
 
 
-def good_reduction_at_2(c: CurveParams) -> bool:
-    return family_at_2(c.a, c.b)
-
-
-def good_reduction_at_3(c: CurveParams) -> bool:
-    return family_at_3(c.a, c.b)
-
-
 def in_family(c: CurveParams) -> bool:
     return family_at_2(c.a, c.b) & family_at_3(c.a, c.b)
-
-
-def in_good_family(c: CurveParams) -> bool:
-    return good_family(c.a, c.b)
 
 
 def isogeny(c: CurveParams) -> CurveParams:

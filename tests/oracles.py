@@ -2,7 +2,8 @@
 
 These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
-roots, the region enumerated pair by pair, and one census record computed
+roots, the region enumerated pair by pair, one block's (a, b) pairs
+expanded from the full mod-96 residue mask, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
@@ -16,8 +17,10 @@ from fractions import Fraction
 from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from twotor import arithmetic as ar
-from twotor.census import _MAX_Z
+from twotor.census import _FAMILY_MOD96, _MAX_Z, _block_intervals
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
@@ -89,6 +92,28 @@ def enumerate_region(
                 c = CurveParams(a, b)
                 if filter is None or filter(c):
                     yield c
+
+
+def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, use_family: bool):
+    """``census._block_pairs`` with each interval's residues read off an
+    (interval x 96) boolean mask by ``np.nonzero``, not off residue lists."""
+    cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
+    if use_family:
+        mod, allowed = 96, _FAMILY_MOD96[cols % 96]
+    else:
+        mod, allowed = 1, np.ones((len(cols), 1), dtype=bool)
+    iv, r = np.nonzero(allowed)  # (interval, residue) pairs
+    first = los[iv] + (r - los[iv]) % mod
+    count = np.maximum((his[iv] - first) // mod + 1, 0)
+    pair = np.repeat(np.arange(len(iv)), count)
+    step = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    b = first[pair] + mod * step
+    a = cols[iv[pair]]
+    f = b * (a * a - 4 * b)
+    keep = (f != 0) & (np.abs(f) <= Z)
+    a, b, f = a[keep], b[keep], f[keep]
+    order = np.lexsort((b, a))
+    return a[order], b[order], f[order]
 
 
 def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:

@@ -2,7 +2,7 @@
 
 Each test records a PASS/FAIL line (shown in the terminal summary block)
 and then asserts.  Criterion 9's Szpiro half counts curves that have good
-reduction at 2 and 3 (the records' ``good_23`` column, ``in_good_family``),
+reduction at 2 and 3 (the records' ``good_23`` column, ``good_family``),
 with average Szpiro ratios from minimal discriminants on both sides of the
 2-isogeny.
 """

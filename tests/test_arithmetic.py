@@ -284,3 +284,80 @@ def test_trial_division_matches_factorize():
     assert got == [_profile_by_factorize(v) for v in values]
     with pytest.raises(ValueError):
         ar.prime_to_6_profile([2**40 + 1])
+
+
+def _use_table(mp, table):
+    if table is not None:
+        mp.setattr(ar, "_INITIAL_SIEVE", table)
+        mp.setattr(ar, "_sieve", ar._SpfSieve())
+
+
+def _check_profile(values):
+    rad, part, emax = ar.prime_to_6_profile(values)
+    got = list(zip(rad.tolist(), part.tolist(), emax.tolist()))
+    assert got == [_profile_by_factorize(v) for v in values], values
+
+
+def _shaped(bits):
+    """Values below 2^bits shaped like what the cube-root cut has to tell
+    apart: p^2 or p^3 times a cofactor, and a product of two primes."""
+    def primes(k):
+        return st.sampled_from(ar.primes_up_to(1 << k)[2:].tolist())
+
+    return st.one_of(
+        st.builds(lambda p, k: p * p * k, primes(bits // 3), st.integers(1, 1 << bits // 3)),
+        st.builds(lambda p, k: p**3 * k, primes(bits // 4), st.integers(1, 1 << bits // 4)),
+        st.builds(lambda p, q: p * q, primes(bits // 2), primes(bits // 2)),
+    )
+
+
+_SMALL = st.one_of(st.integers(-(1 << 24), 1 << 24).filter(bool), _shaped(24))
+_LARGE = st.one_of(st.integers(1 << 30, 1 << 40), _shaped(40))
+
+
+@pytest.mark.parametrize("table", [None, 2**8])
+@given(small=st.lists(_SMALL, max_size=40),
+       large=_LARGE, at=st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_cube_root_profile_matches_factorize(table, small, large, at):
+    # one large value sets the batch's trial-division bound, cbrt(max), far
+    # above the cube root of each small value, which must leave on its own
+    values = small[:at] + [large] + small[at:]
+    with pytest.MonkeyPatch.context() as mp:
+        _use_table(mp, table)
+        _check_profile(values)
+
+
+def _prime_after(p):
+    return next(q for q in range(p + 1, 2 * p + 2) if ar.is_prime(q))
+
+
+@pytest.mark.parametrize("table", [None, 2**8])
+@pytest.mark.parametrize("t", [1031, 9973, 10313])  # 10313 is the last prime below cbrt(2^40)
+def test_cube_root_profile_at_the_bound(monkeypatch, table, t):
+    # the batch's bound is t itself (largest value t^3) or t - 1 (largest
+    # value just below t^3, prime to 6); p^3 and p^2 q sit on both sides of
+    # it, and q q', q^2 use primes just above it
+    _use_table(monkeypatch, table)
+    prev = max(p for p in range(t - 100, t) if ar.is_prime(p))
+    nxt = _prime_after(t)
+    nxt2 = _prime_after(nxt)
+    members = [t**3, prev**3, t**2 * prev, prev**2 * t, t**2 * nxt, nxt**2 * t,
+               nxt**2 * prev, nxt * nxt2, nxt**2, t**2, t * nxt, -(nxt * nxt2) * 2**5 * 3]
+    below = next(m for m in (t**3 - 2, t**3 - 4) if m % 3)
+    assert ar._iroot(t**3, 3) == t and ar._iroot(below, 3) == t - 1
+    for top in (t**3, below):
+        _check_profile([top] + [v for v in members if abs(v) <= top])
+
+
+@pytest.mark.parametrize("table", [None, 2**8])
+def test_cube_root_profile_squares_past_the_table(monkeypatch, table):
+    # the first primes past either table, squared, leave the cut as squares;
+    # 2^40 is the largest value the profile takes, and has an empty part
+    _use_table(monkeypatch, table)
+    past = [257, 263, 269, 65537, 65539, 65543]
+    values = [p * p for p in past] + [p * q for p, q in zip(past, past[1:])]
+    _check_profile(values)
+    _check_profile(values + [2**40])
+    _check_profile([2**40, 2**40 - 1, -(2**40)])
+    _check_profile([p * p * 5**3 for p in past])

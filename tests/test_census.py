@@ -20,13 +20,19 @@ from twotor.curve_core import (
     CurveParams,
     avg_szpiro,
     avg_szpiro_of_parts,
+    good_family,
     in_family,
-    in_good_family,
     reduction,
     tate_algorithm,
 )
 
-from oracles import b_intervals, curve_record, enumerate_region, records_as_tuples
+from oracles import (
+    b_intervals,
+    block_pairs_by_mask,
+    curve_record,
+    enumerate_region,
+    records_as_tuples,
+)
 
 
 def brute_region(X):
@@ -100,6 +106,15 @@ class TestBlockIntervals:
         a, b, f = census._block_pairs(X, -A, A, use_family=False)
         assert list(zip(a.tolist(), b.tolist())) == [(c.a, c.b) for c in enumerate_region(X)]
         assert (f == b * (a * a - 4 * b)).all()
+
+    @pytest.mark.parametrize("Z", [10**4, 10**6, 10**7])
+    @pytest.mark.parametrize("use_family", [True, False])
+    def test_block_pairs_match_mask_expansion(self, Z, use_family):
+        for a_lo, a_hi in census._blocks(Z):
+            got = census._block_pairs(Z, a_lo, a_hi, use_family)
+            want = block_pairs_by_mask(Z, a_lo, a_hi, use_family)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), (Z, a_lo, a_hi)
+            assert all(x.dtype == np.int64 for x in got)
 
 
 class TestEnumerateRegion:
@@ -198,7 +213,7 @@ class TestColumnarSweep:
     def test_good_23_column_is_in_good_family(self):
         for use_family in (True, False):
             records, _ = census._census_records(2 * 10**4, use_family=use_family)
-            want = [in_good_family(CurveParams(a, b))
+            want = [good_family(a, b)
                     for a, b in zip(records["a"].tolist(), records["b"].tolist())]
             assert records["good_23"].tolist() == want
             assert 0 < sum(want) < len(want)
@@ -503,16 +518,15 @@ class TestTails:
 
 @pytest.fixture(scope="module")
 def szpiro_window():
-    """avg_szpiro, by Tate's algorithm, on every in_good_family curve with
+    """avg_szpiro, by Tate's algorithm, on every good_family curve with
     1 < C <= 1e6 and |cond poly| <= 1e8; and the sweep it was read from."""
     records, anomalies = census._census_records(10**6 * census.TAIL_INDEX_CAP)
     near = np.flatnonzero((records["conductor"] > 1) & (records["conductor"] <= 10**6))
     rows = []
     for i, a, b in zip(near.tolist(), records["a"][near].tolist(), records["b"][near].tolist()):
-        c = CurveParams(a, b)
-        if in_good_family(c):
+        if good_family(a, b):
             rows.append((int(records["conductor"][i]), int(records["cond_poly"][i]),
-                         avg_szpiro(c)))
+                         avg_szpiro(CurveParams(a, b))))
     return (records, anomalies), rows
 
 

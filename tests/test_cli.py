@@ -1,6 +1,7 @@
 """Exit codes, report formats, and manifest determinism for the CLI."""
 
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -189,6 +190,31 @@ class TestCensusCommand:
         assert two["report"]["config"].pop("workers") == 2
         one["report"]["config"].pop("workers")
         assert two["report"] == one["report"]
+
+
+class TestPinnedReports:
+    """sha256 of each JSON report with its wall_time_s and version lines left
+    out: a census or tails report that changes by one byte fails here."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["census", "--x", "1e7"],
+         "0a113db069c69f5cae9a0ad91fbe0d325ba27c4804b89d028a99a9f6f26ac755"),
+        (["census", "--x", "1e6", "--family", "cubefree"],
+         "666a36cec6e015f2f89834670110ba2ccd3ee3ef55058ae8e235b536912a3f6c"),
+        (["census", "--x", "1e6", "--family", "kappa", "--kappa", "2.2"],
+         "9a8ba91ea470d007cdff53fc1e2f0547e95edd3c78e5a3d68c27cdfa32dea33f"),
+        (["census", "--x", "1e5", "--all-residues"],
+         "fca17d30c4eec3e72d2a3960fa7c789c714f3cb1fe627865d5eb54d5223ba207"),
+        (["tails", "szpiro", "--grid", "1e4,3e4"],
+         "0e98c2f2fb27d58db3bf89640b81e669a7ba03e4e07b55a1cb69e9720bb5a601"),
+        (["tails", "index", "--grid", "1e4,1e5"],
+         "e365060de2af3dc76864895d37b808937e1bb367a1a693b0dc0beff90d2fc90b"),
+    ])
+    def test_report_digest(self, capsys, argv, digest):
+        assert cli.main(argv) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if not ln.lstrip().startswith(('"wall_time_s":', '"version":'))]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 class TestLocalDensityCommand:

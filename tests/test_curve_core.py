@@ -24,10 +24,7 @@ from twotor.curve_core import (
     family_at_2,
     family_at_3,
     good_family,
-    good_reduction_at_2,
-    good_reduction_at_3,
     in_family,
-    in_good_family,
     isogeny,
     kodaira_symbol_large_p,
     reduction,
@@ -222,7 +219,7 @@ class TestTate:
                     continue
                 c = CurveParams(a, b)
                 t = tate_algorithm(c, 3)
-                assert (t.conductor_exponent == 0) == good_reduction_at_3(c), (a, b)
+                assert (t.conductor_exponent == 0) == family_at_3(a, b), (a, b)
 
     def test_conductor_exponent_bounds(self):
         for a in range(-12, 13):
@@ -263,18 +260,18 @@ class TestTate:
 
 class TestPredicates:
     def test_at_2(self):
-        assert good_reduction_at_2(CurveParams(6, 1))
-        assert good_reduction_at_2(CurveParams(1, 16))
-        assert good_reduction_at_2(CurveParams(-10, 1))  # -10 = 6 mod 8
-        assert not good_reduction_at_2(CurveParams(2, 3))
-        assert not good_reduction_at_2(CurveParams(6, 2))  # clause 1 needs b odd
-        assert not good_reduction_at_2(CurveParams(1, 8))  # 8 != 16 mod 32
+        assert family_at_2(6, 1)
+        assert family_at_2(1, 16)
+        assert family_at_2(-10, 1)  # -10 = 6 mod 8
+        assert not family_at_2(2, 3)
+        assert not family_at_2(6, 2)  # clause 1 needs b odd
+        assert not family_at_2(1, 8)  # 8 != 16 mod 32
 
     def test_at_3(self):
-        assert good_reduction_at_3(CurveParams(3, 1))
-        assert good_reduction_at_3(CurveParams(1, 2))
-        assert not good_reduction_at_3(CurveParams(3, 3))
-        assert not good_reduction_at_3(CurveParams(1, 1))
+        assert family_at_3(3, 1)
+        assert family_at_3(1, 2)
+        assert not family_at_3(3, 3)
+        assert not family_at_3(1, 1)
 
     def test_in_family(self):
         assert in_family(CurveParams(6, 73))
@@ -294,10 +291,10 @@ class TestPredicates:
             want_2 = (y % 2 == 1 and x % 8 == 6) or (x % 4 == 1 and y % 32 == 16)
             want_3 = (x % 3 != 0 and y % 3 == 2) or (x % 3 == 0 and y % 3 != 0)
             want_good = want_2 and want_3 and (y % 2 == 0 or (y - (x // 2) ** 2) % 128 == 64)
-            assert (family_at_2(x, y), good_reduction_at_2(c), bool(at_2[i])) == (want_2,) * 3
-            assert (family_at_3(x, y), good_reduction_at_3(c), bool(at_3[i])) == (want_3,) * 3
+            assert (family_at_2(x, y), bool(at_2[i])) == (want_2,) * 2
+            assert (family_at_3(x, y), bool(at_3[i])) == (want_3,) * 2
             assert in_family(c) == (want_2 and want_3)
-            assert (good_family(x, y), in_good_family(c), bool(good[i])) == (want_good,) * 3
+            assert (good_family(x, y), bool(good[i])) == (want_good,) * 2
             members += want_good
         assert 0 < members < np.count_nonzero(at_2 & at_3)
 
@@ -316,10 +313,10 @@ def _tate_good_23(c):
 
 class TestGoodFamily:
     def test_examples(self):
-        assert in_good_family(CurveParams(6, 73))  # 73 = 3^2 + 64 mod 128
-        assert in_good_family(CurveParams(1, 80))  # 80 = 16 mod 32, 80 = 2 mod 3
-        assert in_family(CurveParams(6, 1)) and not in_good_family(CurveParams(6, 1))
-        assert not in_good_family(CurveParams(5, 5))
+        assert good_family(6, 73)  # 73 = 3^2 + 64 mod 128
+        assert good_family(1, 80)  # 80 = 16 mod 32, 80 = 2 mod 3
+        assert in_family(CurveParams(6, 1)) and not good_family(6, 1)
+        assert not good_family(5, 5)
 
     def test_matches_tate_on_residue_lifts(self):
         # every predicate class mod 768 = 2^8 * 3, each at two lifts
@@ -331,7 +328,7 @@ class TestGoodFamily:
                     continue
                 for a, b in ((a0, b0), (a0 - m, b0 + 3 * m)):
                     c = _residue_lift(a, b, m)
-                    assert in_good_family(c) == _tate_good_23(c), (c.a, c.b)
+                    assert good_family(c.a, c.b) == _tate_good_23(c), (c.a, c.b)
                     checked += 1
         assert checked == 2 * m * m // 32
 
@@ -340,15 +337,16 @@ class TestGoodFamily:
         good = 0
         for a, b, *_ in records.tolist():
             c = CurveParams(a, b)
-            assert in_good_family(c) == _tate_good_23(c), (a, b)
-            good += in_good_family(c)
+            assert good_family(a, b) == _tate_good_23(c), (a, b)
+            good += good_family(a, b)
         assert 0 < good < len(records)
 
     def test_two_adic_mass(self):
         # classes mod 384 = 2^7 * 3; the 3-adic predicate is independent of the 2-adic one
         m = 384
         count = sum(
-            in_good_family(_residue_lift(a0, b0, m)) for a0 in range(m) for b0 in range(m)
+            good_family(c.a, c.b)
+            for c in (_residue_lift(a0, b0, m) for a0 in range(m) for b0 in range(m))
         )
         mass = Fraction(count, m * m)
         assert mass == Fraction(9, 1024) * ld.good_reduction_density_3()
