@@ -1,8 +1,9 @@
 """Enumeration of family curves by conductor-polynomial size.
 
 The family is ``curve_core.family_at_2 & family_at_3``: the sweep generates
-only the b in the residue classes mod 96 that it allows for a, and the
-records' good_23 column is ``curve_core.good_family``.
+only the b in the residue classes that ``curve_core.FAMILY_MOD96`` allows for
+a.  ``--all-residues`` sweeps with a 1x1 table that allows every b, and the
+lattice counts of ``real_density`` with their own class's table.
 
 The region |b (a^2 - 4b)| <= Z is swept in blocks of consecutive a-columns,
 cut so that each holds about the same number of pairs (``_blocks``); per column
@@ -14,7 +15,9 @@ Z = _MAX_Z.
 
 A sweep returns one record table, a numpy structured array (``RECORD_DTYPE``).
 The census counts, both tails and the Kappa filter read its columns, and a
-tails grid is served by one sweep at its largest X.
+tails grid is served by one sweep at its largest X.  Good reduction at 2 and
+3 (``curve_core.good_family``) is a function of (a, b) and is not a column:
+the Szpiro tail, its only reader, evaluates it on the rows it keeps.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -36,13 +39,12 @@ from . import arithmetic as ar
 from . import local_density
 from .curve_core import (
     ADDITIVE_TAGS,
+    FAMILY_MOD96,
     CurveParams,
     KodairaSymbol,
     additive_type,
     avg_szpiro,  # not called here: perfbench's tracer counts calls through this name
     avg_szpiro_of_parts,
-    family_at_2,
-    family_at_3,
     good_family,
     tate_algorithm,
 )
@@ -55,9 +57,12 @@ _MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
 # holds.  Tuned when those passes ran to sqrt(Z), and not retuned since.
 _PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
+_TATE_SAMPLE_CAP = 200  # at most this many counted curves get Tate's algorithm at 2 and 3
+# The residue table of --all-residues: every (a, b) mod 1.
+_ALL_RESIDUES = np.ones((1, 1), dtype=bool)
 
-# One row per minimal curve: |cond poly|, the prime-to-6 conductor and index,
-# the cube-free flag, and good_23 = ``curve_core.good_family``.
+# One row per minimal curve: (a, b), |cond poly|, the prime-to-6 conductor
+# and index, and the cube-free flag.
 RECORD_DTYPE = np.dtype([
     ("a", np.int64),
     ("b", np.int64),
@@ -65,16 +70,7 @@ RECORD_DTYPE = np.dtype([
     ("conductor", np.int64),
     ("index_6", np.int64),
     ("cubefree", np.bool_),
-    ("good_23", np.bool_),
 ])
-
-# (a mod 96, b mod 96) -> in the family: the congruences read a and b mod 32 and mod 3.
-_FAMILY_MOD96 = family_at_2(*np.ogrid[:96, :96]) & family_at_3(*np.ogrid[:96, :96])
-# The same table as residue lists: the b mod 96 allowed for a = k mod 96 are
-# _RESIDUES[_START[k]:_START[k] + _COUNT[k]], in ascending order.
-_COUNT = np.count_nonzero(_FAMILY_MOD96, axis=1)
-_START = np.cumsum(_COUNT) - _COUNT
-_RESIDUES = np.nonzero(_FAMILY_MOD96)[1]
 
 
 def _nudge(f, b: np.ndarray, step: int) -> np.ndarray:
@@ -151,25 +147,28 @@ def _spread(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _block_pairs(Z: int, a_lo: int, a_hi: int, use_family: bool):
+def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     """(a, b, b (a^2 - 4b)) for a_lo <= a <= a_hi, as int64 arrays sorted by (a, b).
 
-    Only the b in residue classes mod 96 that the family allows for a are
-    generated (all b when use_family is off), across every interval of every
-    column at once: each interval is spread into one (interval, residue)
-    pair per entry of its column's residue list, then each pair into its b.
+    table is an (n, n) boolean residue table, and only the b with
+    table[a mod n, b mod n] are generated: ``curve_core.FAMILY_MOD96`` for
+    the family, ``_ALL_RESIDUES`` for every b.  Every interval of every
+    column is expanded at once: into one (interval, residue) pair per b mod n
+    that its column's row of the table allows, then each pair into its b, in
+    steps of n.
     """
+    n = len(table)
+    per_row = np.count_nonzero(table, axis=1)
+    residues = np.nonzero(table)[1]  # row k's are residues[start[k]:start[k] + per_row[k]]
+    start = np.cumsum(per_row) - per_row
     cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
-    if use_family:
-        mod, row = 96, cols % 96
-        iv, k = _spread(_COUNT[row])  # (interval, residue) pairs
-        r = _RESIDUES[_START[row[iv]] + k]
-    else:
-        mod, iv, r = 1, np.arange(len(cols)), np.zeros(len(cols), dtype=np.int64)
-    first = los[iv] + (r - los[iv]) % mod
-    count = np.maximum((his[iv] - first) // mod + 1, 0)
+    row = cols % n
+    iv, k = _spread(per_row[row])  # (interval, residue) pairs
+    r = residues[start[row[iv]] + k]
+    first = los[iv] + (r - los[iv]) % n
+    count = np.maximum((his[iv] - first) // n + 1, 0)
     pair, step = _spread(count)
-    b = first[pair] + mod * step
+    b = first[pair] + n * step
     a = cols[iv[pair]]
     f = b * (a * a - 4 * b)
     keep = (f != 0) & (np.abs(f) <= Z)
@@ -194,7 +193,7 @@ def _block_records(args) -> tuple[np.ndarray, list]:
     times in its block.
     """
     Z, a_lo, a_hi, use_family = args
-    a, b, f = _block_pairs(Z, a_lo, a_hi, use_family)
+    a, b, f = _block_pairs(Z, a_lo, a_hi, FAMILY_MOD96 if use_family else _ALL_RESIDUES)
     c = a * a - 4 * b
     values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
     (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
@@ -216,7 +215,7 @@ def _block_records(args) -> tuple[np.ndarray, list]:
                                  p[star].tolist(), (2 * v_b + v_c)[star].tolist())
     ]
     records = np.empty(np.count_nonzero(keep), dtype=RECORD_DTYPE)
-    columns = (a, b, np.abs(f), cond, idx6, cubefree, good_family(a, b))
+    columns = (a, b, np.abs(f), cond, idx6, cubefree)
     for name, col in zip(RECORD_DTYPE.names, columns):
         records[name] = col[keep]
     return records, anomalies
@@ -324,7 +323,7 @@ def _default_cutoffs(X: int) -> tuple:
     return tuple(cuts)
 
 
-def _sampled_tate_check(records: np.ndarray, sample_cap: int = 200) -> dict:
+def _sampled_tate_check(records: np.ndarray) -> dict:
     """Run the 2,3 oracle on a deterministic subsample of counted curves.
 
     The mod-96 predicate is exact at 3 but provably overcounts at 2 for the
@@ -333,8 +332,8 @@ def _sampled_tate_check(records: np.ndarray, sample_cap: int = 200) -> dict:
     """
     if not len(records):
         return {"sample_size": 0, "bad_at_2": 0, "bad_at_3": 0}
-    step = max(1, len(records) // sample_cap)
-    sample = records[::step][:sample_cap]
+    step = max(1, len(records) // _TATE_SAMPLE_CAP)
+    sample = records[::step][:_TATE_SAMPLE_CAP]
     bad2 = bad3 = 0
     for a, b in zip(sample["a"].tolist(), sample["b"].tolist()):
         c = CurveParams(a, b)
@@ -475,7 +474,7 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
         raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
     grid = tuple(grid)
     records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
-    records = records[records["good_23"] & (records["conductor"] > 1)]
+    records = records[good_family(records["a"], records["b"]) & (records["conductor"] > 1)]
     cond = records["conductor"]
     ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
              / (2 * np.log(cond.astype(np.float64))))

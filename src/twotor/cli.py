@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from importlib import metadata
@@ -81,17 +81,12 @@ def _build_manifest(args: argparse.Namespace, wall_time_s: float) -> RunManifest
     )
 
 
-def _jsonable(x):
+def _encode(x):
+    """``json.dumps``'s default: the values of a report that JSON has no type for."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
     if is_dataclass(x) and not isinstance(x, type):
-        return {k: _jsonable(v) for k, v in asdict(x).items()}
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return {f.name: getattr(x, f.name) for f in fields(x)}  # nested ones come back here
     if hasattr(x, "item"):  # numpy scalar
         return x.item()
     return str(x)
@@ -107,9 +102,8 @@ def _cell(x) -> str:
 
 def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
           header: list, rows: list, payload: dict) -> None:
-    doc = {"manifest": _jsonable(asdict(manifest))}
-    doc.update(_jsonable(payload))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True,
+                      default=_encode) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

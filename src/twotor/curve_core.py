@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import arithmetic as ar
 from .arithmetic import _vp
 
@@ -138,7 +140,7 @@ def c_invariants(c: CurveParams) -> tuple[int, int]:
 
 
 # The 2,3 family, written once: on Python ints and int64 arrays alike (hence
-# & and |), for the predicates below, the census sweep and local_density.
+# & and |), for the predicates below and FAMILY_MOD96.
 
 
 def family_at_2(a, b):
@@ -168,6 +170,13 @@ def good_family(a, b):
 
 def in_family(c: CurveParams) -> bool:
     return family_at_2(c.a, c.b) & family_at_3(c.a, c.b)
+
+
+# The family as a residue table: FAMILY_MOD96[a mod 96, b mod 96] is True
+# exactly on the 288 classes it admits (the congruences read a and b mod 32
+# and mod 3).  The census sweep, the lattice counts and local_density read it.
+FAMILY_MOD96 = family_at_2(*np.ogrid[:96, :96]) & family_at_3(*np.ogrid[:96, :96])
+FAMILY_MOD96.flags.writeable = False
 
 
 def isogeny(c: CurveParams) -> CurveParams:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import arithmetic as ar
 from ._constants import PAIR_COUNT_CONST
-from .curve_core import family_at_2, family_at_3
+from .curve_core import FAMILY_MOD96, family_at_2, family_at_3
 
 # The Euler factor F of each family, with x = p^{-1/4}.  dirichlet_index_sum
 # checks each one against the local sum assembled from the pattern densities.
@@ -234,8 +234,7 @@ def density_empirical(p: int, m: Optional[int], cls: ClassName,
 
 def good_reduction_class_mod96() -> list[tuple[int, int]]:
     """All (a, b) mod 96 passing both congruence predicates (288 classes)."""
-    a, b = np.ogrid[:96, :96]
-    return [tuple(r) for r in np.argwhere(family_at_2(a, b) & family_at_3(a, b)).tolist()]
+    return [tuple(r) for r in np.argwhere(FAMILY_MOD96).tolist()]
 
 
 def _grid_mass(predicate, m: int) -> Fraction:

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._constants import AREA_CONST, CENTER_INTEGRAL, SQRT2, TAIL_INTEGRAL
 from .census import _MAX_Z, _block_pairs, _blocks
+from .curve_core import FAMILY_MOD96
 
 
 class QuadratureError(RuntimeError):
@@ -347,7 +348,11 @@ def area_monte_carlo(
 
 @dataclass(frozen=True)
 class CongruenceClass:
-    """Allowed residues of (a, b) mod n; density is |S| / n^2."""
+    """Allowed residues S of (a, b) mod n; density is |S| / n^2.
+
+    A lattice count generates only the pairs in S, from S as an (n, n)
+    residue table.
+    """
 
     n: int
     residues: frozenset
@@ -365,9 +370,8 @@ class CongruenceClass:
 
     @classmethod
     def good_reduction(cls) -> "CongruenceClass":
-        from .local_density import good_reduction_class_mod96
-
-        return cls(96, frozenset(good_reduction_class_mod96()))
+        """The 2,3 family's 288 classes mod 96 (``curve_core.FAMILY_MOD96``)."""
+        return cls(96, frozenset(map(tuple, np.argwhere(FAMILY_MOD96).tolist())))
 
     def density(self) -> Fraction:
         return Fraction(len(self.residues), self.n * self.n)
@@ -381,7 +385,10 @@ def lattice_count_with_error(
     Counts (a, b) in the class with 0 < |b(a^2-4b)| <= X, |b| >= 4 and
     |a^2-4b| >= 4; the prediction is (sqrt2/2) nu(S) AREA_CONST X^{3/4}, the
     covolume-4 lattice (a, 4b) against the region with parameter 4X.  The
-    region is swept in the census's blocks, so memory stays per block.
+    region is swept in the census's blocks, so memory stays per block, and
+    each block generates only the class's pairs (``census._block_pairs`` with
+    the class as its residue table); the truncation is the one filter
+    applied after.
     """
     if not 1 <= X <= _MAX_Z:
         raise ValueError(f"need 1 <= X <= {_MAX_Z}")
@@ -391,8 +398,7 @@ def lattice_count_with_error(
         in_class[a0, b0] = True
     count = 0
     for a_lo, a_hi in _blocks(X):
-        a, b, _ = _block_pairs(X, a_lo, a_hi, use_family=False)
-        keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
-        count += int(np.count_nonzero(keep))
+        a, b, _ = _block_pairs(X, a_lo, a_hi, in_class)
+        count += int(np.count_nonzero((np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4)))
     predicted = float(SQRT2 / 2 * float(congruence.density()) * area_closed_form(X))
     return count, predicted, abs(count - predicted)

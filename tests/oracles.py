@@ -3,7 +3,7 @@
 These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, one block's (a, b) pairs
-expanded from the full mod-96 residue mask, and one census record computed
+expanded from a full residue mask, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from twotor import arithmetic as ar
-from twotor.census import _FAMILY_MOD96, _MAX_Z, _block_intervals
+from twotor.census import _MAX_Z, _block_intervals
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
@@ -94,15 +94,13 @@ def enumerate_region(
                     yield c
 
 
-def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, use_family: bool):
+def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     """``census._block_pairs`` with each interval's residues read off an
-    (interval x 96) boolean mask by ``np.nonzero``, not off residue lists."""
+    (interval x n) boolean mask, its column's rows of the (n, n) table, by
+    ``np.nonzero``, not off residue lists."""
     cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
-    if use_family:
-        mod, allowed = 96, _FAMILY_MOD96[cols % 96]
-    else:
-        mod, allowed = 1, np.ones((len(cols), 1), dtype=bool)
-    iv, r = np.nonzero(allowed)  # (interval, residue) pairs
+    mod = len(table)
+    iv, r = np.nonzero(table[cols % mod])  # (interval, residue) pairs
     first = los[iv] + (r - los[iv]) % mod
     count = np.maximum((his[iv] - first) // mod + 1, 0)
     pair = np.repeat(np.arange(len(iv)), count)
@@ -142,11 +140,6 @@ def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
         idx6 *= p ** (eb + ec - f)
         cubefree &= eb + ec <= 2
     return (a, b, abs(b * c), cond, idx6, cubefree), anomalies
-
-
-def records_as_tuples(records) -> list[Record]:
-    """A census record table as the oracle's tuples (good_23 left out)."""
-    return [r[:6] for r in records.tolist()]
 
 
 def _subtract_open(intervals, lo, hi):

@@ -31,7 +31,6 @@ from oracles import (
     block_pairs_by_mask,
     curve_record,
     enumerate_region,
-    records_as_tuples,
 )
 
 
@@ -103,16 +102,17 @@ class TestBlockIntervals:
     @pytest.mark.parametrize("X", [10**2, 10**3, 10**4])
     def test_block_pairs_match_scalar_enumeration(self, X):
         A = isqrt(4 * X + 1)
-        a, b, f = census._block_pairs(X, -A, A, use_family=False)
+        a, b, f = census._block_pairs(X, -A, A, census._ALL_RESIDUES)
         assert list(zip(a.tolist(), b.tolist())) == [(c.a, c.b) for c in enumerate_region(X)]
         assert (f == b * (a * a - 4 * b)).all()
 
     @pytest.mark.parametrize("Z", [10**4, 10**6, 10**7])
     @pytest.mark.parametrize("use_family", [True, False])
     def test_block_pairs_match_mask_expansion(self, Z, use_family):
+        table = curve_core.FAMILY_MOD96 if use_family else census._ALL_RESIDUES
         for a_lo, a_hi in census._blocks(Z):
-            got = census._block_pairs(Z, a_lo, a_hi, use_family)
-            want = block_pairs_by_mask(Z, a_lo, a_hi, use_family)
+            got = census._block_pairs(Z, a_lo, a_hi, table)
+            want = block_pairs_by_mask(Z, a_lo, a_hi, table)
             assert all(np.array_equal(x, y) for x, y in zip(got, want)), (Z, a_lo, a_hi)
             assert all(x.dtype == np.int64 for x in got)
 
@@ -201,28 +201,20 @@ class TestColumnarSweep:
         records, anomalies = census._census_records(Z)
         assert want_anomalies and any(not r[5] for r in want_records)
         assert records.dtype == census.RECORD_DTYPE
-        assert records_as_tuples(records) == want_records
+        assert records.tolist() == want_records
         assert anomalies == want_anomalies
         assert all(type(x) is int for x, *_ in anomalies)
 
     def test_family_table_is_in_family(self):
         # b0 - 96 is a nonzero b with a^2 - 4b > 0 in the class of b0
         want = [[in_family(CurveParams(a0, b0 - 96)) for b0 in range(96)] for a0 in range(96)]
-        assert census._FAMILY_MOD96.tolist() == want
-
-    def test_good_23_column_is_in_good_family(self):
-        for use_family in (True, False):
-            records, _ = census._census_records(2 * 10**4, use_family=use_family)
-            want = [good_family(a, b)
-                    for a, b in zip(records["a"].tolist(), records["b"].tolist())]
-            assert records["good_23"].tolist() == want
-            assert 0 < sum(want) < len(want)
+        assert curve_core.FAMILY_MOD96.tolist() == want
 
     def test_all_residues_matches_scalar_records(self):
         Z = 2000
         want = [curve_record(c.a, c.b)[0] for c in enumerate_region(Z)]
         records, _ = census._census_records(Z, use_family=False)
-        assert records_as_tuples(records) == [r for r in want if r is not None]
+        assert records.tolist() == [r for r in want if r is not None]
 
     def test_rescaled_copy_skipped_in_block(self):
         # (75, 1250) = (3 * 5^2, 2 * 5^4) is the rescaled copy of (3, 2)
@@ -231,7 +223,7 @@ class TestColumnarSweep:
                  if b * (a * a - 4 * b) != 0]
         want = [curve_record(a, b) for a, b in pairs]
         records, anomalies = census._block_records((Z, a, a, False))
-        assert records_as_tuples(records) == [rec for rec, _ in want if rec is not None]
+        assert records.tolist() == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records.tolist()}
 
@@ -253,7 +245,7 @@ class TestColumnarSweep:
         pairs = [b for lo, hi in b_intervals(0, Z) for b in range(lo, hi + 1) if b]
         want = [curve_record(0, b) for b in pairs]
         records, anomalies = census._block_records((Z, 0, 0, False))
-        assert records_as_tuples(records) == [rec for rec, _ in want if rec is not None]
+        assert records.tolist() == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert {65537, 65545, -65537} <= set(records["b"].tolist())
 
@@ -548,7 +540,7 @@ class TestClosedFormSzpiro:
 
     def test_closed_form_is_avg_szpiro(self, szpiro_window):
         (records, _), rows = szpiro_window
-        good = records[records["good_23"] & (records["conductor"] > 1)
+        good = records[good_family(records["a"], records["b"]) & (records["conductor"] > 1)
                        & (records["conductor"] <= 10**6)]
         assert len(good) == len(rows) > 10**4
         n6 = (good["index_6"] * good["conductor"]).tolist()

@@ -194,7 +194,7 @@ class TestCensusCommand:
 
 class TestPinnedReports:
     """sha256 of each JSON report with its wall_time_s and version lines left
-    out: a census or tails report that changes by one byte fails here."""
+    out: a report of any kind that changes by one byte fails here."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["census", "--x", "1e7"],
@@ -209,6 +209,16 @@ class TestPinnedReports:
          "0e98c2f2fb27d58db3bf89640b81e669a7ba03e4e07b55a1cb69e9720bb5a601"),
         (["tails", "index", "--grid", "1e4,1e5"],
          "e365060de2af3dc76864895d37b808937e1bb367a1a693b0dc0beff90d2fc90b"),
+        (["classify", "150", "3125"],  # I0*, I2, II and I1 rows
+         "13ad0517145419601d2f1a7129e4c2501e6ac05663c5b1f4705ba520960cc6da"),
+        (["lp", "--delta", "1/102", "--r", "1/100"],
+         "467a3cfe44a9441612244075793841b526a72acfe2f8d3d8f119de5f54552b1f"),
+        (["euler", "--family", "cubefree", "--tol", "0.01"],
+         "2b54ad11be236ea6f2c47f0453fb8dbc8aa0ce69c5a8aa0eaa80516cb71aa016"),
+        (["local-density", "--p", "7", "--class", "I0*", "--check"],
+         "2a2d2abd22bb2b7ce1b1a7e32e86d2ad96dea8f92be7dcc5ba41bfbc5d6a94d6"),
+        (["real-density", "--method", "mc", "--z", "1e6", "--samples", "10000", "--seed", "7"],
+         "da10249f4aff01ff360706203cc3a40af9323cf04599bee855247948656502d0"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0

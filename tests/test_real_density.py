@@ -356,12 +356,17 @@ class TestLatticeCount:
 
     @pytest.mark.parametrize("X, blocks", [(10**5, 2), (10**6, 4)])
     def test_blockwise_count_matches_one_sweep(self, X, blocks):
-        # the count runs over the census's blocks; one _block_pairs call over
-        # every column is the reference
+        # the count runs over the census's blocks and generates only its class's
+        # pairs; one _block_pairs call over every column and every residue,
+        # filtered by the class, is the reference
         assert len(census._blocks(X)) == blocks
         A = math.isqrt(4 * X + 1)
-        a, b, _ = census._block_pairs(X, -A, A, use_family=False)
-        for cong in (rd.CongruenceClass.everything(), rd.CongruenceClass.good_reduction()):
+        a, b, _ = census._block_pairs(X, -A, A, census._ALL_RESIDUES)
+        # neither the family nor everything: 0 to 6 residues b mod 12 per a mod 12
+        mod_12 = rd.CongruenceClass(12, frozenset(
+            (a0, b0) for a0 in range(12) for b0 in range(12) if (a0 * b0 + b0) % 12 in (1, 5, 6)))
+        for cong in (rd.CongruenceClass.everything(), rd.CongruenceClass.good_reduction(),
+                     mod_12):
             n = cong.n
             in_class = np.zeros((n, n), dtype=bool)
             for a0, b0 in cong.residues:
