@@ -43,7 +43,7 @@ from .curve_core import (
     CurveParams,
     KodairaSymbol,
     additive_type,
-    avg_szpiro,  # not called here: perfbench's tracer counts calls through this name
+    avg_szpiro,  # not called here: perfbench/selftest.py checks the tracer rebinds it
     avg_szpiro_of_parts,
     good_family,
     tate_algorithm,

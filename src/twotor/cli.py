@@ -252,13 +252,8 @@ def _cmd_real_density(args):
 
 
 def _cmd_lp(args):
-    if args.sweep:
-        rows = lp_bounds.sweep_grid()
-    else:
-        lp = lp_bounds.build_primal(args.delta, args.r)
-        cert = lp_bounds.certificate_value(args.delta, args.r)
-        opt, _ = lp_bounds.solve_simplex(lp)
-        rows = [(args.delta, args.r, cert, opt, cert == opt)]
+    rows = (lp_bounds.sweep_grid() if args.sweep
+            else lp_bounds.sweep_grid([args.delta], [args.r]))
     header = ["delta", "r", "certificate", "simplex", "match"]
     payload = {"rows": [dict(zip(header, r)) for r in rows]}
     if not all(r[4] for r in rows):

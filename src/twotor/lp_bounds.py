@@ -2,9 +2,9 @@
 
 The program lives on nine exponent variables
 (gamma_I0*, gamma_III, gamma_III*, alpha1, alpha2, beta1, beta2, upsilon, nu).
-Everything is exact: programs and results are Fractions, and the simplex
-pivots an integer tableau.  The target is exact equality of the simplex
-optimum with the closed form 3/2 - 3 delta + 3 r, so floats have no place here.
+Everything is exact: programs and results are Fractions, scaled to integers
+for the simplex's tableau and the certificate checks.  The target is exact
+equality of the simplex optimum with the closed form 3/2 - 3 delta + 3 r.
 
 Rows 4 and 5 of the right-hand side carry r/2, not r: with r the closed-form
 primal certificate would violate those rows, and the dual certificate value
@@ -123,18 +123,18 @@ def objective_value(lp: LinearProgram, x: Sequence) -> Fraction:
 
 
 def check_feasible(lp: LinearProgram, x: Sequence) -> bool:
+    """x >= 0 and each row holds at x, compared in integers: (L A_i).(M x) with
+    M (L b_i), for M the lcm of x's denominators and L that of the rows'."""
     if len(x) != lp.n_vars:
         raise ValueError("dimension mismatch")
-    xs = _frac_tuple(x)
+    (xs,), M = _as_integers([x])
     if any(v < 0 for v in xs):
         return False
-    for row, b in zip(lp.matrix, lp.rhs):
-        lhs = sum((c * v for c, v in zip(row, xs)), Fraction(0))
-        if lp.sense == "min_ge" and lhs < b:
-            return False
-        if lp.sense == "max_le" and lhs > b:
-            return False
-    return True
+    rows, _ = _as_integers([*row, b] for row, b in zip(lp.matrix, lp.rhs))
+    sides = ((sum(a * v for a, v in zip(row, xs)), M * row[-1]) for row in rows)
+    if lp.sense == "min_ge":
+        return all(lhs >= rhs for lhs, rhs in sides)
+    return all(lhs <= rhs for lhs, rhs in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +275,21 @@ def solve_simplex(lp: LinearProgram):
 def sweep_grid(deltas=None, rs=None) -> list:
     """Certificate vs simplex on a (delta, r) grid; exact equality expected.
 
+    The primal certificate is checked per point, the dual once: (delta, r)
+    enters the dual's objective only, not _MATRIX^T y <= _OBJECTIVE.
     Returns rows (delta, r, certificate_value, simplex_value, match).
     """
     if deltas is None:
         deltas = [Fraction(k, 100) for k in range(11)]
     if rs is None:
         rs = [Fraction(0), Fraction(1, 200), Fraction(1, 102), Fraction(1, 100)]
+    assert check_feasible(build_dual(build_primal(0, 0)), certificate_dual())
     rows = []
     for d in deltas:
         for r in rs:
             lp = build_primal(d, r)
             cert = certificate_value(d, r)
             assert check_feasible(lp, certificate_primal(d, r))
-            assert check_feasible(build_dual(lp), certificate_dual())
             opt, _ = solve_simplex(lp)
             rows.append((Fraction(d), Fraction(r), cert, opt, cert == opt))
     return rows

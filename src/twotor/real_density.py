@@ -289,13 +289,14 @@ def truncated_area_quadrature(Z: float, tol: float = 3e-13) -> float:
     return 2 * (sliced + scale * tail)
 
 
-def area_monte_carlo(
-    Z: float, samples: int, seed: int, chunk: int = 1 << 18
-) -> tuple[float, float]:
+_MC_CHUNK = 1 << 18
+
+
+def area_monte_carlo(Z: float, samples: int, seed: int) -> tuple[float, float]:
     """Hit-count estimate of the truncated area over its bounding box.
 
-    Sampling is chunked with SeedSequence([seed, chunk_index]), so the result
-    is a pure function of (Z, samples, seed) no matter how it is scheduled.
+    Chunk k draws _MC_CHUNK samples from SeedSequence([seed, k]), the last
+    chunk fewer, so the result is a pure function of (Z, samples, seed).
     The box overflows float64 above Z ~ 5e205; that is a ValueError, since the
     estimate, a fraction of the box, would be inf or nan.
     """
@@ -314,10 +315,10 @@ def area_monte_carlo(
     # Everything derived from a chunk's draws is computed in place: into the
     # draws themselves and two masks allocated once per call.  |y w| is taken
     # as |y| |w|, which rounds to the same float.
-    inside_buf = np.empty(min(chunk, samples), dtype=bool)
+    inside_buf = np.empty(min(_MC_CHUNK, samples), dtype=bool)
     test_buf = np.empty_like(inside_buf)
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         x = rng.uniform(-xmax, xmax, n)
         y = rng.uniform(-ymax, ymax, n)

@@ -8,7 +8,8 @@ from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
 an integer tableau is here as the same two-phase Bland's-rule simplex in
-Fractions.  They are slow and simple on purpose.
+Fractions, and its integer feasibility check as Fraction sums, row by row.
+They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -267,3 +268,19 @@ def solve_simplex_fractions(lp: LinearProgram):
     c = [-v for v in lp.objective] + [Fraction(0)] * m
     opt, x = _simplex_min_eq(c, A, list(lp.rhs))
     return -opt, x[:n]
+
+
+def check_feasible_fractions(lp: LinearProgram, x) -> bool:
+    """x >= 0 and every row of ``lp`` holds at x, summed in Fractions."""
+    if len(x) != lp.n_vars:
+        raise ValueError("dimension mismatch")
+    xs = tuple(Fraction(v) for v in x)
+    if any(v < 0 for v in xs):
+        return False
+    for row, b in zip(lp.matrix, lp.rhs):
+        lhs = sum((c * v for c, v in zip(row, xs)), Fraction(0))
+        if lp.sense == "min_ge" and lhs < b:
+            return False
+        if lp.sense == "max_le" and lhs > b:
+            return False
+    return True

@@ -27,6 +27,7 @@ from twotor import arithmetic
 from twotor import cli
 from twotor import census
 from twotor import local_density
+from twotor import lp_bounds
 
 
 def run_json(capsys, argv):
@@ -219,6 +220,8 @@ class TestPinnedReports:
          "2a2d2abd22bb2b7ce1b1a7e32e86d2ad96dea8f92be7dcc5ba41bfbc5d6a94d6"),
         (["real-density", "--method", "mc", "--z", "1e6", "--samples", "10000", "--seed", "7"],
          "da10249f4aff01ff360706203cc3a40af9323cf04599bee855247948656502d0"),
+        (["lp", "--sweep"],
+         "505cdc96739f6718a45b87c61f9cb49f684e6f0e17bcd504d5ea19b6a872f06d"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0
@@ -303,6 +306,17 @@ class TestLpCommand:
         assert lines[0] == "delta,r,certificate,simplex,match"
         assert len(lines) == 1 + 44
         assert all(ln.endswith(",True") for ln in lines[1:])
+
+    @pytest.mark.parametrize("delta, r", [("0", "0"), ("1/102", "1/100"), ("49/100", "1/200")])
+    def test_single_point_is_the_sweep_row(self, capsys, delta, r):
+        code, doc = run_json(capsys, ["lp", "--delta", delta, "--r", r])
+        assert code == 0
+        (row,) = doc["rows"]
+        decoded = [Fraction(v["num"], v["den"]) if isinstance(v, dict) else v
+                   for v in row.values()]
+        header = ["delta", "r", "certificate", "simplex", "match"]
+        assert dict(zip(row, decoded)) == dict(
+            zip(header, lp_bounds.sweep_grid([Fraction(delta)], [Fraction(r)])[0]))
 
     def test_bad_fraction_rejected(self, capsys):
         assert cli.main(["lp", "--delta", "zero"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from oracles import solve_simplex_fractions
+from oracles import check_feasible_fractions, solve_simplex_fractions
 from twotor import lp_bounds
 from twotor.lp_bounds import (
     ExponentVector,
@@ -302,10 +302,10 @@ class TestScipyOracle:
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, size=4):
     """Small programs of both senses; zero entries and repeated rows make degenerate ones."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, size))
+    m = draw(st.integers(1, size))
     value = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     entry = st.one_of(st.just(F(0)), value)
     c = tuple(draw(entry) for _ in range(n))
@@ -314,6 +314,24 @@ def small_lps(draw):
     if m > 1 and draw(st.booleans()):
         A[-1], b[-1] = A[0], b[0]
     return LinearProgram(draw(st.sampled_from(["min_ge", "max_le"])), c, tuple(A), tuple(b))
+
+
+@st.composite
+def programs_and_points(draw):
+    """A program and a point x of ints, Fractions and floats, some negative; for
+    half the programs each rhs is moved to A_i.x, or one step of 1/7 either side."""
+    lp = draw(small_lps(5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6),
+                      st.floats(-3, 3, allow_nan=False))
+    x = tuple(draw(entry) for _ in range(lp.n_vars))
+    if draw(st.booleans()):
+        x = tuple(abs(v) for v in x)
+    if draw(st.booleans()):
+        step = st.sampled_from([F(-1, 7), F(0), F(1, 7)])
+        rhs = tuple(sum(F(a) * F(v) for a, v in zip(row, x)) + draw(step)
+                    for row in lp.matrix)
+        lp = LinearProgram(lp.sense, lp.objective, lp.matrix, rhs)
+    return lp, x
 
 
 def _outcome(solve, lp):
@@ -341,6 +359,15 @@ class TestFractionOracle:
     @example(build_dual(build_primal(F(7, 100), F(1, 200))))
     def test_same_optimum_vertex_or_exception(self, lp):
         assert _outcome(solve_simplex, lp) == _outcome(solve_simplex_fractions, lp)
+
+    @settings(max_examples=400, deadline=None)
+    @given(programs_and_points())
+    def test_integer_feasibility_check(self, case):
+        lp, x = case
+        assert check_feasible(lp, x) == check_feasible_fractions(lp, x)
+        for check in (check_feasible, check_feasible_fractions):
+            with pytest.raises(ValueError):
+                check(lp, x + (0,))
 
     def test_sweep_rows(self, monkeypatch):
         rows = sweep_grid()

@@ -278,9 +278,10 @@ class TestMonteCarlo:
         b, _ = rd.area_monte_carlo(256.0, 10**5, seed=8)
         assert a != b
 
-    def test_chunking_invisible(self):
-        a = rd.area_monte_carlo(256.0, 3 * 10**4, seed=3, chunk=1 << 12)
-        b = rd.area_monte_carlo(256.0, 3 * 10**4, seed=3, chunk=1 << 12)
+    def test_chunking_invisible(self, monkeypatch):
+        monkeypatch.setattr(rd, "_MC_CHUNK", 1 << 12)
+        a = rd.area_monte_carlo(256.0, 3 * 10**4, seed=3)
+        b = rd.area_monte_carlo(256.0, 3 * 10**4, seed=3)
         assert a == b
 
     def test_brackets_truncated_quadrature(self):
@@ -300,10 +301,14 @@ class TestMonteCarlo:
         ((1e6, 3 * 2**18 + 17, 5), "0x1.4b8bdbc305c52p+18", "0x1.caf6180781976p+13"),
         ((256.0, 3 * 10**4, 3, 1 << 12), "0x1.1b16d17884df3p+8", "0x1.09cde797fc06dp+2"),
     ])
-    def test_pinned_estimates(self, args, estimate, stderr):
+    def test_pinned_estimates(self, monkeypatch, args, estimate, stderr):
         # recorded from the kernel that allocated fresh temporaries per chunk;
         # the in-place kernel must give the same floats, bit for bit
-        assert rd.area_monte_carlo(*args) == (float.fromhex(estimate), float.fromhex(stderr))
+        Z, samples, seed, *chunk = args  # a fourth entry is the chunk size
+        if chunk:
+            monkeypatch.setattr(rd, "_MC_CHUNK", chunk[0])
+        assert rd.area_monte_carlo(Z, samples, seed) == (float.fromhex(estimate),
+                                                        float.fromhex(stderr))
 
     def test_box_overflow_is_a_value_error(self):
         est, se = rd.area_monte_carlo(1e205, 10**3, seed=0)
