@@ -1,34 +1,27 @@
-"""High-precision constants shared by the density modules.
+"""Constants shared by the density modules.
 
-Gamma(1/4) is evaluated by mpmath at 50 digits (inside ``workdps``, so the
-process-wide mpmath precision is left as it was) and self-checked at import time
-against the reflection identity Gamma(1/4) * Gamma(3/4) = pi * sqrt(2); the
-check guards against a miscompiled or truncated constant, since the acceptance
-comparisons against quadrature run at 1e-6 relative and below.
+Gamma(1/4) and the two constants built from it are float literals: each is
+its 50-digit value, rounded once to the nearest float.  The tests derive
+them again with mpmath at 50 digits, check that each literal is that value
+exactly, and check Gamma(1/4) against the reflection identity
+Gamma(1/4) * Gamma(3/4) = pi * sqrt(2).  Importing the package needs no
+mpmath.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
-
 SQRT2 = math.sqrt(2.0)
 
-with mpmath.workdps(50):
-    _g14 = mpmath.gamma(mpmath.mpf(1) / 4)
-    _g34 = mpmath.gamma(mpmath.mpf(3) / 4)
-    _check = _g14 * _g34 - mpmath.pi * mpmath.sqrt(2)
-    if abs(_check) > mpmath.mpf(10) ** -40:
-        raise ArithmeticError("Gamma(1/4) self-check failed")
+GAMMA_QUARTER = 3.625609908221908  # Gamma(1/4)
 
-    GAMMA_QUARTER = float(_g14)
+# g = Gamma(1/4)^2 / (4 sqrt(pi)), the lemniscatic building block of the areas.
+_G = 1.8540746773013719
 
-    # g = Gamma(1/4)^2 / (4 sqrt(pi)), the lemniscatic building block of the areas.
-    _G = float(_g14 * _g14 / (4 * mpmath.sqrt(mpmath.pi)))
-
-    # Full area of {|y(x^2-y)| <= Z} is AREA_CONST * Z^(3/4) + O(Z^(1/2)).
-    AREA_CONST = float(2 * (1 + mpmath.sqrt(2)) * _g14 * _g14 / (3 * mpmath.sqrt(mpmath.pi)))
+# Full area of {|y(x^2-y)| <= Z} is AREA_CONST * Z^(3/4) + O(Z^(1/2)), with
+# AREA_CONST = 2 (1 + sqrt2) Gamma(1/4)^2 / (3 sqrt(pi)).
+AREA_CONST = 11.936352617582644
 
 # Slice-length integrals of the region |y(x^2 - y)| <= Z after rescaling:
 #   CENTER_INTEGRAL = int_0^1 sqrt(z^4 + 1) dz              = (sqrt2 + g) / 3

@@ -23,21 +23,16 @@ import time
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from importlib import metadata
 from pathlib import Path
 from typing import Optional
 
+from . import __version__ as _VERSION
 from . import arithmetic as ar
 from . import census
 from . import curve_core as cc
 from . import local_density
 from . import lp_bounds
 from . import real_density
-
-try:
-    _VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.0.0+src"
 
 
 class ConfigError(ValueError):

@@ -20,9 +20,10 @@ Euler products are zeta-factored.  Each factor F deviates from 1 only like
 2 p^{-5/4}, so a plain product needs primes to ~4e7 for two digits.  Instead
 F = prod_k (1 - x^k)^{-e_k} is split off as zeta values: the primes
 5 <= p <= 100 are multiplied in float64, the rest is
-prod_k zeta_{>100}(k/4)^{e_k} from mpmath, and what remains is
+prod_k zeta_{>100}(k/4)^{e_k}, summed in logs from a table of
+log zeta_{>100}(k/4) in integer units of 10^-50, and what remains is
 1 + O(p^{-(K+1)/4}) with a rigorous bound.  Every family reaches 1e-12 in a
-few tens of milliseconds.
+few milliseconds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
 import numpy as np
 
 from . import arithmetic as ar
@@ -66,6 +66,11 @@ _DENSITY = {
 _MIN_M = {"Good": 1, "III": 2, "I0*": 3, "III*": 4}
 _SCAN_LIMIT = 2 * 10**9  # refuse p^{2m} grids beyond this
 _MAX_K = 10**4  # refuse semistable index powers p^k beyond this, before forming p^k
+
+
+class LocalSumMismatch(AssertionError):
+    """The local sum assembled from the pattern densities is not the Euler
+    factor; raised explicitly, so that ``python -O`` keeps the check."""
 
 
 class ToleranceUnreachable(ValueError):
@@ -354,6 +359,73 @@ def dirichlet_local_sum_q4(p: int, family: str) -> tuple[Fraction, ...]:
 _HEAD_CUTOFF = 100  # P: the primes 5 <= p <= P are multiplied directly
 _MAX_ORDER = 64  # the largest K; tolerances it cannot reach are unreachable
 
+# log zeta_{>P}(k/4) = log(zeta(k/4) prod_{p<=P} (1 - p^{-k/4})) for P = 100
+# and k = 5, ..., _MAX_ORDER, each rounded to an integer multiple of 10^-50
+# and stored as that integer.  tests/test_local_density.py recomputes every
+# entry with mpmath from _HEAD_CUTOFF and _MAX_ORDER.
+_LOG_ZETA_ABOVE_100 = (
+    16862085434536526538589782205271469660275920245440,  # k = 5
+    3189550429011712810023712443280338109900950037155,  # k = 6
+    729375875419050459855309113960638438191329302018,  # k = 7
+    181866798951201723704491466669739113838828603841,  # k = 8
+    47693345762431924163293199900172952832054471947,  # k = 9
+    12930108645291398247416264870645226368648932379,  # k = 10
+    3589351024200243461209783381684526027440998632,  # k = 11
+    1014190672394408205685672422449265555526664624,  # k = 12
+    290536954236189846017605052249212378139226839,  # k = 13
+    84151986659330310164998193720649760307603547,  # k = 14
+    24594464965348336144437140191570169371140698,  # k = 15
+    7242116683339481279461226386884428663616547,  # k = 16
+    2146067774410053045977190687775497290220227,  # k = 17
+    639399873743320606089433847720162623159200,  # k = 18
+    191395909181086041516782896164978372216574,  # k = 19
+    57525769304589652987825775429064781329805,  # k = 20
+    17351848608950274801243812551950608775529,  # k = 21
+    5250512574419104020156758671590985334039,  # k = 22
+    1593225908346305323365831839011123515750,  # k = 23
+    484665679455171972010765230768569957601,  # k = 24
+    147769318368549947355199294052973604776,  # k = 25
+    45144648632403072250024852553751012747,  # k = 26
+    13817316913287937941801246449710039078,  # k = 27
+    4236064123180918758226009895575679696,  # k = 28
+    1300641199683249662694966820005638095,  # k = 29
+    399899655700537962291052230715929555,  # k = 30
+    123109606242946924478163002336285073,  # k = 31
+    37943262831429668821892228599640255,  # k = 32
+    11706808053510748325862318706895259,  # k = 33
+    3615487795899144815605236531364888,  # k = 34
+    1117601705220944717691001129274653,  # k = 35
+    345755724245996527418719987347370,  # k = 36
+    107050115090225303797714702605996,  # k = 37
+    33167759042228362911214375756766,  # k = 38
+    10283344586649715217217393308115,  # k = 39
+    3190229654663131830579584677401,  # k = 40
+    990285950904814467777074567402,  # k = 41
+    307562798433804281594944975990,  # k = 42
+    95571045828616273075352892961,  # k = 43
+    29711483618094896846653003336,  # k = 44
+    9240917145093875129309452544,  # k = 45
+    2875324519572690825385999658,  # k = 46
+    895012233989765294440986179,  # k = 47
+    278696491070174270577571291,  # k = 48
+    86813115463738062053870718,  # k = 49
+    27050922885728478694026170,  # k = 50
+    8431677063835320276766628,  # k = 51
+    2628898330635319552341446,  # k = 52
+    819888718227957418553921,  # k = 53
+    255770914323299847435078,  # k = 54
+    79809906722534121015197,  # k = 55
+    24909587471017579872265,  # k = 56
+    7776342992837339338877,  # k = 57
+    2428168491015453630706,  # k = 58
+    758354872789214571512,  # k = 59
+    236893092021411361441,  # k = 60
+    74014162834559539107,  # k = 61
+    23128970281135861341,  # k = 62
+    7228921943548929807,  # k = 63
+    2259766102673243721,  # k = 64
+)
+
 
 def _head_primes(P: int) -> np.ndarray:
     primes = ar.primes_up_to(P)
@@ -384,6 +456,14 @@ def _exponents(family: str, K: int) -> list[int]:
     return e
 
 
+@functools.cache
+def _family_exponents(family: str) -> tuple[int, ...]:
+    """_exponents(family, _MAX_ORDER), once per family; e_k does not depend
+    on K, so its first K + 1 entries are _exponents(family, K)."""
+    return tuple(_exponents(family, _MAX_ORDER))
+
+
+@functools.cache
 def _cauchy_radius(family: str) -> float:
     """r with sum_{j>=1} |c_j| r^j < 1/2, so |log F| < log 2 on |x| <= r."""
     coeffs = _series(family)
@@ -437,7 +517,7 @@ def _tail_cutoff(family: str, tol: float) -> tuple[int, int]:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     P = _HEAD_CUTOFF
     budget = tol - _rounding_bound(len(_head_primes(P)))
-    e = _exponents(family, _MAX_ORDER)
+    e = _family_exponents(family)
     if budget <= 0 or _remainder_bound(family, e, _MAX_ORDER, P) > budget:
         raise ToleranceUnreachable(
             f"{family}: tol {tol} is below what float64 and order {_MAX_ORDER} reach"
@@ -456,21 +536,15 @@ def _tail_cutoff(family: str, tol: float) -> tuple[int, int]:
 def _zeta_tail(family: str, tol: float) -> tuple[int, float]:
     """(P, sum_{5<=k<=K} e_k log zeta_{>P}(k/4)) for the (P, K) tol needs.
 
-    mpmath works with 20 digits beyond the size of the largest |e_k|, so every
-    weighted term is exact far below float64 resolution.
+    The logs come from _LOG_ZETA_ABOVE_100 in units of 10^-50, so the sum
+    is one exact integer, and its true division by 10^50 rounds correctly.
+    Each entry is off by at most 10^-50/2, so the sum is exact far below
+    float64 resolution.
     """
     P, K = _tail_cutoff(family, tol)
-    e = _exponents(family, K)
-    with mpmath.workdps(20 + len(str(max(map(abs, e))))):
-        xs = [mpmath.mpf(int(p)) ** -0.25 for p in ar.primes_up_to(P)]
-        powers = [mpmath.mpf(1)] * len(xs)
-        total = mpmath.mpf(0)
-        for k in range(1, K + 1):
-            powers = [w * x for w, x in zip(powers, xs)]
-            if e[k]:
-                above_P = mpmath.zeta(mpmath.mpf(k) / 4) * mpmath.fprod(1 - w for w in powers)
-                total += e[k] * mpmath.log(above_P)
-        return P, float(total)
+    e = _family_exponents(family)
+    total = sum(ek * t for ek, t in zip(e[5:K + 1], _LOG_ZETA_ABOVE_100))
+    return P, total / 10**50
 
 
 def _factor_values(primes: np.ndarray, family: str) -> np.ndarray:
@@ -503,8 +577,8 @@ def dirichlet_index_sum(family: str, tol: float) -> tuple[float, int]:
     the same zeta tail applies.
     """
     P, log_tail = _zeta_tail(family, tol)
-    assert _local_sum(family) == _SERIES[family], (
-        f"{family}: the local sum differs from the Euler factor")
+    if _local_sum(family) != _SERIES[family]:
+        raise LocalSumMismatch(f"{family}: the local sum differs from the Euler factor")
     logs = [math.log(_q_float(dirichlet_local_sum_q4(p, family), p))
             for p in map(int, _head_primes(P))]
     return math.exp(math.fsum(logs) + log_tail), P

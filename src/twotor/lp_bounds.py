@@ -34,6 +34,11 @@ class LPUnboundedError(LPError):
     pass
 
 
+class CertificateError(AssertionError):
+    """A closed-form certificate failed its exact feasibility check; raised
+    explicitly, so that ``python -O`` keeps the check."""
+
+
 def _frac_tuple(xs) -> tuple:
     return tuple(Fraction(x) for x in xs)
 
@@ -283,13 +288,16 @@ def sweep_grid(deltas=None, rs=None) -> list:
         deltas = [Fraction(k, 100) for k in range(11)]
     if rs is None:
         rs = [Fraction(0), Fraction(1, 200), Fraction(1, 102), Fraction(1, 100)]
-    assert check_feasible(build_dual(build_primal(0, 0)), certificate_dual())
+    if not check_feasible(build_dual(build_primal(0, 0)), certificate_dual()):
+        raise CertificateError("the dual certificate is infeasible")
     rows = []
     for d in deltas:
         for r in rs:
             lp = build_primal(d, r)
             cert = certificate_value(d, r)
-            assert check_feasible(lp, certificate_primal(d, r))
+            if not check_feasible(lp, certificate_primal(d, r)):
+                raise CertificateError(f"the primal certificate is infeasible at "
+                                       f"delta = {d}, r = {r}")
             opt, _ = solve_simplex(lp)
             rows.append((Fraction(d), Fraction(r), cert, opt, cert == opt))
     return rows

@@ -9,6 +9,8 @@ from two factorizations.  The truncated real slice length, which
 here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
 an integer tableau is here as the same two-phase Bland's-rule simplex in
 Fractions, and its integer feasibility check as Fraction sums, row by row.
+The zeta tail of the Euler products, which ``local_density`` sums from a
+table of logs, is here as mpmath's zeta at the primes themselves.
 They are slow and simple on purpose.
 """
 
@@ -18,9 +20,11 @@ from fractions import Fraction
 from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
 
+import mpmath
 import numpy as np
 
 from twotor import arithmetic as ar
+from twotor import local_density as ld
 from twotor.census import _MAX_Z, _block_intervals
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
@@ -284,3 +288,33 @@ def check_feasible_fractions(lp: LinearProgram, x) -> bool:
         if lp.sense == "max_le" and lhs > b:
             return False
     return True
+
+
+def log_zeta_above(s, P: int, dps: int):
+    """log zeta_{>P}(s) = log(zeta(s) prod_{p<=P} (1 - p^{-s})), an mpf at dps
+    digits; s is a Fraction or an int."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(s.numerator) / s.denominator
+        factors = (1 - mpmath.mpf(int(p)) ** -s for p in ar.primes_up_to(P))
+        return +mpmath.log(mpmath.zeta(s) * mpmath.fprod(factors))
+
+
+def zeta_tail_mpmath(family: str, tol: float) -> tuple[int, float]:
+    """(P, sum_{5<=k<=K} e_k log zeta_{>P}(k/4)) with mpmath's zeta, at 20
+    digits beyond the size of the largest |e_k|.
+
+    Near 1 the product zeta_{>P}(k/4) loses its digits to cancellation, so
+    at large K this sum is good to about 1e-21, not to the last bit.
+    """
+    P, K = ld._tail_cutoff(family, tol)
+    e = ld._exponents(family, K)
+    with mpmath.workdps(20 + len(str(max(map(abs, e))))):
+        xs = [mpmath.mpf(int(p)) ** -0.25 for p in ar.primes_up_to(P)]
+        powers = [mpmath.mpf(1)] * len(xs)
+        total = mpmath.mpf(0)
+        for k in range(1, K + 1):
+            powers = [w * x for w, x in zip(powers, xs)]
+            if e[k]:
+                above_P = mpmath.zeta(mpmath.mpf(k) / 4) * mpmath.fprod(1 - w for w in powers)
+                total += e[k] * mpmath.log(above_P)
+        return P, float(total)

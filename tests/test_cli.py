@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twotor
 from twotor import arithmetic
 from twotor import cli
 from twotor import census
@@ -318,6 +319,20 @@ class TestLpCommand:
         assert dict(zip(row, decoded)) == dict(
             zip(header, lp_bounds.sweep_grid([Fraction(delta)], [Fraction(r)])[0]))
 
+    @pytest.mark.parametrize("patch", [
+        "lp_bounds.certificate_dual = lambda: (0, 100, 0, 0, 0)",
+        "lp_bounds.certificate_primal = lambda d, r: (0,) * 9",
+    ])
+    @pytest.mark.parametrize("argv", [["lp", "--sweep"], ["lp", "--delta", "0", "--r", "0"]])
+    def test_infeasible_certificate_fails_under_optimize(self, patch, argv):
+        # -O drops assert statements; the certificate checks must still run
+        code = (f"import sys; from twotor import cli, lp_bounds; {patch}; "
+                f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "certificate is infeasible" in proc.stderr
+
     def test_bad_fraction_rejected(self, capsys):
         assert cli.main(["lp", "--delta", "zero"]) == 2
         assert cli.main(["lp", "--delta", "1/2"]) == 2  # outside [0, 1/2)
@@ -452,10 +467,13 @@ class TestPlumbing:
         assert proc.returncode == 0 and proc.stdout.strip() == "23"
 
     def test_import_loads_no_process_pool(self):
-        # the pool is imported where a census asks for workers > 1
-        code = ("import sys, twotor.cli; "
-                "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
-                "if m in sys.modules])")
+        # the pool is imported where a census asks for workers > 1; the zeta
+        # tails and the Gamma(1/4) constants are tables and literals, and the
+        # version is the package's own string
+        denied = ("mpmath", "importlib.metadata", "concurrent.futures.process",
+                  "multiprocessing")
+        code = (f"import sys, twotor.cli; "
+                f"print([m for m in {denied!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -510,7 +528,7 @@ class TestPlumbing:
         for argv in (["classify", "5", "5"], ["lp", "--delta", "0", "--r", "0"]):
             _, doc = run_json(capsys, argv)
             assert doc["manifest"]["subcommand"] == argv[0]
-            assert doc["manifest"]["version"]
+            assert doc["manifest"]["version"] == twotor.__version__
 
     def test_console_script(self, capsys):
         if shutil.which("twotor") is not None:  # an installed tree: the script itself
@@ -528,6 +546,20 @@ class TestPlumbing:
         main = getattr(importlib.import_module(module), attr)
         assert main(["lp", "--delta", "0", "--r", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0]["match"] is True
+
+    def test_one_version_string(self):
+        if tomllib is None:
+            pytest.skip("tomllib needs Python 3.11")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        project = config["project"]
+        assert project["dynamic"] == ["version"] and "version" not in project
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "twotor.__version__"}
+        assert cli._VERSION is twotor.__version__
+        # no module of the package imports mpmath; the tests do
+        assert not any(d.startswith("mpmath") for d in project["dependencies"])
+        assert any(d.startswith("mpmath") for d in project["optional-dependencies"]["test"])
 
     def test_module_invocation(self):
         proc = subprocess.run(

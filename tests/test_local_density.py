@@ -1,13 +1,17 @@
 """Local density closed forms against residue-grid counts and exact identities."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import log_zeta_above, zeta_tail_mpmath
 from twotor import arithmetic as ar
 from twotor import local_density as ld
 from twotor._constants import PAIR_COUNT_CONST
@@ -50,6 +54,83 @@ def _closed_form_factor(p, family):
 
 _HEAD_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+_PINNED_HEX = {  # (family, j): float.hex of euler_product, dirichlet_index_sum
+    # and mt1_constant at tol 10^-j
+    ("CondPoly", 1): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 2): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 3): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 4): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 5): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 6): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 7): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 8): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 9): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                      "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 10): ("0x1.fff662fabd1dbp-1", "0x1.fff662fabd1dbp-1",
+                       "0x1.0e11ab355b932p-2"),
+    ("CondPoly", 11): ("0x1.fff662fab2757p-1", "0x1.fff662fab2757p-1",
+                       "0x1.0e11ab3555f3fp-2"),
+    ("CondPoly", 12): ("0x1.fff662fab2757p-1", "0x1.fff662fab2757p-1",
+                       "0x1.0e11ab3555f3fp-2"),
+    ("CubeFree", 1): ("0x1.4d2447583e5e0p+1", "0x1.4d2447583e5e4p+1",
+                      "0x1.5f79dae34d31ap-1"),
+    ("CubeFree", 2): ("0x1.4c60b8b35ea1fp+1", "0x1.4c60b8b35ea22p+1",
+                      "0x1.5eab891270daap-1"),
+    ("CubeFree", 3): ("0x1.4c63a3ff54a9fp+1", "0x1.4c63a3ff54aa2p+1",
+                      "0x1.5eae9d7eefdd8p-1"),
+    ("CubeFree", 4): ("0x1.4c63a875c0ef6p+1", "0x1.4c63a875c0efap+1",
+                      "0x1.5eaea2343b897p-1"),
+    ("CubeFree", 5): ("0x1.4c63a545f45a5p+1", "0x1.4c63a545f45a9p+1",
+                      "0x1.5eae9ed7894d0p-1"),
+    ("CubeFree", 6): ("0x1.4c63a5674b971p+1", "0x1.4c63a5674b975p+1",
+                      "0x1.5eae9efab6453p-1"),
+    ("CubeFree", 7): ("0x1.4c63a567ae1d9p+1", "0x1.4c63a567ae1ddp+1",
+                      "0x1.5eae9efb1e37dp-1"),
+    ("CubeFree", 8): ("0x1.4c63a567863a1p+1", "0x1.4c63a567863a5p+1",
+                      "0x1.5eae9efaf4225p-1"),
+    ("CubeFree", 9): ("0x1.4c63a567881fbp+1", "0x1.4c63a567881ffp+1",
+                      "0x1.5eae9efaf622bp-1"),
+    ("CubeFree", 10): ("0x1.4c63a56788258p+1", "0x1.4c63a5678825cp+1",
+                       "0x1.5eae9efaf628dp-1"),
+    ("CubeFree", 11): ("0x1.4c63a56788233p+1", "0x1.4c63a56788237p+1",
+                       "0x1.5eae9efaf6266p-1"),
+    ("CubeFree", 12): ("0x1.4c63a56788235p+1", "0x1.4c63a56788239p+1",
+                       "0x1.5eae9efaf6268p-1"),
+    ("Kappa", 1): ("0x1.1ae8a84592c23p+3", "0x1.1ae8a84592c23p+3",
+                   "0x1.2a7a82d1dc29ep+1"),
+    ("Kappa", 2): ("0x1.1a92e8e21e3eep+3", "0x1.1a92e8e21e3eep+3",
+                   "0x1.2a200b5910c5dp+1"),
+    ("Kappa", 3): ("0x1.1a91777ee5501p+3", "0x1.1a91777ee5501p+3",
+                   "0x1.2a1e85a19ada9p+1"),
+    ("Kappa", 4): ("0x1.1a918fba97d6ap+3", "0x1.1a918fba97d6ap+3",
+                   "0x1.2a1e9f32b8349p+1"),
+    ("Kappa", 5): ("0x1.1a918f023ad06p+3", "0x1.1a918f023ad06p+3",
+                   "0x1.2a1e9e7035b79p+1"),
+    ("Kappa", 6): ("0x1.1a918efcad9b1p+3", "0x1.1a918efcad9b1p+3",
+                   "0x1.2a1e9e6a5a4b1p+1"),
+    ("Kappa", 7): ("0x1.1a918efd7e57ep+3", "0x1.1a918efd7e57ep+3",
+                   "0x1.2a1e9e6b3684cp+1"),
+    ("Kappa", 8): ("0x1.1a918efd82152p+3", "0x1.1a918efd82152p+3",
+                   "0x1.2a1e9e6b3a76bp+1"),
+    ("Kappa", 9): ("0x1.1a918efd81951p+3", "0x1.1a918efd81951p+3",
+                   "0x1.2a1e9e6b39ef9p+1"),
+    ("Kappa", 10): ("0x1.1a918efd819acp+3", "0x1.1a918efd819acp+3",
+                    "0x1.2a1e9e6b39f59p+1"),
+    ("Kappa", 11): ("0x1.1a918efd819aep+3", "0x1.1a918efd819aep+3",
+                    "0x1.2a1e9e6b39f5bp+1"),
+    ("Kappa", 12): ("0x1.1a918efd819aep+3", "0x1.1a918efd819aep+3",
+                    "0x1.2a1e9e6b39f5bp+1"),
+}
 
 
 def _vp(n: int, p: int) -> int:
@@ -276,6 +357,16 @@ class TestDirichletIdentity:
         assert cli.main(["euler", "--family", "kappa", "--tol", "0.01"]) == 3
         assert "the local sum differs from the Euler factor" in capsys.readouterr().err
 
+    def test_mismatch_fails_under_optimize(self):
+        # -O drops assert statements; the identity check must still run
+        code = ("import sys; from twotor import cli, local_density as ld; "
+                "ld._DENSITY['III*'] = {20: 1, 24: -2}; "
+                "sys.exit(cli.main(['euler', '--family', 'kappa', '--tol', '0.01']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "the local sum differs from the Euler factor" in proc.stderr
+
 
 class TestEulerProducts:
     def test_condpoly_against_zeta6(self):
@@ -407,3 +498,39 @@ class TestZetaFactored:
             assert cli.main(["euler", "--family", family, "--tol", "1e-12"]) == 0
         assert asked and max(asked) <= 10**5
         assert ar._sieve.limit == limit
+
+
+class TestZetaTable:
+    def test_entries_against_mpmath(self):
+        table = ld._LOG_ZETA_ABOVE_100
+        orders = range(5, ld._MAX_ORDER + 1)
+        assert len(table) == len(orders)
+        with mpmath.workdps(75):
+            for k, entry in zip(orders, table):
+                value = log_zeta_above(F(k, 4), ld._HEAD_CUTOFF, 75)
+                assert int(mpmath.nint(value * mpmath.mpf(10) ** 50)) == entry, k
+
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_tail_against_mpmath_zeta(self, family):
+        # the mpmath loop is not exact to the last bit: from K = 24 on it
+        # loses the CondPoly tail, log(1 + 4.8e-12), to cancellation by 1.3e-22
+        for j in range(1, 13):
+            tol = float(f"1e-{j}")
+            P, tail = ld._zeta_tail(family, tol)
+            P_oracle, oracle = zeta_tail_mpmath(family, tol)
+            assert P == P_oracle and abs(tail - oracle) <= 1e-20
+
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_exponents_do_not_depend_on_order(self, family):
+        e = ld._family_exponents(family)
+        for K in range(5, ld._MAX_ORDER + 1):
+            assert e[:K + 1] == tuple(ld._exponents(family, K))
+
+    @pytest.mark.parametrize("family", ld.FAMILIES)
+    def test_pinned_products(self, family):
+        for j in range(1, 13):
+            tol = float(f"1e-{j}")
+            values = (ld.euler_product(family, tol)[0],
+                      ld.dirichlet_index_sum(family, tol)[0],
+                      ld.mt1_constant(family, tol))
+            assert tuple(v.hex() for v in values) == _PINNED_HEX[family, j], tol

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,22 @@ from twotor._constants import (
     PAIR_COUNT_CONST,
     SQRT2,
     TAIL_INTEGRAL,
+    _G,
 )
 
 
 class TestConstants:
+    def test_literals_are_the_50_digit_values(self):
+        with mpmath.workdps(50):
+            g14 = mpmath.gamma(mpmath.mpf(1) / 4)
+            g34 = mpmath.gamma(mpmath.mpf(3) / 4)
+            # the reflection identity Gamma(1/4) Gamma(3/4) = pi sqrt(2)
+            assert abs(g14 * g34 - mpmath.pi * mpmath.sqrt(2)) < mpmath.mpf(10) ** -40
+            root_pi = mpmath.sqrt(mpmath.pi)
+            assert GAMMA_QUARTER == float(g14)
+            assert _G == float(g14 * g14 / (4 * root_pi))
+            assert AREA_CONST == float(2 * (1 + mpmath.sqrt(2)) * g14 * g14 / (3 * root_pi))
+
     def test_gamma_quarter_against_scipy(self):
         assert math.isclose(GAMMA_QUARTER, float(scipy_gamma(0.25)), rel_tol=1e-14)
 
