@@ -29,8 +29,17 @@ import numpy as np
 _INITIAL_SIEVE = 1 << 16
 
 # Miller-Rabin witnesses: the first 13 primes, deterministic for
-# n < 3317044064679887385961981 (the first 12 stop at 318665857834031151167461).
+# n < 3317044064679887385961981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, the first k primes): psi_k is the least strong pseudoprime to the
+# first k prime bases, so they decide every n < psi_k (Jaeschke, Math. Comp.
+# 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).  psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9.
+_MR_SIZED = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+))
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -107,9 +116,12 @@ def _trial_primes() -> np.ndarray:
 def is_prime(n: int) -> bool:
     """spf[n] == n where the SPF table covers n (it always covers n <= 2^16).
 
-    Above the table, Miller-Rabin with the first 13 primes as witnesses: a
-    proof for n < 3317044064679887385961981, a strong probable-prime test
-    above it.
+    Above the table, trial division by the first 13 primes, then Miller-Rabin
+    with the first k primes as witnesses for the least k with n < psi_k
+    (``_MR_SIZED``): 2 bases below 1373653, 5 below 2152302898747 (about
+    2^41), 12 below 318665857834031151167461.  From there on all 13, a proof
+    for n < 3317044064679887385961981 and a strong probable-prime test above
+    it.
     """
     if n < 2:
         return False
@@ -118,12 +130,17 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    bases = _MR_BASES
+    for psi, sized in _MR_SIZED:
+        if n < psi:
+            bases = sized
+            break
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -11,6 +11,8 @@ an integer tableau is here as the same two-phase Bland's-rule simplex in
 Fractions, and its integer feasibility check as Fraction sums, row by row.
 The zeta tail of the Euler products, which ``local_density`` sums from a
 table of logs, is here as mpmath's zeta at the primes themselves.
+``arithmetic.is_prime``, which sizes its Miller-Rabin witness set to n, is
+here with all 13 witnesses for every n above the SPF table.
 They are slow and simple on purpose.
 """
 
@@ -318,3 +320,32 @@ def zeta_tail_mpmath(family: str, tol: float) -> tuple[int, float]:
                 above_P = mpmath.zeta(mpmath.mpf(k) / 4) * mpmath.fprod(1 - w for w in powers)
                 total += e[k] * mpmath.log(above_P)
         return P, float(total)
+
+
+def is_prime_13_bases(n: int) -> bool:
+    """spf[n] == n on the SPF table; above it, trial division by the first 13
+    primes and Miller-Rabin with all 13 as witnesses, whatever the size of n."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n <= ar._sieve.limit:
+        return ar._sieve.spf(n) == n
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_prime_13_bases
 
 from twotor import arithmetic as ar
 
@@ -194,6 +195,47 @@ def test_first_strong_pseudoprime_to_twelve_bases():
     assert not ar.is_prime(n)
     assert ar.factorize(n).factors == ((399165290221, 1), (798330580441, 1))
     assert ar.is_prime(399165290221) and ar.is_prime(798330580441)
+
+
+# psi_k for k = 1..7, 9 and 12: the least strong pseudoprime to the first k
+# prime bases, the bounds of is_prime's witness sets
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+def test_witness_set_bounds():
+    assert tuple(psi for psi, _ in ar._MR_SIZED) == _PSI
+    assert [len(bases) for _, bases in ar._MR_SIZED] == [1, 2, 3, 4, 5, 6, 7, 9, 12]
+
+
+@pytest.mark.parametrize("psi", _PSI)
+def test_least_strong_pseudoprimes_are_composite(psi):
+    # each psi_k fools exactly the first k bases, so it sits at the edge of its set
+    assert not ar.is_prime(psi)
+    assert not is_prime_13_bases(psi)
+    assert ar.factorize(psi).reassemble() == psi and len(ar.factorize(psi).factors) > 1
+
+
+def _next_prime(n):
+    while not is_prime_13_bases(n):
+        n += 1
+    return n
+
+
+_primes = st.integers(2**16, 2**40).map(_next_prime)
+_sized_inputs = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda psi, d: psi + d, st.sampled_from(_PSI), st.integers(-1000, 1000)),
+    st.builds(lambda p, q: p * q, _primes, _primes),
+    # (k + 1)(2k + 1), the shape of psi_12 = 399165290221 * 798330580441
+    st.builds(lambda p: p * (2 * p - 1), _primes),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_sized_inputs)
+def test_sized_witnesses_match_all_thirteen(n):
+    assert ar.is_prime(n) == is_prime_13_bases(n)
 
 
 def test_primes_up_to():

@@ -285,6 +285,11 @@ class TestRealDensityCommand:
         _, doc2 = run_json(capsys, argv)
         assert doc1["area"] == doc2["area"]
 
+    def test_mc_negative_seed_names_the_seed(self, capsys):
+        assert cli.main(["real-density", "--method", "mc", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "twotor: config error: seed must be a non-negative integer, got -1\n")
+
 
 class TestLpCommand:
     def test_single_point_rationals(self, capsys):

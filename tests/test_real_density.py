@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -280,6 +281,16 @@ class TestTruncatedArea:
         assert abs(estimate - exact) / exact < 0.02
 
 
+_MC_PINNED = [
+    ((256.0, 10**5, 7), "0x1.176a7b2339ba1p+8", "0x1.2191bf445dc89p+1"),
+    ((1e6, 10**7, 3), "0x1.4e3b2f3b366aap+18", "0x1.02757c2003991p+12"),
+    ((1e6, 10**7, 7), "0x1.5494328f2d5a2p+18", "0x1.04e666c983871p+12"),
+    # three full chunks of 2^18 and a last one of 17 samples
+    ((1e6, 3 * 2**18 + 17, 5), "0x1.4b8bdbc305c52p+18", "0x1.caf6180781976p+13"),
+    ((256.0, 3 * 10**4, 3, 1 << 12), "0x1.1b16d17884df3p+8", "0x1.09cde797fc06dp+2"),
+]
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         a = rd.area_monte_carlo(256.0, 10**5, seed=7)
@@ -306,14 +317,7 @@ class TestMonteCarlo:
                 misses += 1
         assert misses <= 1
 
-    @pytest.mark.parametrize("args,estimate,stderr", [
-        ((256.0, 10**5, 7), "0x1.176a7b2339ba1p+8", "0x1.2191bf445dc89p+1"),
-        ((1e6, 10**7, 3), "0x1.4e3b2f3b366aap+18", "0x1.02757c2003991p+12"),
-        ((1e6, 10**7, 7), "0x1.5494328f2d5a2p+18", "0x1.04e666c983871p+12"),
-        # three full chunks of 2^18 and a last one of 17 samples
-        ((1e6, 3 * 2**18 + 17, 5), "0x1.4b8bdbc305c52p+18", "0x1.caf6180781976p+13"),
-        ((256.0, 3 * 10**4, 3, 1 << 12), "0x1.1b16d17884df3p+8", "0x1.09cde797fc06dp+2"),
-    ])
+    @pytest.mark.parametrize("args,estimate,stderr", _MC_PINNED)
     def test_pinned_estimates(self, monkeypatch, args, estimate, stderr):
         # recorded from the kernel that allocated fresh temporaries per chunk;
         # the in-place kernel must give the same floats, bit for bit
@@ -322,6 +326,56 @@ class TestMonteCarlo:
             monkeypatch.setattr(rd, "_MC_CHUNK", chunk[0])
         assert rd.area_monte_carlo(Z, samples, seed) == (float.fromhex(estimate),
                                                         float.fromhex(stderr))
+
+    @pytest.mark.parametrize("Z", [256.0, 1e6, 1e205])
+    @pytest.mark.parametrize("n", [rd._MC_CHUNK, 12345, 17])
+    def test_blocked_draws_are_uniform_draws(self, Z, n):
+        # a full chunk, and short last chunks of several sub-blocks and of one
+        xmax, ymax = math.sqrt(Z / 4 + 4), Z / 4
+        bufs = np.empty(min(999, n)), np.empty(min(999, n))
+        xs, ys = [], []
+        for x, y in rd._mc_draws(5, 3, n, xmax, ymax, *bufs):
+            assert len(x) == len(y) <= 999
+            xs.append(x.copy())
+            ys.append(y.copy())
+        rng = np.random.default_rng(np.random.SeedSequence([5, 3]))
+        # compared as bytes, bit for bit
+        assert np.concatenate(xs).tobytes() == rng.uniform(-xmax, xmax, n).tobytes()
+        assert np.concatenate(ys).tobytes() == rng.uniform(-ymax, ymax, n).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 999, 1 << 12, 1 << 18])
+    def test_sub_blocks_invisible(self, monkeypatch, block):
+        # every pinned case at each sub-block size, with its own chunk size
+        # (the default, or 2^12); one-sample sub-blocks cost about 30 us each,
+        # so they run on the cases of at most 10^5 samples
+        default_chunk = rd._MC_CHUNK
+        monkeypatch.setattr(rd, "_MC_BLOCK", block)
+        ran = 0
+        for (Z, samples, seed, *chunk), estimate, stderr in _MC_PINNED:
+            if samples > block * 10**5:
+                continue
+            monkeypatch.setattr(rd, "_MC_CHUNK", chunk[0] if chunk else default_chunk)
+            assert rd.area_monte_carlo(Z, samples, seed) == (float.fromhex(estimate),
+                                                            float.fromhex(stderr))
+            ran += 1
+        assert ran == (2 if block == 1 else len(_MC_PINNED))
+
+    def test_peak_memory_is_the_buffers(self):
+        # three float buffers and one bool mask of _MC_BLOCK entries, plus at
+        # most one more mask's worth for the candidates' index and coordinate
+        # arrays (about 0.1 % of a sub-block at Z = 1e6) and the generators
+        bound = 3 * 8 * rd._MC_BLOCK + rd._MC_BLOCK + rd._MC_BLOCK
+        tracemalloc.start()
+        try:
+            rd.area_monte_carlo(1e6, 10**6, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            rd.area_monte_carlo(256.0, 10**3, seed=-1)
 
     def test_box_overflow_is_a_value_error(self):
         est, se = rd.area_monte_carlo(1e205, 10**3, seed=0)
