@@ -13,7 +13,10 @@ lists the primes it finds, and ``valuations`` gives v_p entry by entry.  A
 lone value of any size is factored one way: the primes p <= min(sqrt(n),
 10^5) that divide it are found in one step and divided out, then the
 cofactor goes through Miller-Rabin, a perfect-square split and Pollard rho
-with Brent cycling.
+with Brent cycling.  Below 2^52 that step is a float64 test,
+floor(n / p) p == n, which is exact there because every product it forms
+is an integer below 2^53 (``_trial_hits``).  A lone lookup in the SPF table,
+as in ``is_prime``, reads a memoryview of it and gets a Python int.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -59,10 +62,16 @@ class _SpfSieve:
 
     spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0).  The table is
     immutable, so reads are safe for concurrent use and forked workers share it.
+    One buffer has two views: the numpy array, which the batch peel indexes
+    with arrays, and a memoryview of it, which ``spf`` and ``is_prime`` index
+    with one int.  A memoryview item is a Python int read off the buffer,
+    with no copy and at about a quarter of the cost of ``int(array[n])``; a
+    ``tolist()`` of the table would add milliseconds to the import.
     """
 
     def __init__(self) -> None:
         self._spf = self._build(_INITIAL_SIEVE)
+        self._view = memoryview(self._spf)
 
     @staticmethod
     def _build(limit: int) -> np.ndarray:
@@ -83,7 +92,7 @@ class _SpfSieve:
         return len(self._spf) - 1
 
     def spf(self, n: int) -> int:
-        return int(self._spf[n])
+        return self._view[n]
 
     def array(self) -> np.ndarray:
         return self._spf
@@ -102,19 +111,23 @@ def smallest_prime_factor(n: int) -> int:
 
 
 _TRIAL_PRIMES: np.ndarray | None = None
+_TRIAL_PRIMES_F: np.ndarray | None = None
 
 
 def _trial_primes() -> np.ndarray:
     # Primes to 10**5: enough to trial-divide anything <= 10**10 down to a
-    # cofactor that is 1, prime, or a two-prime product for rho.
-    global _TRIAL_PRIMES
+    # cofactor that is 1, prime, or a two-prime product for rho.  Their
+    # float64 twin, for _trial_hits below 2^52, is built with them.
+    global _TRIAL_PRIMES, _TRIAL_PRIMES_F
     if _TRIAL_PRIMES is None:
         _TRIAL_PRIMES = primes_up_to(10**5)
+        _TRIAL_PRIMES_F = _TRIAL_PRIMES.astype(np.float64)
     return _TRIAL_PRIMES
 
 
 def is_prime(n: int) -> bool:
-    """spf[n] == n where the SPF table covers n (it always covers n <= 2^16).
+    """spf[n] == n where the SPF table covers n (it always covers n <= 2^16),
+    read off the table's memoryview.
 
     Above the table, trial division by the first 13 primes, then Miller-Rabin
     with the first k primes as witnesses for the least k with n < psi_k
@@ -125,8 +138,9 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if n <= _sieve.limit:
-        return _sieve.spf(n) == n
+    view = _sieve._view
+    if n < len(view):
+        return view[n] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -221,22 +235,40 @@ class Factorization:
         return n
 
 
+def _trial_hits(n: int) -> list[int]:
+    """The primes p <= min(sqrt(n), 10^5) that divide n >= 1, in one step.
+
+    Below 2^52 it is a float64 test, floor(n / p) * p == n over the primes'
+    float twin, and it is exact: n and p are doubles, and rounding is
+    monotone, so the rounded quotient lies between the integers floor(n / p)
+    and ceil(n / p), which are doubles too.  Its floor q is one of them, so
+    q p <= n + p < 2^53 and the product is exact.  It equals n only when
+    q = n / p, that is when p | n.  Up to 2^63 the test is an int64
+    remainder (about twice as slow), and past it a Python-int test.
+    """
+    primes = _trial_primes()
+    k = np.searchsorted(primes, math.isqrt(n), side="right")
+    primes = primes[:k]
+    if n < 1 << 52:
+        twin = _TRIAL_PRIMES_F[:k]
+        q = np.divide(n, twin)
+        np.floor(q, out=q)
+        q *= twin
+        return primes[q == n].tolist()
+    if n < 1 << 63:
+        return primes[n % primes == 0].tolist()
+    return [p for p in primes.tolist() if n % p == 0]
+
+
 def _factor_abs(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
-    The trial primes p <= min(sqrt(n), 10^5) that divide n are found in one
-    step: a numpy remainder while n < 2^63, a Python-int test above.  Their
+    The trial primes that divide n come from ``_trial_hits`` and their
     powers are divided out; the cofactor left is split by a stack of
     Miller-Rabin, the perfect-square test and Pollard-Brent.
     """
-    primes = _trial_primes()
-    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-    if n < 1 << 63:
-        hits = primes[n % primes == 0].tolist()
-    else:
-        hits = [p for p in primes.tolist() if n % p == 0]
     out: dict[int, int] = {}
-    for p in hits:
+    for p in _trial_hits(n):
         out[p] = _vp(n, p)
         n //= p ** out[p]
     stack = [n]

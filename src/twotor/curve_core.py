@@ -7,11 +7,18 @@ c = a^2 - 4b, and are cross-checked against each other:
   n = 2 v_p(b) + v_p(c), p dividing neither b nor c is good, p dividing one
   is I_n, and p dividing both is III (n = 3), I0* (n = 6), III* (n = 9 with
   p^2 | a) or I*_{n-6}; no other type occurs at p >= 5.  It refuses
-  non-minimal inputs (p^2 | a and p^4 | b).
+  non-minimal inputs (p^2 | a and p^4 | b).  It checks that p is a prime
+  >= 5 and calls ``_kodaira_large_p``, which ``reduction`` calls directly on
+  the primes of its factorizations.
 * tate_algorithm: Tate's algorithm on general Weierstrass coefficients, valid
   at every prime including 2 and 3, with non-minimal restarts.  This is the
   ground-truth oracle; any disagreement with the rule is a reportable
-  defect, not something to paper over.
+  defect, not something to paper over.  Step 6 is in closed form at every
+  p (``_step6_shift``), and every internal check raises ClassificationError,
+  so ``python -O`` keeps them.
+
+Both return Good at an odd prime p that does not divide bc, after one
+remainder and before any valuation.
 
 Conductor exponents come from the Ogg-Saito relation f = v(Delta_min) - m + 1
 where m is the number of components of the special fiber.
@@ -44,7 +51,7 @@ class NonMinimalModelError(ValueError):
 
 
 class ClassificationError(AssertionError):
-    """Internal contradiction between classifiers (oracle disagreement)."""
+    """An internal check of Tate's algorithm failed, or two classifiers disagree."""
 
 
 @dataclass(frozen=True)
@@ -231,16 +238,32 @@ def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
         the model non-minimal: u = p takes (a, b) to (a/p^2, b/p^4).
     So II, IV, IV* and II* never occur on this family at p >= 5.
 
-    Raises NonMinimalModelError when p^2 | a and p^4 | b.
+    Raises NonMinimalModelError when p^2 | a and p^4 | b, and ValueError
+    when p is not a prime >= 5.
     """
     if p < 5 or not ar.is_prime(p):
-        raise ValueError("requires a prime p >= 5")
-    v_a, v_b, v_c, n = _valuations(c.a, c.b, p)
-    a_deep = v_a is None or v_a >= 2
+        raise ValueError(f"requires a prime p >= 5, got {p}")
+    return _kodaira_large_p(c.a, c.b, p)
+
+
+def _good_at(a: int, p: int) -> LocalReduction:
+    """Good reduction at an odd prime p not dividing bc: every valuation but v_a is 0."""
+    return LocalReduction(p, None if a == 0 else _vp(a, p), 0, 0, 0, GOOD, 0, 0)
+
+
+def _kodaira_large_p(a: int, b: int, p: int) -> LocalReduction:
+    """``kodaira_symbol_large_p`` at a p already known to be a prime >= 5.
+
+    ``reduction`` calls it on the primes of its factorizations.  A p that
+    does not divide Delta = 16 b^2 (a^2 - 4b) is Good after one remainder.
+    """
+    if b * (a * a - 4 * b) % p:
+        return _good_at(a, p)
+    v_a, v_b, v_c, n = _valuations(a, b, p)
     if v_b == 0 or v_c == 0:
-        sym, f = (GOOD, 0) if n == 0 else (KodairaSymbol("I", n), 1)
+        sym, f = KodairaSymbol("I", n), 1
     else:
-        non_minimal, kind = additive_type(v_b, v_c, a_deep)
+        non_minimal, kind = additive_type(v_b, v_c, v_a is None or v_a >= 2)
         if non_minimal:
             raise NonMinimalModelError(f"p^2 | a and p^4 | b at p={p}: the model is not minimal")
         tag = ADDITIVE_TAGS[kind]
@@ -312,18 +335,30 @@ def _step6_done(co: Coeffs, p: int) -> bool:
 
 
 def _step6_shift(co: Coeffs, p: int) -> Coeffs:
-    """Translate so that p | a1, a2; p^2 | a3, a4; p^3 | a6."""
-    if p <= 3:
-        for s in range(p):
-            for t in range(p**3):
-                co2 = _translate(co, 0, s, t)
-                if _step6_done(co2, p):
-                    return co2
-        raise ClassificationError(f"step-6 translation not found at p={p}")
-    s = (-co[0] * pow(2, -1, p)) % p
-    co2 = _translate(co, 0, s, 0)
-    t = (-co2[2] * pow(2, -1, p * p)) % (p * p)
-    co2 = _translate(co2, 0, 0, t)
+    """Translate by (r, s, t) = (0, s, t) so that p | a1, a2; p^2 | a3, a4; p^3 | a6.
+
+    Step 6 of Tate's algorithm, in closed form (Cremona, *Algorithms for
+    Modular Elliptic Curves*, 2nd ed., section 3.2; Silverman, *Advanced
+    Topics in the Arithmetic of Elliptic Curves*, IV.9.4).  Steps 2-5 left
+    p | a3, a4, a6, p | b2, p^2 | a6 and p^3 | b6, b8.
+
+    * p = 2: s = a2 mod 2 and t = 2 ((a6 / 4) mod 2).  Here a1 is even
+      (2 | b2 = a1^2 + 4 a2), 4 | a3 (8 | b6 = a3^2 + 4 a6) and 4 | a4 (8 | b8
+      then forces 8 | a4^2).  The new a2 = a2 - s a1 - s^2 is even, a3 + 2t
+      and a4 - s a3 - t a1 - 2 s t stay divisible by 4, and the new a6 is
+      a6 - t a3 - t^2 = a6 - t^2 = 0 mod 8, as t a3 = 0 mod 8.
+    * p odd: s = -a1 / 2 mod p and t = -a3 / 2 mod p^2.  Then p | a1 + 2s, so
+      p | a2 as b2 is unchanged; p^2 | a3 + 2t, so p^3 | a6 as b6 is
+      unchanged; and p^3 | b8 then gives p^2 | a4.
+
+    The result is checked (``_step6_done``); a failure is a ClassificationError.
+    """
+    a1, a2, a3, _, a6 = co
+    if p == 2:
+        co2 = _translate(co, 0, a2 % 2, 2 * ((a6 // 4) % 2))
+    else:
+        q = p * p  # (m + 1) / 2 is 1/2 mod an odd m
+        co2 = _translate(co, 0, -a1 * ((p + 1) // 2) % p, -a3 * ((q + 1) // 2) % q)
     if not _step6_done(co2, p):
         raise ClassificationError(f"step-6 valuations failed at p={p}")
     return co2
@@ -388,19 +423,16 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
             f = n - sym.components() + 1
             if sym.tag == "I":
                 f = 1
-            if p >= 5:
-                assert f in (1, 2), f
-            elif p == 3:
-                assert f <= 5, f
-            else:
-                assert f <= 8, f
-            assert f >= 1
+            if not 1 <= f <= (2 if p >= 5 else 5 if p == 3 else 8):
+                raise ClassificationError(
+                    f"conductor exponent {f} out of range for {sym} at p={p}")
             return sym, f, n, u_count
 
         r, t = _singular_point(co, p, disc, c4)
         co = _translate(co, r, 0, t)
         a1, a2, a3, a4, a6 = co
-        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+        if not (a3 % p == 0 and a4 % p == 0 and a6 % p == 0):
+            raise ClassificationError(f"singular point not moved to the origin at p={p}")
         if c4 % p != 0:
             return done(KodairaSymbol("I", n))
         if a6 % (p * p) != 0:
@@ -421,7 +453,8 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
             # I_nu* subprocedure: walk the chain of quadratics.
             co = _translate(co, p * root, 0, 0)
             a1, a2, a3, a4, a6 = co
-            assert _vp(a2, p) == 1 and a3 % (p * p) == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+            if not (_vp(a2, p) == 1 and a3 % (p * p) == 0 and a4 % p**3 == 0 and a6 % p**4 == 0):
+                raise ClassificationError(f"double root not moved to the origin at p={p}")
             k = 1
             while True:
                 # Y^2 + (a3/p^{k+1}) Y - a6/p^{2k+2}
@@ -432,7 +465,8 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
                 y0 = _quad2_double_root(1, beta, gq, p)
                 co = _translate(co, 0, 0, p ** (k + 1) * y0)
                 a1, a2, a3, a4, a6 = co
-                assert a3 % p ** (k + 2) == 0 and a6 % p ** (2 * k + 3) == 0
+                if not (a3 % p ** (k + 2) == 0 and a6 % p ** (2 * k + 3) == 0):
+                    raise ClassificationError(f"I*_nu: y-translation failed at p={p}")
                 alpha = (a2 // p) % p
                 beta2 = (a4 // p ** (k + 2)) % p
                 gamma2 = (a6 // p ** (2 * k + 3)) % p
@@ -441,12 +475,14 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
                 x0 = _quad2_double_root(alpha, beta2, gamma2, p)
                 co = _translate(co, p ** (k + 1) * x0, 0, 0)
                 a1, a2, a3, a4, a6 = co
-                assert a4 % p ** (k + 3) == 0 and a6 % p ** (2 * k + 4) == 0
+                if not (a4 % p ** (k + 3) == 0 and a6 % p ** (2 * k + 4) == 0):
+                    raise ClassificationError(f"I*_nu: x-translation failed at p={p}")
                 k += 1
         # triple root: shift it to zero, examine Y^2 + a3/p^2 Y - a6/p^4
         co = _translate(co, p * root, 0, 0)
         a1, a2, a3, a4, a6 = co
-        assert a2 % (p * p) == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+        if not (a2 % (p * p) == 0 and a4 % p**3 == 0 and a6 % p**4 == 0):
+            raise ClassificationError(f"triple root not moved to the origin at p={p}")
         beta = (a3 // (p * p)) % p
         gamma = (-(a6 // p**4)) % p
         if _quad2_separable(1, beta, gamma, p):
@@ -454,21 +490,32 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
         y0 = _quad2_double_root(1, beta, gamma, p)
         co = _translate(co, 0, 0, p * p * y0)
         a1, a2, a3, a4, a6 = co
-        assert a3 % p**3 == 0 and a6 % p**5 == 0
+        if not (a3 % p**3 == 0 and a6 % p**5 == 0):
+            raise ClassificationError(f"IV*: y-translation failed at p={p}")
         if a4 % p**4 != 0:
             return done(KodairaSymbol("III*"))
         if a6 % p**6 != 0:
             return done(KodairaSymbol("II*"))
         # non-minimal: rescale u = p and restart
-        assert a1 % p == 0 and a2 % (p * p) == 0
+        if not (a1 % p == 0 and a2 % (p * p) == 0):
+            raise ClassificationError(f"non-minimal model not divisible at p={p}")
         co = (a1 // p, a2 // (p * p), a3 // p**3, a4 // p**4, a6 // p**6)
         u_count += 1
 
 
 def tate_algorithm(c: CurveParams, p: int) -> LocalReduction:
-    """Ground-truth local reduction of E_{a,b} at any prime p."""
-    sym, f, v_min, _ = tate_on_model((0, c.a, 0, c.b, 0), p)
-    return LocalReduction(p, *_valuations(c.a, c.b, p), sym, f, v_min)
+    """Ground-truth local reduction of E_{a,b} at any prime p.
+
+    An odd p that does not divide Delta = 16 b^2 (a^2 - 4b) is Good after
+    one remainder of bc, without entering the algorithm.
+    """
+    a, b = c.a, c.b
+    if p > 2 and b * (a * a - 4 * b) % p:
+        if not ar.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return _good_at(a, p)
+    sym, f, v_min, _ = tate_on_model((0, a, 0, b, 0), p)
+    return LocalReduction(p, *_valuations(a, b, p), sym, f, v_min)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +614,7 @@ def reduction(c: CurveParams) -> Reduction:
     primes.update(p for p, _ in ar.factorize(a * a - 4 * b).factors)
     m = CurveParams(a, b)
     local = tuple(
-        tate_algorithm(m, p) if p < 5 else kodaira_symbol_large_p(m, p)
+        tate_algorithm(m, p) if p < 5 else _kodaira_large_p(a, b, p)
         for p in sorted(primes)
     )
     cond = cond_6 = index_6 = disc_min = 1

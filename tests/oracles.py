@@ -12,7 +12,10 @@ Fractions, and its integer feasibility check as Fraction sums, row by row.
 The zeta tail of the Euler products, which ``local_density`` sums from a
 table of logs, is here as mpmath's zeta at the primes themselves.
 ``arithmetic.is_prime``, which sizes its Miller-Rabin witness set to n, is
-here with all 13 witnesses for every n above the SPF table.
+here with all 13 witnesses for every n above the SPF table.  The float64
+trial-division step of ``arithmetic._trial_hits`` is here as an int64
+remainder, and step 6 of Tate's algorithm at 2 and 3, which ``curve_core``
+takes in closed form, as a search over the translations (0, s, t).
 They are slow and simple on purpose.
 """
 
@@ -26,6 +29,7 @@ import mpmath
 import numpy as np
 
 from twotor import arithmetic as ar
+from twotor import curve_core as cc
 from twotor import local_density as ld
 from twotor.census import _MAX_Z, _block_intervals
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
@@ -349,3 +353,22 @@ def is_prime_13_bases(n: int) -> bool:
         else:
             return False
     return True
+
+
+def trial_hits_int64(n: int) -> list[int]:
+    """The primes p <= min(sqrt(n), 10^5) dividing 1 <= n < 2^63, by an int64 remainder."""
+    primes = ar.primes_up_to(10**5)
+    primes = primes[primes <= isqrt(n)]
+    return primes[n % primes == 0].tolist()
+
+
+def step6_shift_search(co: cc.Coeffs, p: int) -> cc.Coeffs:
+    """Step 6 of Tate's algorithm at p = 2 or 3 by search: the model moved by
+    the first (0, s, t), s < p and t < p^3, that makes p | a1, a2; p^2 | a3,
+    a4; p^3 | a6."""
+    for s in range(p):
+        for t in range(p**3):
+            co2 = cc._translate(co, 0, s, t)
+            if cc._step6_done(co2, p):
+                return co2
+    raise cc.ClassificationError(f"step-6 translation not found at p={p}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_prime_13_bases
+from oracles import is_prime_13_bases, trial_hits_int64
 
 from twotor import arithmetic as ar
 
@@ -403,3 +403,32 @@ def test_cube_root_profile_squares_past_the_table(monkeypatch, table):
     _check_profile(values + [2**40])
     _check_profile([2**40, 2**40 - 1, -(2**40)])
     _check_profile([p * p * 5**3 for p in past])
+
+
+def _trial_step_cases():
+    n52 = 1 << 52
+    top = [int(p) for p in ar.primes_up_to(10**5)[-60:]]
+    cases = [n52 + k for k in range(-400, 401)]
+    cases += [p * p + d for p in top for d in (-1, 0, 1)]  # prime squares near 1e10
+    cases += [p * q for p, q in zip(top, top[1:])] + [p * q for p in top[:8] for q in top[-8:]]
+    # the largest multiples of p below 2^52, and one either side: the float
+    # quotient of the neighbours rounds to an integer
+    cases += [(n52 - 1) // p * p + d for p in top for d in (-1, 0, 1)]
+    cases += [n52 // (p * p) * p * p for p in top] + [-(-n52 // (p * p)) * p * p for p in top]
+    rng = random.Random(52)
+    cases += [rng.randrange(1, n52) for _ in range(300)]
+    cases += [rng.randrange(1, n52 >> 12) * rng.choice(top) for _ in range(300)]
+    # past 2^53 a double no longer holds every integer: the int64 side
+    cases += [(1 << 53) + k for k in range(-100, 101)]
+    cases += [rng.randrange(1 << 36, 1 << 46) * rng.choice(top) for _ in range(200)]
+    return cases
+
+
+def test_float_trial_step_matches_int64_remainder():
+    # below 2^52 _trial_hits tests floor(n / p) p == n in float64; above it
+    # it takes the int64 remainder, which the oracle takes everywhere
+    cases = _trial_step_cases()
+    assert min(cases) >= 1 and max(cases) < 1 << 63
+    assert sum(n < 1 << 52 for n in cases) > 1000
+    for n in cases:
+        assert ar._trial_hits(n) == trial_hits_int64(n), n

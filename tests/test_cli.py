@@ -141,6 +141,23 @@ class TestClassify:
     def test_singular_rejected(self, capsys):
         assert cli.main(["classify", "2", "1"]) == 2
 
+    @pytest.mark.parametrize("patch, message", [
+        # the singular point left where it was: a4 = 3125 is odd at p = 2
+        ("cc._singular_point = lambda co, p, disc, c4: (0, 1)",
+         "singular point not moved to the origin at p=2"),
+        # I0* at 2 (v_2(Delta) = 8) with 20 components: f = 8 - 20 + 1 < 1
+        ("cc.KodairaSymbol.components = lambda self: 20",
+         "conductor exponent -11 out of range for I0* at p=2"),
+    ])
+    def test_tate_checks_fail_under_optimize(self, patch, message):
+        # -O drops assert statements; Tate's internal checks must still run
+        code = (f"import sys; from twotor import cli, curve_core as cc; {patch}; "
+                f"sys.exit(cli.main(['classify', '150', '3125']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert message in proc.stderr
+
     def test_csv_table(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert cli.main(["classify", "5", "5", "--out", str(out)]) == 0
@@ -223,6 +240,15 @@ class TestPinnedReports:
          "da10249f4aff01ff360706203cc3a40af9323cf04599bee855247948656502d0"),
         (["lp", "--sweep"],
          "505cdc96739f6718a45b87c61f9cb49f684e6f0e17bcd504d5ea19b6a872f06d"),
+        # |b| = 2^52 - 1219986 = 2 * 5 * 47491 * 97381^2: float trial division
+        (["classify", "30", "-4503599626150510"],
+         "3b1d5cdbd6798bd55cca3eb097a2acd6b2d3cb28157a63e02c174885a9000f09"),
+        # |b| = 2^52 + 9932099 = 3 * 5 * 33797 * 94253^2: the int64 remainder
+        (["classify", "30", "4503599637302595"],
+         "980dbb7433966508283b5a74d78a06ab5d3623c177622be2c246b87058ceacfb"),
+        # |b|, |c| in [2^52, 2^63): III* at 2, I8* at 3, I1* at 5
+        (["classify", "420", "576460752307977600"],
+         "c7525f9353a1c458bc766c682da67142426155e4cf7b66df6b49fe8a47b0473b"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import step6_shift_search
 
 from twotor import arithmetic as ar
 from twotor import census
@@ -165,8 +166,27 @@ class TestLargePTable:
             assert additive_type(x, y, d) == want == (bool(non_minimal[i]), int(kind[i]))
 
     def test_small_p_rejected(self):
-        with pytest.raises(ValueError):
-            kodaira_symbol_large_p(CurveParams(1, 1), 3)
+        # the message names the rejected p: small, composite or not positive
+        for p in (3, 91, 2, 1, 0, -7):
+            with pytest.raises(ValueError, match=f"^requires a prime p >= 5, got {p}$"):
+                kodaira_symbol_large_p(CurveParams(1, 1), p)
+
+    def test_good_exit_keeps_v_a(self):
+        # p | a but not bc: Good after the bc test, with v_a read off a, the
+        # record Tate's algorithm on the model gives
+        for c, p in ((CurveParams(50, 1), 5), (CurveParams(0, 7), 5), (CurveParams(343, 2), 7)):
+            full = curve_core.LocalReduction(p, *curve_core._valuations(c.a, c.b, p),
+                                             *tate_on_model((0, c.a, 0, c.b, 0), p)[:3])
+            assert kodaira_symbol_large_p(c, p) == tate_algorithm(c, p) == full
+            assert full.symbol == curve_core.GOOD and full.v_disc == full.v_disc_min == 0
+        assert kodaira_symbol_large_p(CurveParams(50, 1), 5).v_a == 2
+        assert kodaira_symbol_large_p(CurveParams(0, 7), 5).v_a is None
+
+    def test_composite_p_rejected_on_both_paths(self):
+        # 91 divides neither b nor c here (the early exit) and both there
+        for c in (CurveParams(1, 1), CurveParams(0, 91)):
+            with pytest.raises(ValueError, match="91 is not prime"):
+                tate_algorithm(c, 91)
 
     def test_valuation_fields(self):
         red = kodaira_symbol_large_p(CurveParams(5, 100), 5)
@@ -256,6 +276,64 @@ class TestTate:
         base = tate_on_model(model, p)
         moved = tate_on_model(_translate(model, r, s, t), p)
         assert (str(base[0]), base[1], base[2]) == (str(moved[0]), moved[1], moved[2])
+
+
+def _step6_models(p, rng):
+    """Models for Tate at p: random 5-tuples; tuples whose a_i is a unit times
+    p^(w_i - 1), p^w_i or p^(w_i + 1), for the weights w = (1, 2, 3, 4, 6);
+    translates of models rescaled by u = p^k; and family models (0, a, 0, b, 0)
+    rescaled by p^k, on which Tate restarts."""
+    out = [tuple(rng.randint(-60, 60) for _ in range(5)) for _ in range(3000)]
+    out += [tuple(rng.choice((-2, -1, 1, 2, 4, 5)) * p ** rng.randint(w - 1, w + 1)
+                  for w in (1, 2, 3, 4, 6)) for _ in range(3000)]
+    for _ in range(1500):
+        u = p ** rng.randint(1, 3)
+        co = tuple(u**w * rng.randint(-12, 12) for w in (1, 2, 3, 4, 6))
+        out.append(_translate(co, *(rng.randint(-30, 30) for _ in range(3))))
+    for _ in range(1500):
+        k = rng.randint(0, 3)
+        out.append((0, p ** (2 * k) * rng.randint(-300, 300), 0,
+                    p ** (4 * k) * rng.randint(-300, 300), 0))
+    return out
+
+
+class TestStep6ClosedForm:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_form_against_search(self, monkeypatch, p):
+        # Tate with step 6 in closed form against Tate with the search over
+        # (0, s, t), on every model; each step-6 input is also in the search's
+        # reach, and the closed form lands it in the step-6 shape
+        closed = curve_core._step6_shift
+        inputs = []
+        monkeypatch.setattr(curve_core, "_step6_shift",
+                            lambda co, q: inputs.append(co) or closed(co, q))
+
+        def run(models):
+            out = []
+            for co in models:
+                try:
+                    out.append(tate_on_model(co, p))
+                except ValueError:  # singular
+                    out.append(None)
+            return out
+
+        models = _step6_models(p, random.Random(2021 + p))
+        got = run(models)
+        monkeypatch.setattr(curve_core, "_step6_shift", step6_shift_search)
+        assert run(models) == got
+        assert len(inputs) > 5000
+        for co in inputs[::7]:
+            assert curve_core._step6_done(closed(co, p), p)
+            assert curve_core._step6_done(step6_shift_search(co, p), p)
+        seen = {str(r[0]).rstrip("0123456789*") + "*" * str(r[0]).endswith("*")
+                for r in got if r}
+        assert seen == {"Good", "I", "II", "III", "IV", "I*", "IV*", "III*", "II*"}
+        assert max(r[3] for r in got if r) >= 3
+
+    def test_shape_failure_is_a_classification_error(self, monkeypatch):
+        monkeypatch.setattr(curve_core, "_step6_done", lambda co, p: False)
+        with pytest.raises(curve_core.ClassificationError, match="step-6"):
+            tate_on_model((0, 6, 0, 1, 0), 2)  # I0* at 2
 
 
 class TestPredicates:
