@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, valuations, square-free structure.
+"""Exact integer arithmetic: factorization, primality and valuations.
 
 Everything downstream (reduction types, conductors, censuses, tail statistics)
 consumes factorizations produced here.  The workhorse for batches is a
@@ -15,8 +15,8 @@ lone value of any size is factored one way: the primes p <= min(sqrt(n),
 cofactor goes through Miller-Rabin, a perfect-square split and Pollard rho
 with Brent cycling.  Below 2^52 that step is a float64 test,
 floor(n / p) p == n, which is exact there because every product it forms
-is an integer below 2^53 (``_trial_hits``).  A lone lookup in the SPF table,
-as in ``is_prime``, reads a memoryview of it and gets a Python int.
+is an integer below 2^53 (``_trial_hits``).  ``is_prime`` looks a lone n up
+in a memoryview of the SPF table and gets a Python int.
 
 Negative inputs carry an explicit sign; all divisibility logic runs on |n|.
 """
@@ -63,8 +63,8 @@ class _SpfSieve:
     spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0).  The table is
     immutable, so reads are safe for concurrent use and forked workers share it.
     One buffer has two views: the numpy array, which the batch peel indexes
-    with arrays, and a memoryview of it, which ``spf`` and ``is_prime`` index
-    with one int.  A memoryview item is a Python int read off the buffer,
+    with arrays, and a memoryview of it, which ``is_prime`` indexes with one
+    int.  A memoryview item is a Python int read off the buffer,
     with no copy and at about a quarter of the cost of ``int(array[n])``; a
     ``tolist()`` of the table would add milliseconds to the import.
     """
@@ -91,23 +91,11 @@ class _SpfSieve:
     def limit(self) -> int:
         return len(self._spf) - 1
 
-    def spf(self, n: int) -> int:
-        return self._view[n]
-
     def array(self) -> np.ndarray:
         return self._spf
 
 
 _sieve = _SpfSieve()
-
-
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of n >= 2 (sieve-backed, any size via fallback)."""
-    if n < 2:
-        raise ValueError("smallest_prime_factor needs n >= 2")
-    if n <= _sieve.limit:
-        return _sieve.spf(n)
-    return factorize(n).factors[0][0]
 
 
 _TRIAL_PRIMES: np.ndarray | None = None
@@ -228,12 +216,6 @@ class Factorization:
         if self.value == 0:
             raise ValueError("zero has no factorization")
 
-    def reassemble(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
 
 def _trial_hits(n: int) -> list[int]:
     """The primes p <= min(sqrt(n), 10^5) that divide n >= 1, in one step.
@@ -303,15 +285,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, sign, tuple(_factor_abs(m)))
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e | n.  Rejects n = 0 and composite p."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined here")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _vp(n, p)
-
-
 def _vp(n: int, p: int) -> int:
     """Largest e with p**e | n, for n != 0 and p >= 2 (the one valuation loop)."""
     e = 0
@@ -319,63 +292,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        raise ValueError("expected nonzero n")
-    return all(e == 1 for _, e in factorize(n).factors)
-
-
-def is_cubefree(n: int) -> bool:
-    if n == 0:
-        raise ValueError("expected nonzero n")
-    return all(e <= 2 for _, e in factorize(n).factors)
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing |n| (1 for units)."""
-    if n == 0:
-        raise ValueError("expected nonzero n")
-    r = 1
-    for p, _ in factorize(n).factors:
-        r *= p
-    return r
-
-
-def tau(n: int) -> int:
-    """Number of positive divisors of |n|."""
-    if n == 0:
-        raise ValueError("expected nonzero n")
-    t = 1
-    for _, e in factorize(n).factors:
-        t *= e + 1
-    return t
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write cube-free n >= 1 as n0 * n1**2 with n0, n1 square-free and coprime."""
-    if n <= 0:
-        raise ValueError("expected a positive integer")
-    n0, n1 = 1, 1
-    for p, e in factorize(n).factors:
-        if e == 1:
-            n0 *= p
-        elif e == 2:
-            n1 *= p
-        else:
-            raise ValueError(f"{n} is not cube-free (p={p}, e={e})")
-    return n0, n1
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n|."""
-    if n == 0:
-        raise ValueError("expected nonzero n")
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _iroot(n: int, k: int) -> int:

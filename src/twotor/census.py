@@ -2,8 +2,8 @@
 
 The family is ``curve_core.family_at_2 & family_at_3``: the sweep generates
 only the b in the residue classes that ``curve_core.FAMILY_MOD96`` allows for
-a.  ``--all-residues`` sweeps with a 1x1 table that allows every b, and the
-lattice counts of ``real_density`` with their own class's table.
+a.  ``--all-residues`` sweeps with a 1x1 table that allows every b; any other
+(n, n) residue table works the same way.
 
 The region |b (a^2 - 4b)| <= Z is swept in blocks of consecutive a-columns,
 cut so that each holds about the same number of pairs (``_blocks``); per column

@@ -42,10 +42,6 @@ from . import arithmetic as ar
 from .arithmetic import _vp
 
 
-class FamilyMembershipError(ValueError):
-    """Curve fails the good-reduction congruence predicates at 2 or 3."""
-
-
 class NonMinimalModelError(ValueError):
     """p^2 | a and p^4 | b at a prime p >= 5: (a/p^2, b/p^4) is the minimal model."""
 
@@ -181,14 +177,9 @@ def in_family(c: CurveParams) -> bool:
 
 # The family as a residue table: FAMILY_MOD96[a mod 96, b mod 96] is True
 # exactly on the 288 classes it admits (the congruences read a and b mod 32
-# and mod 3).  The census sweep, the lattice counts and local_density read it.
+# and mod 3).  The census sweep and local_density read it.
 FAMILY_MOD96 = family_at_2(*np.ogrid[:96, :96]) & family_at_3(*np.ogrid[:96, :96])
 FAMILY_MOD96.flags.writeable = False
-
-
-def isogeny(c: CurveParams) -> CurveParams:
-    """The 2-isogenous curve (a, b) -> (-2a, a^2 - 4b)."""
-    return CurveParams(-2 * c.a, c.a * c.a - 4 * c.b)
 
 
 def _valuations(a: int, b: int, p: int) -> tuple[Optional[int], int, int, int]:
@@ -625,11 +616,6 @@ def reduction(c: CurveParams) -> Reduction:
             cond_6 *= r.p**r.conductor_exponent
             index_6 *= r.p ** (r.v_b + r.v_c - r.conductor_exponent)
     return Reduction(m, local, cond, cond_6, index_6, disc_min)
-
-
-def szpiro_ratio(c: CurveParams) -> float:
-    """log |Delta_min| / log C, C the prime-to-6 conductor (Reduction.szpiro_ratio)."""
-    return reduction(c).szpiro_ratio()
 
 
 def avg_szpiro(c: CurveParams) -> float:

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -50,8 +49,6 @@ _SERIES = {
 
 FAMILIES = tuple(_SERIES)
 DEFAULT_TOL = 1e-12  # the Euler-product tolerance when none is given
-
-ClassName = Union[str, tuple]
 
 # Pattern densities: Good (p-1)^2/p^2, III (p-1)/p^3, I0* (p-1)/p^4 and
 # III* (p-1)/p^6.  Semistable with index power p^k, 2(p-1)^2/p^{k+2}, is
@@ -73,6 +70,11 @@ class LocalSumMismatch(AssertionError):
     factor; raised explicitly, so that ``python -O`` keeps the check."""
 
 
+class DensityCheckError(AssertionError):
+    """Another internal check of the density polynomials or of the Euler
+    product's bounds failed; raised explicitly, like LocalSumMismatch."""
+
+
 class ToleranceUnreachable(ValueError):
     """Requested Euler-product tolerance is below what the float64 head and the
     largest zeta order can guarantee."""
@@ -83,10 +85,8 @@ def _check_p(p: int) -> None:
         raise ValueError("requires a prime p >= 5")
 
 
-def _normalize_class(cls: ClassName, k: Optional[int]) -> tuple[str, Optional[int]]:
-    if isinstance(cls, tuple):
-        cls, k = cls
-    if cls in ("semistable", "ss"):
+def _normalize_class(cls: str, k: Optional[int]) -> tuple[str, Optional[int]]:
+    if cls == "semistable":
         if k is None or not 1 <= k <= _MAX_K:
             raise ValueError(f"semistable class needs 1 <= k <= {_MAX_K}")
         return "semistable", k
@@ -125,7 +125,8 @@ def _geometric(poly: dict, r: int) -> dict:
         if c:
             out[n] = c
     # the quotient stops at x^{top - r}; a term above it is a nonzero remainder
-    assert max(out, default=0) <= top - r, "the series does not terminate"
+    if max(out, default=0) > top - r:
+        raise DensityCheckError("the series does not terminate")
     return out
 
 
@@ -154,7 +155,7 @@ def _density(cls: str, k: Optional[int] = None) -> dict:
     return _DENSITY[cls]
 
 
-def density_kodaira(p: int, cls: ClassName, k: Optional[int] = None) -> Fraction:
+def density_kodaira(p: int, cls: str, k: Optional[int] = None) -> Fraction:
     """Closed-form density of a valuation pattern among (a, b) mod powers of p.
 
     Good: (p-1)^2/p^2; III: (p-1)/p^3; I0*: (p-1)/p^4; III*: (p-1)/p^6;
@@ -163,7 +164,8 @@ def density_kodaira(p: int, cls: ClassName, k: Optional[int] = None) -> Fraction
     """
     _check_p(p)
     value, *irrational = _q_coefficients(_density(*_normalize_class(cls, k)), p)
-    assert not any(irrational)
+    if any(irrational):
+        raise DensityCheckError(f"the {cls} density is not rational at p={p}")
     return value
 
 
@@ -194,7 +196,7 @@ def _count_semistable(p: int, m: int, k: int) -> int:
     return total
 
 
-def density_empirical(p: int, m: Optional[int], cls: ClassName,
+def density_empirical(p: int, m: Optional[int], cls: str,
                       k: Optional[int] = None) -> Fraction:
     """Count residue pairs mod p^m matching the class pattern, over p^{2m}.
 
@@ -237,11 +239,6 @@ def density_empirical(p: int, m: Optional[int], cls: ClassName,
 # ---------------------------------------------------------------------------
 
 
-def good_reduction_class_mod96() -> list[tuple[int, int]]:
-    """All (a, b) mod 96 passing both congruence predicates (288 classes)."""
-    return [tuple(r) for r in np.argwhere(FAMILY_MOD96).tolist()]
-
-
 def _grid_mass(predicate, m: int) -> Fraction:
     a, b = np.ogrid[:m, :m]
     return Fraction(int(np.count_nonzero(predicate(a, b))), m * m)
@@ -257,33 +254,15 @@ def good_reduction_density_3() -> Fraction:
 
 def good_reduction_density_23() -> Fraction:
     """Joint mass over (Z/96)^2; equals the product of the 2- and 3-parts."""
-    joint = Fraction(len(good_reduction_class_mod96()), 96 * 96)
-    assert joint == good_reduction_density_2() * good_reduction_density_3()
+    joint = Fraction(int(np.count_nonzero(FAMILY_MOD96)), 96 * 96)
+    if joint != good_reduction_density_2() * good_reduction_density_3():
+        raise DensityCheckError("the mod-96 mass is not the product of its 2- and 3-parts")
     return joint
 
 
 # The lattice pair-count constant with the family's mass folded in:
 # (2 + sqrt2) Gamma(1/4)^2 / (96 sqrt(pi)).
 MT1_PREFACTOR = PAIR_COUNT_CONST * float(good_reduction_density_23())
-
-
-@dataclass(frozen=True)
-class LocalDensityTable:
-    p: int
-    entries: dict
-
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
-
-
-def local_density_table(p: int, k_max: int = 3) -> LocalDensityTable:
-    entries = {cls: density_kodaira(p, cls) for cls in _DENSITY}
-    for k in range(1, k_max + 1):
-        entries[("semistable", k)] = density_kodaira(p, "semistable", k)
-    table = LocalDensityTable(p, entries)
-    assert all(0 < v < 1 for v in entries.values())
-    assert table.total() < 1
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +275,6 @@ def _series(family: str) -> dict:
         return _SERIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-
-
-def euler_factor(p: int, family: str) -> float:
-    _check_p(p)
-    return _q_float(_q_coefficients(_series(family), p), p)
 
 
 def _local_sum(family: str) -> dict:
@@ -452,7 +426,8 @@ def _exponents(family: str, K: int) -> list[int]:
         c[n] = n * f[n] - sum(c[j] * f[n - j] for j in range(1, n))
         proper = sum(k * e[k] for k in range(1, n // 2 + 1) if n % k == 0)
         e[n], rem = divmod(c[n] - proper, n)
-        assert rem == 0, f"{family}: non-integer exponent e_{n}"
+        if rem:
+            raise DensityCheckError(f"{family}: non-integer exponent e_{n}")
     return e
 
 
@@ -488,7 +463,8 @@ def _remainder_bound(family: str, e: list, K: int, P: int) -> float:
     """
     r, M = _cauchy_radius(family), math.log(2)
     x = P ** -0.25  # x_p < x for every p > P
-    assert x < r, "the series of log R_K must converge at every x_p"
+    if not x < r:
+        raise DensityCheckError("the series of log R_K must converge at every x_p")
     total = 0.0
     for n in range(K + 1, 2 * K + 1):
         # the divisors k <= K of n are its proper divisors, all <= n/2 <= K

@@ -14,7 +14,7 @@ both certificates are feasible and tight at the same optimum.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -119,12 +119,6 @@ def certificate_dual() -> tuple:
 
 def certificate_value(delta, r) -> Fraction:
     return Fraction(3, 2) - 3 * Fraction(delta) + 3 * Fraction(r)
-
-
-def objective_value(lp: LinearProgram, x: Sequence) -> Fraction:
-    if len(x) != lp.n_vars:
-        raise ValueError("dimension mismatch")
-    return sum((Fraction(c) * Fraction(v) for c, v in zip(lp.objective, x)), Fraction(0))
 
 
 def check_feasible(lp: LinearProgram, x: Sequence) -> bool:
@@ -301,46 +295,3 @@ def sweep_grid(deltas=None, rs=None) -> list:
             opt, _ = solve_simplex(lp)
             rows.append((Fraction(d), Fraction(r), cert, opt, cert == opt))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Exponent vectors and the averaged Szpiro identity.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Nine log-ratio exponents (components of x in the program above)."""
-
-    gamma_I0star: float
-    gamma_III: float
-    gamma_IIIstar: float
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    upsilon: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        for name, v in self.as_dict().items():
-            if v < 0:
-                raise ValueError(f"component {name} is negative: {v}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def as_tuple(self) -> tuple:
-        return astuple(self)
-
-
-def avg_szpiro_from_exponents(v: ExponentVector):
-    """3/2 + (6 g1 + 12 g3 + 3 b1 + 3 b2) / (2 (2(g1+g2+g3) + a1 + u + a2 + n))."""
-    gs = v.gamma_I0star + v.gamma_III + v.gamma_IIIstar
-    denom = 2 * (2 * gs + v.alpha1 + v.upsilon + v.alpha2 + v.nu)
-    if denom <= 0:
-        raise ValueError("denominator must be positive")
-    num = 6 * v.gamma_I0star + 12 * v.gamma_IIIstar + 3 * v.beta1 + 3 * v.beta2
-    if isinstance(num, Fraction) and isinstance(denom, Fraction):
-        return Fraction(3, 2) + num / denom
-    return 1.5 + num / denom

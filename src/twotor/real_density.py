@@ -5,7 +5,8 @@ of length sqrt(x^4 + 4Z); outside it breaks into an upper and a lower band
 around y = x^2/2.  Pieces are reported for the x > 0 half plane, where they
 partition the half region; the full area is twice the half-plane total, and
 the assembled constant 2(1+sqrt2) Gamma(1/4)^2 / (3 sqrt(pi)) is the one the
-quadrature, the Monte Carlo runs, and the lattice counts all support.
+quadrature and the Monte Carlo runs support.  The lattice counts against it,
+which sweep the census's blocks, are a test-side check (tests/oracles.py).
 
 Truncation (|y| >= 4 and |x^2 - y| >= 4) chops the cusp at the origin and the
 two parabolic horns; the truncated region is bounded, which is what makes the
@@ -21,14 +22,10 @@ cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._constants import AREA_CONST, CENTER_INTEGRAL, SQRT2, TAIL_INTEGRAL
-from .census import _MAX_Z, _block_pairs, _blocks
-from .curve_core import FAMILY_MOD96
+from ._constants import AREA_CONST, SQRT2
 
 
 class QuadratureError(RuntimeError):
@@ -113,36 +110,10 @@ def _quad(f, points, epsabs: float) -> tuple[float, float]:
     return float(val.sum()), float(err.sum())
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    Z: float
-    truncated: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.Z > 0:
-            raise ValueError("Z must be positive")
-
-
-def region_contains(x: float, y: float, spec: RegionSpec) -> bool:
-    if abs(y * (x * x - y)) > spec.Z:
-        return False
-    if spec.truncated and (abs(y) < 4 or abs(x * x - y) < 4):
-        return False
-    return True
-
-
 def area_closed_form(Z: float) -> float:
     if not Z > 0:
         raise ValueError("Z must be positive")
     return AREA_CONST * Z**0.75
-
-
-def center_integral(tol: float = 1e-12) -> float:
-    """int_0^1 sqrt(z^4 + 1) dz by adaptive quadrature."""
-    val, err = _quad(lambda z: np.sqrt(z**4 + 1), (0.0, 1.0), tol)
-    if not err <= tol:
-        raise QuadratureError(f"center integral error estimate {err} > {tol}")
-    return val
 
 
 def _tail_integrand(s):
@@ -154,19 +125,6 @@ def _tail_integrand(s):
     """
     t = 1 - s * s
     return 4 * s / (np.sqrt(1 + t**4) + s * np.sqrt((2 - s * s) * (1 + t * t)))
-
-
-def tail_integral(tol: float = 1e-12) -> float:
-    """int_1^inf sqrt(z^4+1) - sqrt(z^4-1) dz, compactified by z -> 1/t.
-
-    After the substitution the integrand is 2 / (sqrt(1+t^4) + sqrt(1-t^4)),
-    which also removes the cancellation between the two square roots; it is
-    integrated in s with t = 1 - s^2 (_tail_integrand).
-    """
-    val, err = _quad(_tail_integrand, (0.0, 1.0), tol)
-    if not err <= tol:
-        raise QuadratureError(f"tail integral error estimate {err} > {tol}")
-    return val
 
 
 def area_pieces(Z: float, tol: float = 1e-10) -> tuple[float, float, float]:
@@ -369,66 +327,3 @@ def area_monte_carlo(Z: float, samples: int, seed: int) -> tuple[float, float]:
     estimate = box * p
     stderr = box * math.sqrt(max(p * (1 - p), 1.0 / samples) / samples)
     return estimate, stderr
-
-
-# ---------------------------------------------------------------------------
-# Lattice point counts against the area prediction.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CongruenceClass:
-    """Allowed residues S of (a, b) mod n; density is |S| / n^2.
-
-    A lattice count generates only the pairs in S, from S as an (n, n)
-    residue table.
-    """
-
-    n: int
-    residues: frozenset
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("modulus must be >= 1")
-        for a0, b0 in self.residues:
-            if not (0 <= a0 < self.n and 0 <= b0 < self.n):
-                raise ValueError("residues must be reduced mod n")
-
-    @classmethod
-    def everything(cls) -> "CongruenceClass":
-        return cls(1, frozenset({(0, 0)}))
-
-    @classmethod
-    def good_reduction(cls) -> "CongruenceClass":
-        """The 2,3 family's 288 classes mod 96 (``curve_core.FAMILY_MOD96``)."""
-        return cls(96, frozenset(map(tuple, np.argwhere(FAMILY_MOD96).tolist())))
-
-    def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.n * self.n)
-
-
-def lattice_count_with_error(
-    congruence: CongruenceClass, X: int
-) -> tuple[int, float, float]:
-    """(count, predicted, |count - predicted|) for the truncated lattice count.
-
-    Counts (a, b) in the class with 0 < |b(a^2-4b)| <= X, |b| >= 4 and
-    |a^2-4b| >= 4; the prediction is (sqrt2/2) nu(S) AREA_CONST X^{3/4}, the
-    covolume-4 lattice (a, 4b) against the region with parameter 4X.  The
-    region is swept in the census's blocks, so memory stays per block, and
-    each block generates only the class's pairs (``census._block_pairs`` with
-    the class as its residue table); the truncation is the one filter
-    applied after.
-    """
-    if not 1 <= X <= _MAX_Z:
-        raise ValueError(f"need 1 <= X <= {_MAX_Z}")
-    n = congruence.n
-    in_class = np.zeros((n, n), dtype=bool)
-    for a0, b0 in congruence.residues:
-        in_class[a0, b0] = True
-    count = 0
-    for a_lo, a_hi in _blocks(X):
-        a, b, _ = _block_pairs(X, a_lo, a_hi, in_class)
-        count += int(np.count_nonzero((np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4)))
-    predicted = float(SQRT2 / 2 * float(congruence.density()) * area_closed_form(X))
-    return count, predicted, abs(count - predicted)

@@ -6,21 +6,30 @@ roots, the region enumerated pair by pair, one block's (a, b) pairs
 expanded from a full residue mask, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
-here as an interval list at one x.  The simplex that ``lp_bounds`` runs on
-an integer tableau is here as the same two-phase Bland's-rule simplex in
-Fractions, and its integer feasibility check as Fraction sums, row by row.
-The zeta tail of the Euler products, which ``local_density`` sums from a
-table of logs, is here as mpmath's zeta at the primes themselves.
+here as an interval list at one x, and the region itself as a pointwise
+test.  The lattice count of the truncated region, which checks the area
+constant on integer pairs, sweeps the census's blocks with a residue table,
+and the two slice integrals behind the stored constants are taken with the
+package's own quadrature.  The simplex that ``lp_bounds`` runs on an
+integer tableau is here as the same two-phase Bland's-rule simplex in
+Fractions, its integer feasibility check as Fraction sums, row by row, and
+the objective c.x as a Fraction sum.  The zeta tail of the Euler products,
+which ``local_density`` sums from a table of logs, is here as mpmath's zeta
+at the primes themselves, and the vectorised Euler factors as the exact
+q-coefficients at one prime.
 ``arithmetic.is_prime``, which sizes its Miller-Rabin witness set to n, is
 here with all 13 witnesses for every n above the SPF table.  The float64
 trial-division step of ``arithmetic._trial_hits`` is here as an int64
 remainder, and step 6 of Tate's algorithm at 2 and 3, which ``curve_core``
-takes in closed form, as a search over the translations (0, s, t).
+takes in closed form, as a search over the translations (0, s, t).  The
+2-isogeny (a, b) -> (-2a, a^2 - 4b), which ``curve_core`` uses only inside
+its discriminants, is here as a map of curves.
 They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
@@ -31,7 +40,9 @@ import numpy as np
 from twotor import arithmetic as ar
 from twotor import curve_core as cc
 from twotor import local_density as ld
-from twotor.census import _MAX_Z, _block_intervals
+from twotor import real_density as rd
+from twotor._constants import SQRT2
+from twotor.census import _MAX_Z, _block_intervals, _block_pairs, _blocks
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
@@ -125,6 +136,11 @@ def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     return a[order], b[order], f[order]
 
 
+def isogeny(c: CurveParams) -> CurveParams:
+    """The 2-isogenous curve (a, b) -> (-2a, a^2 - 4b)."""
+    return CurveParams(-2 * c.a, c.a * c.a - 4 * c.b)
+
+
 def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
     """Classify one curve at all p >= 5; None when the pair is a rescaled copy."""
     c = a * a - 4 * b
@@ -151,6 +167,57 @@ def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:
         idx6 *= p ** (eb + ec - f)
         cubefree &= eb + ec <= 2
     return (a, b, abs(b * c), cond, idx6, cubefree), anomalies
+
+
+@dataclass(frozen=True)
+class RegionSpec:
+    Z: float
+    truncated: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.Z > 0:
+            raise ValueError("Z must be positive")
+
+
+def region_contains(x: float, y: float, spec: RegionSpec) -> bool:
+    if abs(y * (x * x - y)) > spec.Z:
+        return False
+    if spec.truncated and (abs(y) < 4 or abs(x * x - y) < 4):
+        return False
+    return True
+
+
+def piece_integrals(tol: float = 1e-12) -> tuple[float, float]:
+    """(int_0^1 sqrt(z^4 + 1) dz, int_1^inf sqrt(z^4+1) - sqrt(z^4-1) dz) by
+    ``real_density._quad``; the tail in the variable s of ``_tail_integrand``,
+    the integrand ``area_pieces`` takes it in."""
+    center, e1 = rd._quad(lambda z: np.sqrt(z**4 + 1), (0.0, 1.0), tol)
+    tail, e2 = rd._quad(rd._tail_integrand, (0.0, 1.0), tol)
+    if not (e1 <= tol and e2 <= tol):
+        raise rd.QuadratureError(f"piece integral error estimates {e1}, {e2} > {tol}")
+    return center, tail
+
+
+def lattice_count_with_error(table: np.ndarray, X: int) -> tuple[int, float, float]:
+    """(count, predicted, |count - predicted|) for the truncated lattice count.
+
+    Counts the (a, b) whose residues mod n the (n, n) boolean table allows,
+    with 0 < |b(a^2-4b)| <= X, |b| >= 4 and |a^2-4b| >= 4; the prediction is
+    (sqrt2/2) nu AREA_CONST X^{3/4}, nu the table's share of residue pairs,
+    the covolume-4 lattice (a, 4b) against the region with parameter 4X.
+    The region is swept in the census's blocks, and each block generates
+    only the table's pairs (``census._block_pairs``); the truncation is the
+    one filter applied after.
+    """
+    if not 1 <= X <= _MAX_Z:
+        raise ValueError(f"need 1 <= X <= {_MAX_Z}")
+    count = 0
+    for a_lo, a_hi in _blocks(X):
+        a, b, _ = _block_pairs(X, a_lo, a_hi, table)
+        count += int(np.count_nonzero((np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4)))
+    density = Fraction(int(np.count_nonzero(table)), table.size)
+    predicted = float(SQRT2 / 2 * float(density) * rd.area_closed_form(X))
+    return count, predicted, abs(count - predicted)
 
 
 def _subtract_open(intervals, lo, hi):
@@ -280,6 +347,12 @@ def solve_simplex_fractions(lp: LinearProgram):
     return -opt, x[:n]
 
 
+def objective_value(lp: LinearProgram, x) -> Fraction:
+    if len(x) != lp.n_vars:
+        raise ValueError("dimension mismatch")
+    return sum((Fraction(c) * Fraction(v) for c, v in zip(lp.objective, x)), Fraction(0))
+
+
 def check_feasible_fractions(lp: LinearProgram, x) -> bool:
     """x >= 0 and every row of ``lp`` holds at x, summed in Fractions."""
     if len(x) != lp.n_vars:
@@ -326,6 +399,13 @@ def zeta_tail_mpmath(family: str, tol: float) -> tuple[int, float]:
         return P, float(total)
 
 
+def euler_factor(p: int, family: str) -> float:
+    """The family's Euler factor at one prime p >= 5, from its exact
+    coefficients in q = p^{1/4}."""
+    ld._check_p(p)
+    return ld._q_float(ld._q_coefficients(ld._series(family), p), p)
+
+
 def is_prime_13_bases(n: int) -> bool:
     """spf[n] == n on the SPF table; above it, trial division by the first 13
     primes and Miller-Rabin with all 13 as witnesses, whatever the size of n."""
@@ -333,7 +413,7 @@ def is_prime_13_bases(n: int) -> bool:
     if n < 2:
         return False
     if n <= ar._sieve.limit:
-        return ar._sieve.spf(n) == n
+        return ar._sieve.array()[n] == n
     for p in bases:
         if n % p == 0:
             return n == p

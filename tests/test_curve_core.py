@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import step6_shift_search
+from oracles import isogeny, step6_shift_search
+from uniformity import valuation
 
 from twotor import arithmetic as ar
 from twotor import census
@@ -26,10 +27,8 @@ from twotor.curve_core import (
     family_at_3,
     good_family,
     in_family,
-    isogeny,
     kodaira_symbol_large_p,
     reduction,
-    szpiro_ratio,
     tate_algorithm,
     tate_on_model,
     _translate,
@@ -487,11 +486,11 @@ def _oracle_check(c, red):
         tate = tate_algorithm(m, r.p)
         assert (r.symbol, r.conductor_exponent, r.v_disc_min) == (
             tate.symbol, tate.conductor_exponent, tate.v_disc_min), (c.a, c.b, r.p)
-    assert red.conductor_6 == cond // (2 ** ar.valuation(cond, 2) * 3 ** ar.valuation(cond, 3))
+    assert red.conductor_6 == cond // (2 ** valuation(cond, 2) * 3 ** valuation(cond, 3))
     # |Delta_min|: the literal discriminant with its 2- and 3-parts cut by Tate
     d = abs(discriminant(m))
     for p in (2, 3):
-        d //= p ** (ar.valuation(d, p) - tate_on_model((0, m.a, 0, m.b, 0), p)[2])
+        d //= p ** (valuation(d, p) - tate_on_model((0, m.a, 0, m.b, 0), p)[2])
     assert red.disc_min == d
 
 
@@ -507,8 +506,8 @@ class TestReduction:
                 _oracle_check(c, red)
                 assert (red.conductor_6, red.index_6) == (cond_6, index_6)
                 if cond_6 > 1:
-                    phi_ratio = szpiro_ratio(isogeny(c))
-                    assert red.avg_szpiro() == (szpiro_ratio(c) + phi_ratio) / 2.0
+                    phi_ratio = reduction(isogeny(c)).szpiro_ratio()
+                    assert red.avg_szpiro() == (reduction(c).szpiro_ratio() + phi_ratio) / 2.0
 
     def test_large_seeded_curves_against_oracles(self):
         base = _seeded_curves()
@@ -520,11 +519,11 @@ class TestReduction:
             _oracle_check(c, red)
             m = red.minimal
             cp6 = abs(conductor_polynomial(m))
-            cp6 //= 2 ** ar.valuation(cp6, 2) * 3 ** ar.valuation(cp6, 3)
+            cp6 //= 2 ** valuation(cp6, 2) * 3 ** valuation(cp6, 3)
             assert red.index_6 * red.conductor_6 == cp6
             if red.conductor_6 > 1:
-                phi_ratio = szpiro_ratio(isogeny(c))
-                assert avg_szpiro(c) == (szpiro_ratio(c) + phi_ratio) / 2.0
+                phi_ratio = reduction(isogeny(c)).szpiro_ratio()
+                assert avg_szpiro(c) == (reduction(c).szpiro_ratio() + phi_ratio) / 2.0
 
     def test_tate_once_per_model_and_prime(self, monkeypatch):
         # E and phi(E) at 2, and at 3 exactly when 3 | bc (their shared 3-support)
@@ -593,11 +592,11 @@ class TestIsogeny:
 
 class TestSzpiro:
     def test_ratio_example(self):
-        assert szpiro_ratio(CurveParams(5, 5)) == pytest.approx(2.361353, abs=1e-5)
+        assert reduction(CurveParams(5, 5)).szpiro_ratio() == pytest.approx(2.361353, abs=1e-5)
 
     def test_undefined_for_conductor_one(self):
         with pytest.raises(ValueError):
-            szpiro_ratio(CurveParams(6, 1))
+            reduction(CurveParams(6, 1)).szpiro_ratio()
 
     def test_avg_example(self):
         # phi(5,5) = (-10, 5): disc 32000 already 2,3-minimal, conductor 25

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import log_zeta_above, zeta_tail_mpmath
+from oracles import euler_factor, log_zeta_above, zeta_tail_mpmath
 from twotor import arithmetic as ar
 from twotor import local_density as ld
 from twotor._constants import PAIR_COUNT_CONST
 from twotor.local_density import MT1_PREFACTOR
-from twotor.curve_core import CurveParams, kodaira_symbol_large_p
+from twotor.curve_core import FAMILY_MOD96, CurveParams, kodaira_symbol_large_p
 
 F = Fraction
 
@@ -148,7 +148,7 @@ class TestKodairaDensities:
         assert ld.density_kodaira(5, "I0*") == F(4, 625)
         assert ld.density_kodaira(5, "III*") == F(4, 15625)
         assert ld.density_kodaira(5, "semistable", 1) == F(32, 125)
-        assert ld.density_kodaira(5, ("semistable", 2)) == F(32, 625)
+        assert ld.density_kodaira(5, "semistable", 2) == F(32, 625)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 97, 1009])
     def test_polynomials_are_the_formulas(self, p):
@@ -238,7 +238,7 @@ class TestEmpiricalDensities:
 
 class TestCongruenceMass:
     def test_class_count(self):
-        assert len(ld.good_reduction_class_mod96()) == 288
+        assert len(np.argwhere(FAMILY_MOD96)) == 288
 
     def test_component_masses(self):
         assert ld.good_reduction_density_2() == F(72, 1024)
@@ -254,13 +254,14 @@ class TestCongruenceMass:
 
 class TestDensityTable:
     def test_table_at_5(self):
-        table = ld.local_density_table(5, k_max=3)
+        total = (sum(ld.density_kodaira(5, cls) for cls in ("Good", "III", "I0*", "III*"))
+                 + sum(ld.density_kodaira(5, "semistable", k) for k in (1, 2, 3)))
         expected = (
             F(16, 25) + F(4, 125) + F(4, 625) + F(4, 15625)
             + F(32, 125) + F(32, 625) + F(32, 3125)
         )
-        assert table.total() == expected
-        assert table.total() < 1
+        assert total == expected
+        assert total < 1
 
     def test_semistable_tail_closes_the_gap(self):
         # Good + all semistable should reach 1 - 1/p^2
@@ -312,18 +313,18 @@ class TestXPolynomials:
 
 class TestEulerFactors:
     def test_condpoly_factor(self):
-        assert ld.euler_factor(5, "CondPoly") == 1 - 5.0**-6
+        assert euler_factor(5, "CondPoly") == 1 - 5.0**-6
 
     def test_cubefree_factor_value(self):
         expected = 1 - 9 / 125 + 32 * 5.0**-3.25
-        assert math.isclose(ld.euler_factor(5, "CubeFree"), expected, rel_tol=1e-14)
-        assert math.isclose(ld.euler_factor(5, "CubeFree"), 1.09920, abs_tol=5e-6)
+        assert math.isclose(euler_factor(5, "CubeFree"), expected, rel_tol=1e-14)
+        assert math.isclose(euler_factor(5, "CubeFree"), 1.09920, abs_tol=5e-6)
 
     def test_kappa_factor_value(self):
         q = 5**0.25
         expected = 1 - 1 / 25 + 4 * 5.0**-2.5 + 32 / (125 * (q - 1))
-        assert math.isclose(ld.euler_factor(5, "Kappa"), expected, rel_tol=1e-13)
-        assert math.isclose(ld.euler_factor(5, "Kappa"), 1.548362, abs_tol=5e-7)
+        assert math.isclose(euler_factor(5, "Kappa"), expected, rel_tol=1e-13)
+        assert math.isclose(euler_factor(5, "Kappa"), 1.548362, abs_tol=5e-7)
 
     def test_closed_forms_match_vectorized_path(self):
         primes = np.array([5, 7, 11, 97], dtype=np.int64)
@@ -331,12 +332,12 @@ class TestEulerFactors:
             vec = ld._factor_values(primes, family)
             for p, v in zip(primes, vec):
                 assert math.isclose(
-                    ld.euler_factor(int(p), family), float(v), rel_tol=1e-15
+                    euler_factor(int(p), family), float(v), rel_tol=1e-15
                 )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            ld.euler_factor(5, "Squarefree")
+            euler_factor(5, "Squarefree")
         with pytest.raises(ValueError):
             ld.dirichlet_local_sum_q4(5, "Squarefree")
 
@@ -366,6 +367,21 @@ class TestDirichletIdentity:
                               text=True, timeout=60)
         assert proc.returncode == 3 and proc.stdout == ""
         assert "the local sum differs from the Euler factor" in proc.stderr
+
+    @pytest.mark.parametrize("patch, message", [
+        # P = 5 puts x_p = 5^(-1/4) outside the radius where log F converges
+        ("ld._HEAD_CUTOFF = 5", "the series of log R_K must converge"),
+        # (1 - x^4)^2 + x^8 has no factor 1 - x, so sum_k x^k ss1 does not stop
+        ("ld._DENSITY['Good'] = {0: 1, 4: -2, 8: 2}", "the series does not terminate"),
+    ])
+    def test_density_checks_fail_under_optimize(self, patch, message):
+        # -O drops assert statements; the checks on the euler path must still run
+        code = ("import sys; from twotor import cli, local_density as ld; "
+                f"{patch}; sys.exit(cli.main(['euler', '--family', 'kappa', '--tol', '0.01']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert message in proc.stderr
 
 
 class TestEulerProducts:

@@ -6,24 +6,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from oracles import check_feasible_fractions, solve_simplex_fractions
+from oracles import check_feasible_fractions, objective_value, solve_simplex_fractions
 from twotor import lp_bounds
 from twotor.lp_bounds import (
-    ExponentVector,
     LinearProgram,
     LPInfeasibleError,
     LPUnboundedError,
-    avg_szpiro_from_exponents,
     build_dual,
     build_primal,
     certificate_dual,
     certificate_primal,
     certificate_value,
     check_feasible,
-    objective_value,
     solve_simplex,
     sweep_grid,
 )
+from uniformity import ExponentVector, avg_szpiro_from_exponents
 
 GRID = [
     (F(k, 100), r)

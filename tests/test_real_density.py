@@ -14,9 +14,16 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as scipy_gamma
 
-from oracles import truncated_slice_length
+from oracles import (
+    RegionSpec,
+    lattice_count_with_error,
+    piece_integrals,
+    region_contains,
+    truncated_slice_length,
+)
 from twotor import census
 from twotor import real_density as rd
+from twotor.curve_core import FAMILY_MOD96
 from twotor._constants import (
     AREA_CONST,
     CENTER_INTEGRAL,
@@ -55,31 +62,31 @@ class TestConstants:
 
 class TestRegionContains:
     def test_examples(self):
-        assert rd.region_contains(0, 0, rd.RegionSpec(1))
-        assert not rd.region_contains(0, 2, rd.RegionSpec(1))
-        assert rd.region_contains(0, 4, rd.RegionSpec(64, truncated=True))
+        assert region_contains(0, 0, RegionSpec(1))
+        assert not region_contains(0, 2, RegionSpec(1))
+        assert region_contains(0, 4, RegionSpec(64, truncated=True))
 
     def test_truncation_bites(self):
-        spec_plain = rd.RegionSpec(64)
-        spec_trunc = rd.RegionSpec(64, truncated=True)
-        assert rd.region_contains(0, 2, spec_plain)
-        assert not rd.region_contains(0, 2, spec_trunc)  # |y| < 4
-        assert rd.region_contains(2, 5, spec_plain)
-        assert not rd.region_contains(2, 5, spec_trunc)  # |x^2-y| = 1 < 4
+        spec_plain = RegionSpec(64)
+        spec_trunc = RegionSpec(64, truncated=True)
+        assert region_contains(0, 2, spec_plain)
+        assert not region_contains(0, 2, spec_trunc)  # |y| < 4
+        assert region_contains(2, 5, spec_plain)
+        assert not region_contains(2, 5, spec_trunc)  # |x^2-y| = 1 < 4
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            rd.RegionSpec(0)
+            RegionSpec(0)
         with pytest.raises(ValueError):
-            rd.RegionSpec(-3, truncated=True)
+            RegionSpec(-3, truncated=True)
 
     @given(st.integers(-40, 40), st.integers(-900, 900), st.integers(1, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_symmetries_on_integer_points(self, x, y, Z):
-        spec = rd.RegionSpec(Z)
-        assert rd.region_contains(x, y, spec) == rd.region_contains(-x, y, spec)
+        spec = RegionSpec(Z)
+        assert region_contains(x, y, spec) == region_contains(-x, y, spec)
         # reflection about the slice midline y -> x^2 - y fixes the region
-        assert rd.region_contains(x, y, spec) == rd.region_contains(x, x * x - y, spec)
+        assert region_contains(x, y, spec) == region_contains(x, x * x - y, spec)
 
 
 class TestClosedForm:
@@ -104,12 +111,12 @@ class TestClosedForm:
 
 class TestPieceIntegrals:
     def test_center_integral(self):
-        val = rd.center_integral(1e-12)
+        val, _ = piece_integrals(1e-12)
         assert abs(val - CENTER_INTEGRAL) < 1e-11
         assert math.isclose(val, 1.0894294, abs_tol=5e-8)
 
     def test_tail_integral(self):
-        val = rd.tail_integral(1e-12)
+        _, val = piece_integrals(1e-12)
         assert abs(val - TAIL_INTEGRAL) < 1e-11
 
     def test_tail_integral_plain_truncation_agrees(self):
@@ -165,15 +172,17 @@ class TestGaussKronrod:
     """The numpy quadrature against the stored constants and scipy.integrate.quad."""
 
     def test_constants_at_1e12(self):
-        assert abs(rd.center_integral(1e-12) - CENTER_INTEGRAL) <= 1e-12
-        assert abs(rd.tail_integral(1e-12) - TAIL_INTEGRAL) <= 1e-12
+        center, tail = piece_integrals(1e-12)
+        assert abs(center - CENTER_INTEGRAL) <= 1e-12
+        assert abs(tail - TAIL_INTEGRAL) <= 1e-12
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_piece_integrals_match_scipy(self, tol):
         center, _ = integrate.quad(lambda z: math.sqrt(z**4 + 1), 0, 1, epsabs=tol, epsrel=0)
         tail, _ = integrate.quad(_tail, 0, 1, epsabs=tol, epsrel=0)
-        assert abs(rd.center_integral(tol) - center) <= tol
-        assert abs(rd.tail_integral(tol) - tail) <= tol
+        got_center, got_tail = piece_integrals(tol)
+        assert abs(got_center - center) <= tol
+        assert abs(got_tail - tail) <= tol
 
     @pytest.mark.parametrize("Z", [1e-6, 1.0, 1e6, 1e12])
     def test_area_pieces_match_scipy(self, Z):
@@ -393,8 +402,7 @@ class TestMonteCarlo:
 class TestLatticeCount:
     def test_brute_force_small(self):
         X = 2000
-        cong = rd.CongruenceClass.everything()
-        count, predicted, error = rd.lattice_count_with_error(cong, X)
+        count, predicted, error = lattice_count_with_error(census._ALL_RESIDUES, X)
         brute = 0
         for a in range(-100, 101):
             for b in range(-X, X + 1):
@@ -410,17 +418,14 @@ class TestLatticeCount:
         # coefficient stays bounded and the relative error decays with X
         rel = {}
         for X in (10**3, 10**4, 10**5):
-            _, predicted, error = rd.lattice_count_with_error(
-                rd.CongruenceClass.everything(), X
-            )
+            _, predicted, error = lattice_count_with_error(census._ALL_RESIDUES, X)
             assert error < 25 * X**0.55
             rel[X] = error / predicted
         assert rel[10**5] < rel[10**4] < rel[10**3]
 
     def test_good_reduction_class(self):
-        cong = rd.CongruenceClass.good_reduction()
-        assert float(cong.density()) == 1 / 32
-        count, predicted, _ = rd.lattice_count_with_error(cong, 10**6)
+        assert np.count_nonzero(FAMILY_MOD96) / FAMILY_MOD96.size == 1 / 32
+        count, predicted, _ = lattice_count_with_error(FAMILY_MOD96, 10**6)
         assert math.isclose(
             predicted, float(PAIR_COUNT_CONST) * (10**6) ** 0.75 / 32, rel_tol=1e-12
         )
@@ -435,26 +440,14 @@ class TestLatticeCount:
         A = math.isqrt(4 * X + 1)
         a, b, _ = census._block_pairs(X, -A, A, census._ALL_RESIDUES)
         # neither the family nor everything: 0 to 6 residues b mod 12 per a mod 12
-        mod_12 = rd.CongruenceClass(12, frozenset(
-            (a0, b0) for a0 in range(12) for b0 in range(12) if (a0 * b0 + b0) % 12 in (1, 5, 6)))
-        for cong in (rd.CongruenceClass.everything(), rd.CongruenceClass.good_reduction(),
-                     mod_12):
-            n = cong.n
-            in_class = np.zeros((n, n), dtype=bool)
-            for a0, b0 in cong.residues:
-                in_class[a0, b0] = True
-            keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & in_class[a % n, b % n]
-            assert rd.lattice_count_with_error(cong, X)[0] == np.count_nonzero(keep)
+        a0, b0 = np.ogrid[:12, :12]
+        mod_12 = np.isin((a0 * b0 + b0) % 12, (1, 5, 6))
+        for table in (census._ALL_RESIDUES, FAMILY_MOD96, mod_12):
+            n = len(table)
+            keep = (np.abs(b) >= 4) & (np.abs(a * a - 4 * b) >= 4) & table[a % n, b % n]
+            assert lattice_count_with_error(table, X)[0] == np.count_nonzero(keep)
 
     def test_empty_region(self):
-        count, predicted, _ = rd.lattice_count_with_error(
-            rd.CongruenceClass.everything(), 10
-        )
+        count, predicted, _ = lattice_count_with_error(census._ALL_RESIDUES, 10)
         assert count == 0
         assert predicted < 100
-
-    def test_congruence_validation(self):
-        with pytest.raises(ValueError):
-            rd.CongruenceClass(0, frozenset())
-        with pytest.raises(ValueError):
-            rd.CongruenceClass(4, frozenset({(4, 0)}))

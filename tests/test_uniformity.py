@@ -6,13 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twotor import arithmetic as ar
 from twotor import curve_core as cc
-from twotor import uniformity as un
 from twotor.curve_core import CurveParams
-from twotor.lp_bounds import avg_szpiro_from_exponents
 
 from oracles import enumerate_region
+import uniformity as un
+from uniformity import avg_szpiro_from_exponents
 
 
 def strip6(n: int) -> int:
@@ -83,9 +82,9 @@ class TestQuadricDecomposition:
     @given(st.integers(-40, 40), st.integers(-40, 40),
            st.sampled_from([5, 7, 11, 13, 35]))
     def test_roundtrip_from_parts(self, u, v, P):
-        assume(v != 0 and gcd(v, P) == 1 and ar.is_cubefree(abs(v)))
+        assume(v != 0 and gcd(v, P) == 1 and un.is_cubefree(abs(v)))
         w = P * u * u - 4 * v
-        assume(w != 0 and gcd(w, P) == 1 and ar.is_cubefree(abs(w)))
+        assume(w != 0 and gcd(w, P) == 1 and un.is_cubefree(abs(w)))
         d = un.decompose_III_curve(P * u, P * v, P)
         assert d.u == u and d.v == v and d.w == w
         assert d.v0 * d.v1**2 == v and d.w0 * d.w1**2 == w
@@ -106,7 +105,7 @@ def brute_dyadic(T1, T2, T3, T4, P, Z):
                         for w0 in (aw0, -aw0):
                             if abs(v0 * v1 * w0 * w1) > Z:
                                 continue
-                            if not all(ar.is_squarefree(abs(x)) for x in (v0, v1, w0, w1)):
+                            if not all(un.is_squarefree(abs(x)) for x in (v0, v1, w0, w1)):
                                 continue
                             if gcd(v0, v1) != 1 or gcd(w0, w1) != 1:
                                 continue
@@ -197,7 +196,7 @@ class TestQuadricPoints:
         # diagonal(P, -w0, -4 v0) for (P, w0, v0) = (5, -3, 2)
         Q = ((5, 0, 0), (0, 3, 0), (0, 0, -8))
         delta = 4 * 5 * 3 * 2
-        tau = ar.tau(delta)
+        tau = un.tau(delta)
         want = (1.0 + (7 * 9 * 11 * 1**1.5 / delta) ** (1 / 3)) * tau
         assert un.bhb_bound(Q, 7, 9, 11) == pytest.approx(want, rel=1e-12)
 
@@ -295,9 +294,9 @@ class TestMultiplicativeDecompose:
         assert m.P2 * m.Q2 * m.v == c
         assert m.R1 ** 2 * m.S1 == m.P1 * m.Q1
         assert m.R2 ** 2 * m.S2 == m.P2 * m.Q2
-        assert ar.is_squarefree(abs(m.u)) and gcd(m.u, m.P1) == 1
+        assert un.is_squarefree(abs(m.u)) and gcd(m.u, m.P1) == 1
         if m.P1 > 1:
-            assert ar.radical(m.P1 * m.Q1) == m.P1
+            assert un.radical(m.P1 * m.Q1) == m.P1
 
 
 class TestExponentVector:
@@ -359,7 +358,7 @@ class TestExponentVector:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             un.exponent_vector(14, 5, 1.0)
-        with pytest.raises(cc.FamilyMembershipError):
+        with pytest.raises(un.FamilyMembershipError):
             un.exponent_vector(5, 5, 100.0)
 
 

@@ -1,24 +1,162 @@
 """Square-free decompositions, quadric counts, and box-count inequalities.
 
-The counting machinery behind the tail estimates: curves with a type III
-prime P split as a = Pu, b = Pv, and (v, w = Pu^2 - 4v) carry the arithmetic.
-Everything here is exact integer enumeration; the analytic inequalities
-(point-count bounds for quadrics and lattices) are checked empirically with
-fitted constants, since the underlying statements only hold up to absolute
-constants.
+The counting machinery behind the paper's tail estimates: curves with a type
+III prime P split as a = Pu, b = Pv, and (v, w = Pu^2 - 4v) carry the
+arithmetic.  Everything here is exact integer enumeration; the analytic
+inequalities (point-count bounds for quadrics and lattices) are checked
+empirically with fitted constants, since the underlying statements only hold
+up to absolute constants.  The exponent vectors of the Szpiro-ratio program
+(``twotor.lp_bounds``) are read off a curve here too.
+
+This is proof machinery, not a CLI path: it lives with the tests, which
+check it against brute force, and it builds on ``twotor.arithmetic.factorize``
+and ``twotor.curve_core.reduction``.  The per-integer helpers (valuation,
+square-free parts, radical, divisor counts) are here for the same reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from . import arithmetic as ar
-from . import curve_core as cc
-from .lp_bounds import ExponentVector
+from twotor import arithmetic as ar
+from twotor import curve_core as cc
+from twotor.arithmetic import Factorization, _vp
+
+
+# ---------------------------------------------------------------------------
+# Integer helpers on one factorization.
+# ---------------------------------------------------------------------------
+
+
+def reassemble(f: Factorization) -> int:
+    """sign * prod(p**e): the integer a factorization was made from."""
+    n = f.sign
+    for p, e in f.factors:
+        n *= p**e
+    return n
+
+
+def valuation(n: int, p: int) -> int:
+    """Largest e with p**e | n.  Rejects n = 0 and composite p."""
+    if n == 0:
+        raise ValueError("valuation of 0 is undefined here")
+    if not ar.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _vp(n, p)
+
+
+def is_squarefree(n: int) -> bool:
+    if n == 0:
+        raise ValueError("expected nonzero n")
+    return all(e == 1 for _, e in ar.factorize(n).factors)
+
+
+def is_cubefree(n: int) -> bool:
+    if n == 0:
+        raise ValueError("expected nonzero n")
+    return all(e <= 2 for _, e in ar.factorize(n).factors)
+
+
+def radical(n: int) -> int:
+    """Product of the distinct primes dividing |n| (1 for units)."""
+    if n == 0:
+        raise ValueError("expected nonzero n")
+    r = 1
+    for p, _ in ar.factorize(n).factors:
+        r *= p
+    return r
+
+
+def tau(n: int) -> int:
+    """Number of positive divisors of |n|."""
+    if n == 0:
+        raise ValueError("expected nonzero n")
+    t = 1
+    for _, e in ar.factorize(n).factors:
+        t *= e + 1
+    return t
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write cube-free n >= 1 as n0 * n1**2 with n0, n1 square-free and coprime."""
+    if n <= 0:
+        raise ValueError("expected a positive integer")
+    n0, n1 = 1, 1
+    for p, e in ar.factorize(n).factors:
+        if e == 1:
+            n0 *= p
+        elif e == 2:
+            n1 *= p
+        else:
+            raise ValueError(f"{n} is not cube-free (p={p}, e={e})")
+    return n0, n1
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted positive divisors of |n|."""
+    if n == 0:
+        raise ValueError("expected nonzero n")
+    divs = [1]
+    for p, e in ar.factorize(n).factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+# ---------------------------------------------------------------------------
+# Exponent vectors and the averaged Szpiro identity.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExponentVector:
+    """Nine log-ratio exponents (the variables of ``twotor.lp_bounds``'s program)."""
+
+    gamma_I0star: float
+    gamma_III: float
+    gamma_IIIstar: float
+    alpha1: float
+    alpha2: float
+    beta1: float
+    beta2: float
+    upsilon: float
+    nu: float
+
+    def __post_init__(self) -> None:
+        for name, v in self.as_dict().items():
+            if v < 0:
+                raise ValueError(f"component {name} is negative: {v}")
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def as_tuple(self) -> tuple:
+        return astuple(self)
+
+
+def avg_szpiro_from_exponents(v: ExponentVector):
+    """3/2 + (6 g1 + 12 g3 + 3 b1 + 3 b2) / (2 (2(g1+g2+g3) + a1 + u + a2 + n))."""
+    gs = v.gamma_I0star + v.gamma_III + v.gamma_IIIstar
+    denom = 2 * (2 * gs + v.alpha1 + v.upsilon + v.alpha2 + v.nu)
+    if denom <= 0:
+        raise ValueError("denominator must be positive")
+    num = 6 * v.gamma_I0star + 12 * v.gamma_IIIstar + 3 * v.beta1 + 3 * v.beta2
+    if isinstance(num, Fraction) and isinstance(denom, Fraction):
+        return Fraction(3, 2) + num / denom
+    return 1.5 + num / denom
+
+
+# ---------------------------------------------------------------------------
+# Decompositions and box counts.
+# ---------------------------------------------------------------------------
+
+
+class FamilyMembershipError(ValueError):
+    """Curve fails the good-reduction congruence predicates at 2 or 3."""
 
 
 class DecompositionError(ValueError):
@@ -27,7 +165,7 @@ class DecompositionError(ValueError):
 
 def _signed_sqfree_parts(n: int) -> tuple[int, int]:
     """n = n0 * n1^2 with |n0|, n1 square-free coprime; sign rides on n0."""
-    n0, n1 = ar.squarefree_decompose(abs(n))
+    n0, n1 = squarefree_decompose(abs(n))
     return (-n0 if n < 0 else n0), n1
 
 
@@ -43,13 +181,13 @@ class QuadricDecomposition:
     w1: int
 
     def __post_init__(self) -> None:
-        if self.P <= 0 or not ar.is_squarefree(self.P):
+        if self.P <= 0 or not is_squarefree(self.P):
             raise DecompositionError(f"P={self.P} is not a positive square-free integer")
         if self.P * self.u**2 != self.w0 * self.w1**2 + 4 * self.v0 * self.v1**2:
             raise DecompositionError("quadric identity fails")
         for name in ("v0", "v1", "w0", "w1"):
             val = getattr(self, name)
-            if val == 0 or not ar.is_squarefree(abs(val)):
+            if val == 0 or not is_squarefree(abs(val)):
                 raise DecompositionError(f"{name}={val} is not square-free")
         if gcd(self.v0, self.v1) != 1 or gcd(self.w0, self.w1) != 1:
             raise DecompositionError("split parts are not coprime")
@@ -72,7 +210,7 @@ def decompose_III_curve(a: int, b: int, P: int) -> QuadricDecomposition:
     then v, w split uniquely into square-free coprime parts and
     index (prime to 6) = |v1 w1|.
     """
-    if P <= 0 or not ar.is_squarefree(P):
+    if P <= 0 or not is_squarefree(P):
         raise DecompositionError(f"P={P} must be positive and square-free")
     if a % P != 0:
         raise DecompositionError(f"P={P} does not divide a={a}")
@@ -85,7 +223,7 @@ def decompose_III_curve(a: int, b: int, P: int) -> QuadricDecomposition:
     for name, val in (("v", v), ("w", w)):
         if gcd(val, P) != 1:
             raise DecompositionError(f"{name}={val} shares a factor with P={P}")
-        if not ar.is_cubefree(abs(val)):
+        if not is_cubefree(abs(val)):
             raise DecompositionError(f"{name}={val} is not cube-free")
     v0, v1 = _signed_sqfree_parts(v)
     w0, w1 = _signed_sqfree_parts(w)
@@ -116,22 +254,22 @@ def count_dyadic_box(T1: float, T2: float, T3: float, T4: float, P: int, Z: floa
         raise ValueError("need all T_i >= 1/2")
     if Z < 1:
         raise ValueError("need Z >= 1")
-    if P <= 0 or not ar.is_squarefree(P):
+    if P <= 0 or not is_squarefree(P):
         raise ValueError(f"P={P} must be positive and square-free")
     count = 0
-    v1s = [n for n in _dyadic_values(T3) if ar.is_squarefree(n)]
-    w1s = [n for n in _dyadic_values(T4) if ar.is_squarefree(n)]
+    v1s = [n for n in _dyadic_values(T3) if is_squarefree(n)]
+    w1s = [n for n in _dyadic_values(T4) if is_squarefree(n)]
     for v1 in v1s:
         for w1 in w1s:
             if gcd(v1 * w1, P) != 1:
                 continue
             for av0 in _dyadic_values(T1):
-                if not ar.is_squarefree(av0) or gcd(av0, v1) != 1 or gcd(av0, P) != 1:
+                if not is_squarefree(av0) or gcd(av0, v1) != 1 or gcd(av0, P) != 1:
                     continue
                 for aw0 in _dyadic_values(T2):
                     if abs(av0 * aw0) * v1 * w1 > Z:
                         continue
-                    if not ar.is_squarefree(aw0) or gcd(aw0, w1) != 1 or gcd(aw0, P) != 1:
+                    if not is_squarefree(aw0) or gcd(aw0, w1) != 1 or gcd(aw0, P) != 1:
                         continue
                     for v0 in (av0, -av0):
                         for w0 in (aw0, -aw0):
@@ -197,7 +335,7 @@ def bhb_bound(Q, R1: int, R2: int, R3: int) -> float:
     D0 = 0
     for m in _two_by_two_minors(M):
         D0 = gcd(D0, m)
-    return (1.0 + (R1 * R2 * R3 * D0**1.5 / D) ** (1.0 / 3.0)) * ar.tau(D)
+    return (1.0 + (R1 * R2 * R3 * D0**1.5 / D) ** (1.0 / 3.0)) * tau(D)
 
 
 def _lagrange_reduce(b1, b2):
@@ -268,11 +406,11 @@ class MultiplicativeDecomposition:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for u, P in ((self.u, self.P1), (self.v, self.P2)):
-            if u == 0 or not ar.is_squarefree(abs(u)) or gcd(u, P) != 1:
+            if u == 0 or not is_squarefree(abs(u)) or gcd(u, P) != 1:
                 raise ValueError("cofactor must be square-free and coprime to its P")
         for P, Q, R, S in ((self.P1, self.Q1, self.R1, self.S1),
                            (self.P2, self.Q2, self.R2, self.S2)):
-            if ar.radical(P * Q) != P:
+            if radical(P * Q) != P:
                 raise ValueError("P is not the radical of PQ")
             if R * R * S != P * Q:
                 raise ValueError("R^2 S != P Q")
@@ -336,7 +474,7 @@ def exponent_vector(a: int, b: int, X: float) -> ExponentVector:
         raise ValueError("need X > 1")
     curve = cc.CurveParams(a, b)
     if not cc.in_family(curve):
-        raise cc.FamilyMembershipError(f"({a}, {b}) fails the 2,3 congruence predicates")
+        raise FamilyMembershipError(f"({a}, {b}) fails the 2,3 congruence predicates")
     logX = math.log(X)
     parts = {name: 1 for name in _GAMMA_FIELD.values()}
     b_mult = c_mult = 1
