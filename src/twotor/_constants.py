@@ -1,9 +1,11 @@
 """Constants shared by the density modules.
 
-Gamma(1/4) and the two constants built from it are float literals: each is
-its 50-digit value, rounded once to the nearest float.  The tests derive
-them again with mpmath at 50 digits, check that each literal is that value
-exactly, and check Gamma(1/4) against the reflection identity
+AREA_CONST is a float literal: its 50-digit value, rounded once to the
+nearest float.  Gamma(1/4), g = Gamma(1/4)^2 / (4 sqrt(pi)) and the two
+slice integrals behind AREA_CONST are read by the tests alone, so they live
+in tests/oracles.py.  The tests derive Gamma(1/4), g and AREA_CONST again
+with mpmath at 50 digits, check that each literal is that value exactly, and
+check Gamma(1/4) against the reflection identity
 Gamma(1/4) * Gamma(3/4) = pi * sqrt(2).  Importing the package needs no
 mpmath.
 """
@@ -14,20 +16,9 @@ import math
 
 SQRT2 = math.sqrt(2.0)
 
-GAMMA_QUARTER = 3.625609908221908  # Gamma(1/4)
-
-# g = Gamma(1/4)^2 / (4 sqrt(pi)), the lemniscatic building block of the areas.
-_G = 1.8540746773013719
-
 # Full area of {|y(x^2-y)| <= Z} is AREA_CONST * Z^(3/4) + O(Z^(1/2)), with
 # AREA_CONST = 2 (1 + sqrt2) Gamma(1/4)^2 / (3 sqrt(pi)).
 AREA_CONST = 11.936352617582644
-
-# Slice-length integrals of the region |y(x^2 - y)| <= Z after rescaling:
-#   CENTER_INTEGRAL = int_0^1 sqrt(z^4 + 1) dz              = (sqrt2 + g) / 3
-#   TAIL_INTEGRAL   = int_1^inf sqrt(z^4+1) - sqrt(z^4-1) dz = (-sqrt2 + (1+sqrt2) g) / 3
-CENTER_INTEGRAL = (SQRT2 + _G) / 3.0
-TAIL_INTEGRAL = (-SQRT2 + (1.0 + SQRT2) * _G) / 3.0
 
 # Leading constant for lattice pair counts |b(a^2-4b)| <= X: pairs (a, b)
 # correspond to lattice points (x, y) = (a, 4b) of covolume 4 in the region

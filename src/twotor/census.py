@@ -13,11 +13,17 @@ float64 and then decided exactly by vectorized int64 nudge passes over
 b (a^2 - 4b), which never form a^4; so no float decides membership, up to
 Z = _MAX_Z.
 
-A sweep returns one record table, a numpy structured array (``RECORD_DTYPE``).
-The census counts, both tails and the Kappa filter read its columns, and a
-tails grid is served by one sweep at its largest X.  Good reduction at 2 and
-3 (``curve_core.good_family``) is a function of (a, b) and is not a column:
-the Szpiro tail, its only reader, evaluates it on the rows it keeps.
+A sweep returns one record table, a numpy structured array.  Its columns
+(a, b) and |cond poly| are always there; the prime-to-6 conductor and index
+and the cube-free flag (``RECORD_DTYPE``) are built only for a caller that
+asks for them (``conductors``): conductor ordering, the CubeFree and Kappa
+families and both tails.  The default census, CondPoly counted by
+|cond poly|, reads the lean table (``_POLY_DTYPE``), and its sweep factors
+nothing but the small gcd(a, b).  A tails grid is served by one sweep at its
+largest X.  Good reduction at 2 and 3 (``curve_core.good_family``) is a
+function of (a, b) and is not a column: the Szpiro tail sweeps only its
+residue classes mod 384 (``_good_mod384``) and evaluates it again on the
+rows it keeps.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -30,6 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import isqrt, sqrt
 from typing import Optional
 
@@ -61,12 +68,17 @@ _TATE_SAMPLE_CAP = 200  # at most this many counted curves get Tate's algorithm 
 # The residue table of --all-residues: every (a, b) mod 1.
 _ALL_RESIDUES = np.ones((1, 1), dtype=bool)
 
-# One row per minimal curve: (a, b), |cond poly|, the prime-to-6 conductor
-# and index, and the cube-free flag.
-RECORD_DTYPE = np.dtype([
+# One row per minimal curve: (a, b) and |cond poly|, the whole row of the
+# lean table; the full table adds the prime-to-6 conductor and index and the
+# cube-free flag, which only conductor ordering, CubeFree, Kappa and the
+# tails read.
+_POLY_DTYPE = np.dtype([
     ("a", np.int64),
     ("b", np.int64),
     ("cond_poly", np.int64),
+])
+RECORD_DTYPE = np.dtype([
+    *_POLY_DTYPE.descr,
     ("conductor", np.int64),
     ("index_6", np.int64),
     ("cubefree", np.bool_),
@@ -177,46 +189,82 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     return a[order], b[order], f[order]
 
 
-def _block_records(args) -> tuple[np.ndarray, list]:
-    """The records of one block of a-columns, as a ``RECORD_DTYPE`` array.
+@cache
+def _good_mod384() -> np.ndarray:
+    """The ``good_family`` classes as a read-only (384, 384) residue table.
 
-    On a minimal pair a prime p >= 5 dividing only one of b, c = a^2 - 4b has
-    conductor exponent 1, and one dividing both has exponent 2 (additive
-    reduction).  So the conductor is rad(b)_{6'} rad(c)_{6'} and the index is
-    |bc|_{6'} over it.  A shared prime also divides a; the shared primes get
-    one row each, with columns v_p(b), v_p(c) and p^2 | a, which
-    ``curve_core.additive_type`` reads: the rescaled-copy skip, the cube-free
-    correction (v_p(bc) > 2) and the I*_n rows reported as anomalies.
+    good_family is the family (period 96) with one 2-adic clause, b even or
+    b = (a/2)^2 + 64 mod 128, of period 128 in a and in b.  The table is the
+    96-table tiled 4x4 and the clause's 128-table tiled 3x3, so no full-grid
+    int64 array is formed.  Built at the first call, not at import.
+    """
+    a, b = np.ogrid[:128, :128]
+    clause = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
+    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(clause, (3, 3))
+    table.flags.writeable = False
+    return table
 
-    The |b| and |c| of a block are profiled together, once per distinct
-    value, and read back per row: at Z = 5e7 each value occurs about 3.4
-    times in its block.
+
+def _residue_table(use_family) -> np.ndarray:
+    """The residue table of a sweep: True for the family, False for every
+    residue, "good" for the ``good_family`` classes."""
+    if use_family == "good":
+        return _good_mod384()
+    return FAMILY_MOD96 if use_family else _ALL_RESIDUES
+
+
+def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
+    """The records of one block of a-columns, as a ``RECORD_DTYPE`` array,
+    or as a ``_POLY_DTYPE`` array when conductors is false.
+
+    args is (Z, a_lo, a_hi, use_family), with use_family as for
+    ``_residue_table``.  A prime p >= 5 divides both b and c = a^2 - 4b
+    exactly when it divides both a and b (p | b and p | c give p | a^2 = c + 4b),
+    so the shared primes are the primes p >= 5 of gcd(a, b), and
+    |a| <= sqrt(4 Z + 1) keeps that gcd small (at a = 0 it is |b| <= sqrt(Z)/2).
+    The shared primes get one row each, with columns v_p(b), v_p(c) and
+    p^2 | a, which ``curve_core.additive_type`` reads: the rescaled-copy skip,
+    the I*_n rows reported as anomalies and, in the full table, the cube-free
+    correction (v_p(bc) > 2).
+
+    On a minimal pair a prime p >= 5 dividing only one of b, c has conductor
+    exponent 1, and one dividing both has exponent 2 (additive reduction).
+    So the conductor is rad(b)_{6'} rad(c)_{6'} and the index is |bc|_{6'}
+    over it.  For the full table the |b| and |c| of a block are profiled
+    together, once per distinct value, and read back per row: at Z = 5e7
+    each value occurs about 3.4 times in its block.
     """
     Z, a_lo, a_hi, use_family = args
-    a, b, f = _block_pairs(Z, a_lo, a_hi, FAMILY_MOD96 if use_family else _ALL_RESIDUES)
-    c = a * a - 4 * b
-    values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
-    (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
-        x[inv].reshape(2, -1) for x in ar.prime_to_6_profile(values))
-    cond = rad_b * rad_c
-    idx6 = part_b * part_c // cond
-    cubefree = (emax_b <= 2) & (emax_c <= 2)
-    row, p = ar.prime_divisors(np.gcd(rad_b, rad_c))
-    v_b = ar.valuations(b[row], p)
-    v_c = ar.valuations(c[row], p)
-    non_minimal, kind = additive_type(v_b, v_c, a[row] % (p * p) == 0)
+    a, b, f = _block_pairs(Z, a_lo, a_hi, _residue_table(use_family))
+    row, p = ar.prime_divisors(np.gcd(a, b))
+    shared = p >= 5
+    row, p = row[shared], p[shared]
+    a_row, b_row = a[row], b[row]
+    v_b = ar.valuations(b_row, p)
+    v_c = ar.valuations(a_row * a_row - 4 * b_row, p)
+    non_minimal, kind = additive_type(v_b, v_c, a_row % (p * p) == 0)
     keep = np.ones(len(a), dtype=bool)
     keep[row[non_minimal]] = False
-    cubefree[row[v_b + v_c > 2]] = False
     star = (kind == ADDITIVE_TAGS.index("I*")) & keep[row]  # I*_{n-6}, n = v_p(Delta)
     anomalies = [
         (ai, bi, pi, str(KodairaSymbol("I*", n - 6)))
-        for ai, bi, pi, n in zip(a[row][star].tolist(), b[row][star].tolist(),
+        for ai, bi, pi, n in zip(a_row[star].tolist(), b_row[star].tolist(),
                                  p[star].tolist(), (2 * v_b + v_c)[star].tolist())
     ]
-    records = np.empty(np.count_nonzero(keep), dtype=RECORD_DTYPE)
-    columns = (a, b, np.abs(f), cond, idx6, cubefree)
-    for name, col in zip(RECORD_DTYPE.names, columns):
+    columns = (a, b, np.abs(f))
+    dtype = _POLY_DTYPE
+    if conductors:
+        c = a * a - 4 * b
+        values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
+        (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
+            x[inv].reshape(2, -1) for x in ar.prime_to_6_profile(values))
+        cond = rad_b * rad_c
+        cubefree = (emax_b <= 2) & (emax_c <= 2)
+        cubefree[row[v_b + v_c > 2]] = False
+        columns += (cond, part_b * part_c // cond, cubefree)
+        dtype = RECORD_DTYPE
+    records = np.empty(np.count_nonzero(keep), dtype=dtype)
+    for name, col in zip(dtype.names, columns):
         records[name] = col[keep]
     return records, anomalies
 
@@ -240,12 +288,14 @@ def _blocks(Z: int) -> list[tuple[int, int]]:
     return [(lo - A, hi - 1 - A) for lo, hi in zip(starts, starts[1:])]
 
 
-def _census_records(Z: int, workers: int = 1, use_family: bool = True):
+def _census_records(Z: int, workers: int = 1, use_family=True, conductors: bool = True):
     """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
 
     Returns the ``RECORD_DTYPE`` table, sorted by (a, b), and the list of
     (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
-    {III, I0*, III*}.
+    {III, I0*, III*}.  With conductors false the table is ``_POLY_DTYPE``:
+    the same rows and anomalies, without the conductor columns.  use_family
+    picks the residue table (``_residue_table``).
     """
     if Z > _MAX_Z:
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
@@ -256,14 +306,15 @@ def _census_records(Z: int, workers: int = 1, use_family: bool = True):
     anomalies: list = []
     # a fork pool starts all its processes at the first submit: ask for no more than can work
     workers = min(workers, len(blocks), os.cpu_count() or 1)
+    sweep = partial(_block_records, conductors=conductors)
     if workers <= 1:
-        results = map(_block_records, blocks)
+        results = map(sweep, blocks)
     else:
         # imported here: it loads multiprocessing, which a one-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_block_records, blocks)
+        results = pool.map(sweep, blocks)
     for recs, anoms in results:
         parts.append(recs)
         anomalies.extend(anoms)
@@ -356,7 +407,8 @@ def run_census(
         raise ValueError("cutoffs beyond config.X")
     Z = X if config.order_by == "CondPoly" else X * config.index_cap
     records, anomaly_rows = _census_records(
-        Z, workers=config.workers, use_family=config.good_reduction_filter
+        Z, workers=config.workers, use_family=config.good_reduction_filter,
+        conductors=config.family != "CondPoly" or config.order_by != "CondPoly",
     )
 
     if config.family == "CubeFree":
@@ -458,8 +510,10 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     3/2 + theta < avg Szpiro <= kappa, all from one sweep.
 
     Only curves with good reduction at 2 and 3 count (``good_family``), so
-    the conductor is the prime-to-6 conductor the records carry.  The ratios
-    use minimal discriminants for E and phi(E), and the window is
+    the conductor is the prime-to-6 conductor the records carry.  The sweep
+    generates only good_family's classes (``_good_mod384``), an eighth of
+    the family's pairs, and the filter runs again on what it returns.  The
+    ratios use minimal discriminants for E and phi(E), and the window is
     |cond poly| <= 100 X, as for ``tail_counts_index``.
 
     On a curve with good reduction at 2 and 3, Delta_min is prime to 6 for E
@@ -473,7 +527,7 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     if not 1 < kappa < KAPPA_MAX:
         raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
     grid = tuple(grid)
-    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
+    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers, use_family="good")
     records = records[good_family(records["a"], records["b"]) & (records["conductor"] > 1)]
     cond = records["conductor"]
     ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))

@@ -24,6 +24,9 @@ remainder, and step 6 of Tate's algorithm at 2 and 3, which ``curve_core``
 takes in closed form, as a search over the translations (0, s, t).  The
 2-isogeny (a, b) -> (-2a, a^2 - 4b), which ``curve_core`` uses only inside
 its discriminants, is here as a map of curves.
+Gamma(1/4), g = Gamma(1/4)^2 / (4 sqrt(pi)) and the two slice integrals
+behind ``_constants.AREA_CONST``, which no CLI path reads, are here as
+float constants.
 They are slow and simple on purpose.
 """
 
@@ -45,6 +48,19 @@ from twotor._constants import SQRT2
 from twotor.census import _MAX_Z, _block_intervals, _block_pairs, _blocks
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
+
+# Gamma(1/4), a float literal of its 50-digit value like _constants.AREA_CONST,
+# and the constants built from it that only the tests read.
+GAMMA_QUARTER = 3.625609908221908
+
+# g = Gamma(1/4)^2 / (4 sqrt(pi)), the lemniscatic building block of the areas.
+_G = 1.8540746773013719
+
+# Slice-length integrals of the region |y(x^2 - y)| <= Z after rescaling:
+#   CENTER_INTEGRAL = int_0^1 sqrt(z^4 + 1) dz              = (sqrt2 + g) / 3
+#   TAIL_INTEGRAL   = int_1^inf sqrt(z^4+1) - sqrt(z^4-1) dz = (-sqrt2 + (1+sqrt2) g) / 3
+CENTER_INTEGRAL = (SQRT2 + _G) / 3.0
+TAIL_INTEGRAL = (-SQRT2 + (1.0 + SQRT2) * _G) / 3.0
 
 # per-curve record: (a, b, |cond poly|, conductor, prime-to-6 index, cube-free flag)
 Record = tuple[int, int, int, int, int, bool]

@@ -238,8 +238,8 @@ class TestColumnarSweep:
                                                                    records["b"].tolist()))
 
     def test_shared_radical_past_the_table(self):
-        # a = 0 with all residues is the one column where gcd(rad b, rad c) can
-        # pass the SPF table (|b| up to sqrt(Z) / 2 = 67082 here)
+        # a = 0 with all residues is the one column where the shared part
+        # gcd(a, b) = |b| can pass the SPF table (|b| up to sqrt(Z) / 2 = 67082 here)
         Z = 18 * 10**9
         pairs = [b for lo, hi in b_intervals(0, Z) for b in range(lo, hi + 1) if b]
         want = [curve_record(0, b) for b in pairs]
@@ -247,6 +247,28 @@ class TestColumnarSweep:
         assert records.tolist() == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert {65537, 65545, -65537} <= set(records["b"].tolist())
+
+    @pytest.mark.parametrize("use_family", [True, False])
+    def test_shared_primes_are_those_of_gcd_a_b(self, use_family):
+        # p >= 5 divides b and a^2 - 4b exactly when it divides a and b
+        Z = 10**7
+        for lo, hi in census._blocks(Z):
+            a, b, _ = census._block_pairs(Z, lo, hi, census._residue_table(use_family))
+            rad_b, rad_c = (ar.prime_to_6_profile(x)[0] for x in (b, a * a - 4 * b))
+            want = ar.prime_divisors(np.gcd(rad_b, rad_c))
+            row, p = ar.prime_divisors(np.gcd(a, b))
+            assert np.array_equal(row[p >= 5], want[0]) and np.array_equal(p[p >= 5], want[1])
+
+    @pytest.mark.parametrize("Z", [10**6, 10**7])
+    @pytest.mark.parametrize("use_family", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lean_sweep_matches_full(self, Z, use_family, workers):
+        full, full_anomalies = census._census_records(Z, workers, use_family)
+        lean, anomalies = census._census_records(Z, workers, use_family, conductors=False)
+        assert lean.dtype == census._POLY_DTYPE and full.dtype == census.RECORD_DTYPE
+        assert len(lean) == len(full) > 0
+        assert all(np.array_equal(lean[k], full[k]) for k in lean.dtype.names)
+        assert anomalies == full_anomalies and len(anomalies) > 0
 
     @pytest.mark.parametrize("Z", [10**6, 10**7])
     @pytest.mark.parametrize("use_family", [True, False])
@@ -505,6 +527,36 @@ class TestTails:
                             lambda *a: pytest.fail("swept before workers was checked"))
         with pytest.raises(ValueError, match="workers must be >= 1"):
             count(workers)
+
+
+class TestGoodClasses:
+    def test_table_is_good_family_on_one_period(self):
+        table = census._good_mod384()
+        assert table.shape == (384, 384) and not table.flags.writeable
+        assert census._good_mod384() is table
+        assert np.array_equal(table, good_family(*np.ogrid[:384, :384]))
+        assert np.count_nonzero(table) == 384**2 // 256  # an eighth of the family's 1/32
+
+    @pytest.mark.parametrize("shift_a, shift_b", [(384, 0), (0, -384), (-768, 10**9 * 384),
+                                                  (-384 * 5021, -384 * 77)])
+    def test_table_on_shifted_representatives(self, shift_a, shift_b):
+        a, b = np.ogrid[:384, :384]
+        assert np.array_equal(census._good_mod384(), good_family(a + shift_a, b + shift_b))
+
+    def test_table_on_negative_pairs(self):
+        rng = np.random.default_rng(24)
+        a = rng.integers(-10**6, 0, 50000)
+        b = rng.integers(-10**11, 10**11, 50000)
+        want = good_family(a, b)
+        assert want.any() and np.array_equal(census._good_mod384()[a % 384, b % 384], want)
+
+    def test_good_sweep_is_the_filtered_family_sweep(self):
+        Z = 10**7
+        family, family_anomalies = census._census_records(Z)
+        good, anomalies = census._census_records(Z, use_family="good")
+        assert np.array_equal(good, family[good_family(family["a"], family["b"])])
+        assert anomalies == [x for x in family_anomalies if good_family(x[0], x[1])]
+        assert 0 < len(good) < len(family) // 4
 
 
 @pytest.fixture(scope="module")

@@ -249,12 +249,25 @@ class TestPinnedReports:
         # |b|, |c| in [2^52, 2^63): III* at 2, I8* at 3, I1* at 5
         (["classify", "420", "576460752307977600"],
          "c7525f9353a1c458bc766c682da67142426155e4cf7b66df6b49fe8a47b0473b"),
+        # the conductor columns of the CondPoly family, by conductor
+        (["census", "--x", "1e6", "--order-by", "conductor"],
+         "ad9cfbacd64366e7bae84a28005aba8911d29366ad50a63bf6e89883d95211ed"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if not ln.lstrip().startswith(('"wall_time_s":', '"version":'))]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_default_census_profiles_no_conductor(self, capsys, monkeypatch):
+        # CondPoly counted by |cond poly| reads no conductor column, so its
+        # sweep neither profiles nor deduplicates |b| and |a^2 - 4b|
+        for module, name in ((arithmetic, "prime_to_6_profile"), (census.np, "unique")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
+                f"{_name} called"))
+        self.test_report_digest(
+            capsys, ["census", "--x", "1e7"],
+            "0a113db069c69f5cae9a0ad91fbe0d325ba27c4804b89d028a99a9f6f26ac755")
 
 
 class TestLocalDensityCommand:

@@ -15,7 +15,11 @@ from scipy import integrate
 from scipy.special import gamma as scipy_gamma
 
 from oracles import (
+    CENTER_INTEGRAL,
+    GAMMA_QUARTER,
     RegionSpec,
+    TAIL_INTEGRAL,
+    _G,
     lattice_count_with_error,
     piece_integrals,
     region_contains,
@@ -24,15 +28,7 @@ from oracles import (
 from twotor import census
 from twotor import real_density as rd
 from twotor.curve_core import FAMILY_MOD96
-from twotor._constants import (
-    AREA_CONST,
-    CENTER_INTEGRAL,
-    GAMMA_QUARTER,
-    PAIR_COUNT_CONST,
-    SQRT2,
-    TAIL_INTEGRAL,
-    _G,
-)
+from twotor._constants import AREA_CONST, PAIR_COUNT_CONST, SQRT2
 
 
 class TestConstants:
