@@ -20,10 +20,9 @@ asks for them (``conductors``): conductor ordering, the CubeFree and Kappa
 families and both tails.  The default census, CondPoly counted by
 |cond poly|, reads the lean table (``_POLY_DTYPE``), and its sweep factors
 nothing but the small gcd(a, b).  A tails grid is served by one sweep at its
-largest X.  Good reduction at 2 and 3 (``curve_core.good_family``) is a
-function of (a, b) and is not a column: the Szpiro tail sweeps only its
-residue classes mod 384 (``_good_mod384``) and evaluates it again on the
-rows it keeps.
+largest X.  Good reduction at 2 and 3 is a function of (a, b) and is not a
+column: the Szpiro tail sweeps only its residue classes mod 384
+(``_good_mod384``), so every row it reads has it.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -52,16 +51,16 @@ from .curve_core import (
     additive_type,
     avg_szpiro,  # not called here: perfbench/selftest.py checks the tracer rebinds it
     avg_szpiro_of_parts,
-    good_family,
     tate_algorithm,
 )
 
 KAPPA_MAX = Fraction(155, 68)
 TAIL_INDEX_CAP = 100
 _MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
-# Pairs (all residues) per worker block, over sqrt(Z): a block pays one bulk
-# trial-division pass per prime up to about cbrt(Z), however few rows it
-# holds.  Tuned when those passes ran to sqrt(Z), and not retuned since.
+# Pairs (all residues) per worker block, over sqrt(Z).  census --x 5e7 / 1e9,
+# median of 14 fresh interpreters: 74 gives 0.074 / 0.405 s and 42.4 / 105.2
+# MiB peak RSS; 37 gives 0.075 / 0.392 s, 42.3 / 109.7 MiB; 148 gives
+# 0.072 / 0.425 s, 43.4 / 106.6 MiB.  None is faster at both without more RSS.
 _PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 _TATE_SAMPLE_CAP = 200  # at most this many counted curves get Tate's algorithm at 2 and 3
@@ -162,41 +161,44 @@ def _spread(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     """(a, b, b (a^2 - 4b)) for a_lo <= a <= a_hi, as int64 arrays sorted by (a, b).
 
-    table is an (n, n) boolean residue table, and only the b with
-    table[a mod n, b mod n] are generated: ``curve_core.FAMILY_MOD96`` for
-    the family, ``_ALL_RESIDUES`` for every b.  Every interval of every
-    column is expanded at once: into one (interval, residue) pair per b mod n
-    that its column's row of the table allows, then each pair into its b, in
-    steps of n.
+    Only the b with table[a mod n, b mod n] are listed, for an (n, n) boolean table:
+    ``curve_core.FAMILY_MOD96``, or ``_ALL_RESIDUES`` for every b.  Let row k allow the
+    m_k residues R_k (increasing), below[k, r] of them under r, and under(x) =
+    (x // n) m_k + below[k, x mod n].  Then an interval [lo, hi] in row k holds
+    under(hi + 1) - under(lo) allowed b; the e-th is lo - lo mod n + n (j // m_k) +
+    R_k[j mod m_k], j = below[k, lo mod n] + e.  So one spread lists a block in (a, b)
+    order, and as the interval ends are exact only b (a^2 - 4b) = 0 is dropped.
     """
     n = len(table)
+    flat = np.flatnonzero(table)  # k n + r over the allowed (k, r), increasing
     per_row = np.count_nonzero(table, axis=1)
-    residues = np.nonzero(table)[1]  # row k's are residues[start[k]:start[k] + per_row[k]]
-    start = np.cumsum(per_row) - per_row
+    start = np.cumsum(per_row) - per_row  # R_k is flat[start[k]:start[k] + m_k] - k n
     cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
-    row = cols % n
-    iv, k = _spread(per_row[row])  # (interval, residue) pairs
-    r = residues[start[row[iv]] + k]
-    first = los[iv] + (r - los[iv]) % n
-    count = np.maximum((his[iv] - first) // n + 1, 0)
-    pair, step = _spread(count)
-    b = first[pair] + n * step
-    a = cols[iv[pair]]
+    row, lo_r = cols % n, los % n
+    m, s, kn = per_row[row], start[row], row * n
+    j0 = np.searchsorted(flat, kn + lo_r) - s  # below[k, lo mod n], by binary search
+    top = (his + 1 - los + lo_r) // n * m + np.searchsorted(flat, kn + (his + 1) % n) - s
+    iv, e = _spread(top - j0)  # top is under(hi + 1) - under(lo - lo mod n)
+    q, r = np.divmod(j0[iv] + e, m[iv])
+    b = (los - lo_r - kn)[iv] + n * q + flat[s[iv] + r]
+    a = cols[iv]
     f = b * (a * a - 4 * b)
-    keep = (f != 0) & (np.abs(f) <= Z)
-    a, b, f = a[keep], b[keep], f[keep]
-    order = np.lexsort((b, a))
-    return a[order], b[order], f[order]
+    keep = f != 0
+    return a[keep], b[keep], f[keep]
 
 
 @cache
 def _good_mod384() -> np.ndarray:
-    """The ``good_family`` classes as a read-only (384, 384) residue table.
+    """The family pairs with good reduction at 2 and 3 (Tate f_2 = f_3 = 0), as
+    a read-only (384, 384) residue table.
 
-    good_family is the family (period 96) with one 2-adic clause, b even or
-    b = (a/2)^2 + 64 mod 128, of period 128 in a and in b.  The table is the
-    96-table tiled 4x4 and the clause's 128-table tiled 3x3, so no full-grid
-    int64 array is formed.  Built at the first call, not at import.
+    The family's criterion at 3 and its clause (a = 1 mod 4, b = 16 mod 32)
+    at 2 agree with Tate's algorithm; on the odd-b clause (b odd, a = 6 mod 8)
+    Tate gives f_2 = 0 exactly when b = (a/2)^2 + 64 mod 128, which a modulus
+    of 96 cannot express.  So the table is the 96-table tiled 4x4 and the
+    clause "b even or b = (a/2)^2 + 64 mod 128" tiled 3x3, and no full-grid
+    int64 array is formed.  ``tests/oracles.py::good_family`` is the same
+    predicate on (a, b).  Built at the first call, not at import.
     """
     a, b = np.ogrid[:128, :128]
     clause = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
@@ -207,7 +209,7 @@ def _good_mod384() -> np.ndarray:
 
 def _residue_table(use_family) -> np.ndarray:
     """The residue table of a sweep: True for the family, False for every
-    residue, "good" for the ``good_family`` classes."""
+    residue, "good" for the family's good classes at 2 and 3 (``_good_mod384``)."""
     if use_family == "good":
         return _good_mod384()
     return FAMILY_MOD96 if use_family else _ALL_RESIDUES
@@ -509,12 +511,12 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     """Per X in grid, in grid order: curves with conductor <= X and
     3/2 + theta < avg Szpiro <= kappa, all from one sweep.
 
-    Only curves with good reduction at 2 and 3 count (``good_family``), so
-    the conductor is the prime-to-6 conductor the records carry.  The sweep
-    generates only good_family's classes (``_good_mod384``), an eighth of
-    the family's pairs, and the filter runs again on what it returns.  The
-    ratios use minimal discriminants for E and phi(E), and the window is
-    |cond poly| <= 100 X, as for ``tail_counts_index``.
+    Only curves with good reduction at 2 and 3 count, so the conductor is
+    the prime-to-6 conductor the records carry.  The sweep generates only
+    their classes (``_good_mod384``), an eighth of the family's pairs, so
+    every row it returns is good there.  The ratios use minimal
+    discriminants for E and phi(E), and the window is |cond poly| <= 100 X,
+    as for ``tail_counts_index``.
 
     On a curve with good reduction at 2 and 3, Delta_min is prime to 6 for E
     and for phi(E), with p-adic valuations 2 v_p(b) + v_p(c) and
@@ -528,7 +530,7 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
         raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
     grid = tuple(grid)
     records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers, use_family="good")
-    records = records[good_family(records["a"], records["b"]) & (records["conductor"] > 1)]
+    records = records[records["conductor"] > 1]
     cond = records["conductor"]
     ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
              / (2 * np.log(cond.astype(np.float64))))

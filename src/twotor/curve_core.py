@@ -156,21 +156,6 @@ def family_at_3(a, b):
     return ((a % 3 != 0) & (b % 3 == 2)) | ((a % 3 == 0) & (b % 3 != 0))
 
 
-def good_family(a, b):
-    """Family pairs that really have good reduction at 2 and 3 (Tate f_2 = f_3 = 0).
-
-    The criterion at 3 and the clause (a = 1 mod 4, b = 16 mod 32) at 2 agree
-    with Tate's algorithm on every curve they admit.  The odd-b clause (b odd,
-    a = 6 mod 8) does not: Tate gives f_2 = 0 there exactly when
-    b = (a/2)^2 + 64 mod 128, which a modulus of 96 cannot express.  Both
-    clauses leave the model 2-non-minimal (v_2(Delta) = 12); the u = 2 model
-    is the one with good reduction.  The 2-adic mass is 9/1024, against the
-    family's 9/128.
-    """
-    return (family_at_2(a, b) & family_at_3(a, b)
-            & ((b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)))
-
-
 def in_family(c: CurveParams) -> bool:
     return family_at_2(c.a, c.b) & family_at_3(c.a, c.b)
 

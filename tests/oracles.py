@@ -3,7 +3,7 @@
 These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, one block's (a, b) pairs
-expanded from a full residue mask, and one census record computed
+expanded from a full residue mask and sorted, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x, and the region itself as a pointwise
@@ -23,7 +23,9 @@ trial-division step of ``arithmetic._trial_hits`` is here as an int64
 remainder, and step 6 of Tate's algorithm at 2 and 3, which ``curve_core``
 takes in closed form, as a search over the translations (0, s, t).  The
 2-isogeny (a, b) -> (-2a, a^2 - 4b), which ``curve_core`` uses only inside
-its discriminants, is here as a map of curves.
+its discriminants, is here as a map of curves, and good reduction at 2 and 3,
+which the Szpiro tail sweeps as residue classes mod 384, as a predicate on
+(a, b).
 Gamma(1/4), g = Gamma(1/4)^2 / (4 sqrt(pi)) and the two slice integrals
 behind ``_constants.AREA_CONST``, which no CLI path reads, are here as
 float constants.
@@ -133,9 +135,16 @@ def enumerate_region(
 
 
 def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
-    """``census._block_pairs`` with each interval's residues read off an
-    (interval x n) boolean mask, its column's rows of the (n, n) table, by
-    ``np.nonzero``, not off residue lists."""
+    """``census._block_pairs`` by generate-then-sort, the reference it is
+    checked against.
+
+    Each interval's residues are read off an (interval x n) boolean mask,
+    its column's rows of the (n, n) table, by ``np.nonzero``; each
+    (interval, residue) run is expanded in steps of n, filtered by
+    0 < |b (a^2 - 4b)| <= Z, and the pairs are put in (a, b) order by
+    ``np.lexsort``.  ``_block_pairs`` lists them in that order by
+    construction; this is the only place the sort is left.
+    """
     cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
     mod = len(table)
     iv, r = np.nonzero(table[cols % mod])  # (interval, residue) pairs
@@ -155,6 +164,22 @@ def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
 def isogeny(c: CurveParams) -> CurveParams:
     """The 2-isogenous curve (a, b) -> (-2a, a^2 - 4b)."""
     return CurveParams(-2 * c.a, c.a * c.a - 4 * c.b)
+
+
+def good_family(a, b):
+    """Family pairs that really have good reduction at 2 and 3 (Tate f_2 = f_3 = 0).
+
+    The criterion at 3 and the clause (a = 1 mod 4, b = 16 mod 32) at 2 agree
+    with Tate's algorithm on every curve they admit.  The odd-b clause (b odd,
+    a = 6 mod 8) does not: Tate gives f_2 = 0 there exactly when
+    b = (a/2)^2 + 64 mod 128, which a modulus of 96 cannot express.  Both
+    clauses leave the model 2-non-minimal (v_2(Delta) = 12); the u = 2 model
+    is the one with good reduction.  The 2-adic mass is 9/1024, against the
+    family's 9/128.  ``census._good_mod384`` holds the same classes as a
+    residue table.
+    """
+    return (cc.family_at_2(a, b) & cc.family_at_3(a, b)
+            & ((b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)))
 
 
 def curve_record(a: int, b: int) -> tuple[Optional[Record], list]:

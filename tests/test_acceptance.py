@@ -2,7 +2,7 @@
 
 Each test records a PASS/FAIL line (shown in the terminal summary block)
 and then asserts.  Criterion 9's Szpiro half counts curves that have good
-reduction at 2 and 3 (``good_family``, evaluated on the census records),
+reduction at 2 and 3 (the census sweeps only their residue classes),
 with average Szpiro ratios from minimal discriminants on both sides of the
 2-isogeny.
 """

@@ -20,7 +20,6 @@ from twotor.curve_core import (
     CurveParams,
     avg_szpiro,
     avg_szpiro_of_parts,
-    good_family,
     in_family,
     reduction,
     tate_algorithm,
@@ -31,6 +30,7 @@ from oracles import (
     block_pairs_by_mask,
     curve_record,
     enumerate_region,
+    good_family,
 )
 
 
@@ -107,14 +107,26 @@ class TestBlockIntervals:
         assert (f == b * (a * a - 4 * b)).all()
 
     @pytest.mark.parametrize("Z", [10**4, 10**6, 10**7])
-    @pytest.mark.parametrize("use_family", [True, False])
+    @pytest.mark.parametrize("use_family", [True, False, "good"])
     def test_block_pairs_match_mask_expansion(self, Z, use_family):
-        table = curve_core.FAMILY_MOD96 if use_family else census._ALL_RESIDUES
+        # the family's 96-table, the 1x1 table and the good classes' 384-table
+        table = census._residue_table(use_family)
         for a_lo, a_hi in census._blocks(Z):
             got = census._block_pairs(Z, a_lo, a_hi, table)
             want = block_pairs_by_mask(Z, a_lo, a_hi, table)
             assert all(np.array_equal(x, y) for x, y in zip(got, want)), (Z, a_lo, a_hi)
             assert all(x.dtype == np.int64 for x in got)
+
+    @pytest.mark.parametrize("use_family", [True, False, "good"])
+    def test_block_pairs_come_in_order_without_a_sort(self, use_family, monkeypatch):
+        Z, table = 10**6, census._residue_table(use_family)
+        blocks = census._blocks(Z)
+        want = [block_pairs_by_mask(Z, a_lo, a_hi, table) for a_lo, a_hi in blocks]
+        for name in ("lexsort", "argsort", "sort"):
+            monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("_block_pairs sorted"))
+        for (a_lo, a_hi), expected in zip(blocks, want):
+            got = census._block_pairs(Z, a_lo, a_hi, table)
+            assert all(np.array_equal(x, y) for x, y in zip(got, expected)), (a_lo, a_hi)
 
 
 class TestEnumerateRegion:
@@ -562,8 +574,8 @@ class TestGoodClasses:
 @pytest.fixture(scope="module")
 def szpiro_window():
     """avg_szpiro, by Tate's algorithm, on every good_family curve with
-    1 < C <= 1e6 and |cond poly| <= 1e8; and the sweep it was read from."""
-    records, anomalies = census._census_records(10**6 * census.TAIL_INDEX_CAP)
+    1 < C <= 1e6 and |cond poly| <= 1e8; and the good-class sweep it was read from."""
+    records, anomalies = census._census_records(10**6 * census.TAIL_INDEX_CAP, use_family="good")
     near = np.flatnonzero((records["conductor"] > 1) & (records["conductor"] <= 10**6))
     rows = []
     for i, a, b in zip(near.tolist(), records["a"][near].tolist(), records["b"][near].tolist()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import isogeny, step6_shift_search
+from oracles import good_family, isogeny, step6_shift_search
 from uniformity import valuation
 
 from twotor import arithmetic as ar
@@ -25,7 +25,6 @@ from twotor.curve_core import (
     discriminant,
     family_at_2,
     family_at_3,
-    good_family,
     in_family,
     kodaira_symbol_large_p,
     reduction,
