@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -98,19 +99,13 @@ class _SpfSieve:
 _sieve = _SpfSieve()
 
 
-_TRIAL_PRIMES: np.ndarray | None = None
-_TRIAL_PRIMES_F: np.ndarray | None = None
-
-
-def _trial_primes() -> np.ndarray:
-    # Primes to 10**5: enough to trial-divide anything <= 10**10 down to a
-    # cofactor that is 1, prime, or a two-prime product for rho.  Their
-    # float64 twin, for _trial_hits below 2^52, is built with them.
-    global _TRIAL_PRIMES, _TRIAL_PRIMES_F
-    if _TRIAL_PRIMES is None:
-        _TRIAL_PRIMES = primes_up_to(10**5)
-        _TRIAL_PRIMES_F = _TRIAL_PRIMES.astype(np.float64)
-    return _TRIAL_PRIMES
+@cache
+def _trial_primes() -> tuple[np.ndarray, np.ndarray]:
+    """The primes to 10**5 and their float64 twin, for ``_trial_hits`` below
+    2^52: enough to trial-divide anything <= 10**10 down to a cofactor that
+    is 1, prime, or a two-prime product for rho.  Built at the first call."""
+    primes = primes_up_to(10**5)
+    return primes, primes.astype(np.float64)
 
 
 def is_prime(n: int) -> bool:
@@ -228,11 +223,11 @@ def _trial_hits(n: int) -> list[int]:
     q = n / p, that is when p | n.  Up to 2^63 the test is an int64
     remainder (about twice as slow), and past it a Python-int test.
     """
-    primes = _trial_primes()
+    primes, twin = _trial_primes()
     k = np.searchsorted(primes, math.isqrt(n), side="right")
     primes = primes[:k]
     if n < 1 << 52:
-        twin = _TRIAL_PRIMES_F[:k]
+        twin = twin[:k]
         q = np.divide(n, twin)
         np.floor(q, out=q)
         q *= twin

@@ -87,14 +87,6 @@ def _encode(x):
     return str(x)
 
 
-def _cell(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
           header: list, rows: list, payload: dict) -> None:
     text = json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True,
@@ -113,11 +105,11 @@ def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
     buf.write(f"# config_sha256: {manifest.input_hashes['config_sha256']}\n")
     buf.write(f"# wall_time_s: {manifest.wall_time_s!r}\n")
     for k, v in scalars.items():
-        buf.write(f"# {k}: {_cell(v)}\n")
+        buf.write(f"# {k}: {v}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(x) for x in row])
+        writer.writerow([str(x) for x in row])
     Path(out).write_text(buf.getvalue())
 
 

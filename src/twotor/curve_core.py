@@ -8,8 +8,9 @@ c = a^2 - 4b, and are cross-checked against each other:
   is I_n, and p dividing both is III (n = 3), I0* (n = 6), III* (n = 9 with
   p^2 | a) or I*_{n-6}; no other type occurs at p >= 5.  It refuses
   non-minimal inputs (p^2 | a and p^4 | b).  It checks that p is a prime
-  >= 5 and calls ``_kodaira_large_p``, which ``reduction`` calls directly on
-  the primes of its factorizations.
+  >= 5, returns Good after one remainder when p does not divide bc, and
+  otherwise calls ``_kodaira_large_p``, which ``reduction`` calls directly
+  on the primes of its factorizations.
 * tate_algorithm: Tate's algorithm on general Weierstrass coefficients, valid
   at every prime including 2 and 3, with non-minimal restarts.  This is the
   ground-truth oracle; any disagreement with the rule is a reportable
@@ -17,8 +18,8 @@ c = a^2 - 4b, and are cross-checked against each other:
   p (``_step6_shift``), and every internal check raises ClassificationError,
   so ``python -O`` keeps them.
 
-Both return Good at an odd prime p that does not divide bc, after one
-remainder and before any valuation.
+Tate's algorithm takes no shortcut at a prime that does not divide bc: it
+finds Good at its first step, so the oracle checks the rule's good exit too.
 
 Conductor exponents come from the Ogg-Saito relation f = v(Delta_min) - m + 1
 where m is the number of components of the special fiber.
@@ -219,22 +220,18 @@ def kodaira_symbol_large_p(c: CurveParams, p: int) -> LocalReduction:
     """
     if p < 5 or not ar.is_prime(p):
         raise ValueError(f"requires a prime p >= 5, got {p}")
-    return _kodaira_large_p(c.a, c.b, p)
-
-
-def _good_at(a: int, p: int) -> LocalReduction:
-    """Good reduction at an odd prime p not dividing bc: every valuation but v_a is 0."""
-    return LocalReduction(p, None if a == 0 else _vp(a, p), 0, 0, 0, GOOD, 0, 0)
+    a, b = c.a, c.b
+    if b * (a * a - 4 * b) % p:  # good: every valuation but v_a is 0
+        return LocalReduction(p, None if a == 0 else _vp(a, p), 0, 0, 0, GOOD, 0, 0)
+    return _kodaira_large_p(a, b, p)
 
 
 def _kodaira_large_p(a: int, b: int, p: int) -> LocalReduction:
-    """``kodaira_symbol_large_p`` at a p already known to be a prime >= 5.
+    """``kodaira_symbol_large_p`` at a prime p >= 5 that divides bc.
 
-    ``reduction`` calls it on the primes of its factorizations.  A p that
-    does not divide Delta = 16 b^2 (a^2 - 4b) is Good after one remainder.
+    ``reduction`` calls it on the primes of its factorizations, which all
+    divide Delta = 16 b^2 (a^2 - 4b).
     """
-    if b * (a * a - 4 * b) % p:
-        return _good_at(a, p)
     v_a, v_b, v_c, n = _valuations(a, b, p)
     if v_b == 0 or v_c == 0:
         sym, f = KodairaSymbol("I", n), 1
@@ -482,14 +479,11 @@ def tate_on_model(co: Coeffs, p: int) -> tuple[KodairaSymbol, int, int, int]:
 def tate_algorithm(c: CurveParams, p: int) -> LocalReduction:
     """Ground-truth local reduction of E_{a,b} at any prime p.
 
-    An odd p that does not divide Delta = 16 b^2 (a^2 - 4b) is Good after
-    one remainder of bc, without entering the algorithm.
+    A p that does not divide Delta = 16 b^2 (a^2 - 4b) is Good at the
+    algorithm's first step, with no shortcut, so checks against it test the
+    good exit of ``kodaira_symbol_large_p`` as well.
     """
     a, b = c.a, c.b
-    if p > 2 and b * (a * a - 4 * b) % p:
-        if not ar.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return _good_at(a, p)
     sym, f, v_min, _ = tate_on_model((0, a, 0, b, 0), p)
     return LocalReduction(p, *_valuations(a, b, p), sym, f, v_min)
 

@@ -343,7 +343,7 @@ class TestRunCensus:
         )
         assert all(r > 0 and math.isfinite(r) for r in report.ratios)
         assert report.caveat is None
-        assert report.anomalies["predicate_oracle_2_3"]["bad_at_3"] == 0
+        assert report.anomalies["predicate_oracle_2_3"]["family_curves"] == expected
 
     def test_cubefree_counts_match_recount(self):
         X = 1000
@@ -366,6 +366,49 @@ class TestRunCensus:
                 expected += 1
         assert report.counts[-1] == expected == report.total_curves
         assert report.caveat is not None
+
+    # (config, the sweep's Z, whether the census counts a minimal curve c of
+    # the sweep, given its curve_record row (a, b, |C|, conductor, index, cube-free))
+    @pytest.mark.parametrize("config, Z, counted", [
+        (census.CensusConfig(X=10**5), 10**5, lambda c, rec: True),
+        (census.CensusConfig(X=10**5, family="CubeFree"), 10**5, lambda c, rec: rec[5]),
+        (census.CensusConfig(X=100, order_by="Conductor", index_cap=1000), 10**5,
+         lambda c, rec: rec[3] <= 100),
+        (census.CensusConfig(X=10**4, good_reduction_filter=False), 10**4,
+         lambda c, rec: True),
+        (census.CensusConfig(X=10**5, family="Kappa", kappa=2.2), 10**5,
+         lambda c, rec: rec[3] > 1 and avg_szpiro(c) <= 2.2),
+    ], ids=["condpoly", "cubefree", "conductor", "all-residues", "kappa"])
+    def test_predicate_counter_matches_tate(self, config, Z, counted):
+        # every counted curve recounted with Tate's algorithm: the predicate is
+        # exact at 3, and the report's bad_at_2 is the exact count of f_2 > 0
+        curves = []
+        for c in enumerate_region(Z, filter=in_family if config.good_reduction_filter else None):
+            rec, _ = curve_record(c.a, c.b)
+            if rec is not None and counted(c, rec):
+                curves.append(c)
+        family = [c for c in curves if in_family(c)]
+        assert all(tate_algorithm(c, 3).conductor_exponent == 0 for c in family)
+        bad_at_2 = sum(tate_algorithm(c, 2).conductor_exponent > 0 for c in family)
+        report = census.run_census(config)
+        assert report.total_curves == len(curves)
+        assert (len(family) == len(curves)) == config.good_reduction_filter
+        assert report.anomalies["predicate_oracle_2_3"] == {
+            "family_curves": len(family), "bad_at_2": bad_at_2}
+        assert 0 < bad_at_2 < len(family)
+
+    @pytest.mark.parametrize("config", [
+        census.CensusConfig(X=10**5),
+        census.CensusConfig(X=10**5, family="CubeFree"),
+        census.CensusConfig(X=10**3, order_by="Conductor", index_cap=100),
+        census.CensusConfig(X=10**5, good_reduction_filter=False),
+    ], ids=["condpoly", "cubefree", "conductor", "all-residues"])
+    def test_census_runs_no_tate(self, monkeypatch, config):
+        # outside the Kappa filter a census reads its 2,3 counter off residue tables
+        want = census.run_census(config)
+        monkeypatch.setattr(curve_core, "tate_on_model",
+                            lambda *a: pytest.fail("tate_on_model called"))
+        assert census.run_census(config) == want
 
     def test_kappa_family_counts(self):
         X = 500

@@ -19,6 +19,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,13 +218,13 @@ class TestPinnedReports:
 
     @pytest.mark.parametrize("argv, digest", [
         (["census", "--x", "1e7"],
-         "0a113db069c69f5cae9a0ad91fbe0d325ba27c4804b89d028a99a9f6f26ac755"),
+         "34c09625d42303d21b08ddc303384532587fa6111ffda00d02b910ce2fd6569f"),
         (["census", "--x", "1e6", "--family", "cubefree"],
-         "666a36cec6e015f2f89834670110ba2ccd3ee3ef55058ae8e235b536912a3f6c"),
+         "cdc40c8c6ffd09b259dffacdc306c3f474ac6258d75a8938c7f812df52333541"),
         (["census", "--x", "1e6", "--family", "kappa", "--kappa", "2.2"],
-         "9a8ba91ea470d007cdff53fc1e2f0547e95edd3c78e5a3d68c27cdfa32dea33f"),
+         "fa0fc5d69620fc73a29b93f2d0fac8b2308e623ccc15b2f611ca6dbf2e210935"),
         (["census", "--x", "1e5", "--all-residues"],
-         "fca17d30c4eec3e72d2a3960fa7c789c714f3cb1fe627865d5eb54d5223ba207"),
+         "87000bff7f88a9f77448ee2dbd1855b961dd4656fafd01f2f3947baf0e76f489"),
         (["tails", "szpiro", "--grid", "1e4,3e4"],
          "0e98c2f2fb27d58db3bf89640b81e669a7ba03e4e07b55a1cb69e9720bb5a601"),
         (["tails", "index", "--grid", "1e4,1e5"],
@@ -251,7 +252,7 @@ class TestPinnedReports:
          "c7525f9353a1c458bc766c682da67142426155e4cf7b66df6b49fe8a47b0473b"),
         # the conductor columns of the CondPoly family, by conductor
         (["census", "--x", "1e6", "--order-by", "conductor"],
-         "ad9cfbacd64366e7bae84a28005aba8911d29366ad50a63bf6e89883d95211ed"),
+         "b8bc6c281a1461054acf4c9dc633f4d94a1e1e62eae71ac0207857069e057630"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0
@@ -267,7 +268,7 @@ class TestPinnedReports:
                 f"{_name} called"))
         self.test_report_digest(
             capsys, ["census", "--x", "1e7"],
-            "0a113db069c69f5cae9a0ad91fbe0d325ba27c4804b89d028a99a9f6f26ac755")
+            "34c09625d42303d21b08ddc303384532587fa6111ffda00d02b910ce2fd6569f")
 
 
 class TestLocalDensityCommand:
@@ -560,6 +561,16 @@ class TestPlumbing:
         assert cli.main(argv + ["--out", str(b)]) == 0
         assert strip_volatile(a.read_text()) == strip_volatile(b.read_text())
         assert a.read_text() != ""
+
+    def test_csv_cells_print_numpy_floats_as_numbers(self, tmp_path):
+        out = tmp_path / "x.csv"
+        manifest = cli.RunManifest("census", {}, None, 0.0, twotor.__version__,
+                                   {"config_sha256": "0"})
+        cli._emit(str(out), manifest, {"share": np.float64(0.1)}, ["x", "y"],
+                  [[np.float64(0.1), Fraction(1, 3)]], {})
+        lines = out.read_text().splitlines()
+        assert "# share: 0.1" in lines
+        assert lines[-2:] == ["x,y", "0.1,1/3"]
 
     def test_config_hash_tracks_args(self, capsys):
         _, d1 = run_json(capsys, ["lp", "--delta", "0", "--r", "0"])

@@ -181,7 +181,7 @@ class TestLargePTable:
         assert kodaira_symbol_large_p(CurveParams(0, 7), 5).v_a is None
 
     def test_composite_p_rejected_on_both_paths(self):
-        # 91 divides neither b nor c here (the early exit) and both there
+        # 91 divides neither b nor c here and both there
         for c in (CurveParams(1, 1), CurveParams(0, 91)):
             with pytest.raises(ValueError, match="91 is not prime"):
                 tate_algorithm(c, 91)
