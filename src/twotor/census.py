@@ -13,13 +13,17 @@ float64 and then decided exactly by vectorized int64 nudge passes over
 b (a^2 - 4b), which never form a^4; so no float decides membership, up to
 Z = _MAX_Z.
 
-A sweep returns one record table, a numpy structured array.  Its columns
+A block's rows are one record table, a numpy structured array.  Its columns
 (a, b) and |cond poly| are always there; the prime-to-6 conductor and index
 and the cube-free flag (``RECORD_DTYPE``) are built only for a caller that
 asks for them (``conductors``): conductor ordering, the CubeFree and Kappa
 families and both tails.  The default census, CondPoly counted by
 |cond poly|, reads the lean table (``_POLY_DTYPE``), and its sweep factors
-nothing but the small gcd(a, b).  A tails grid is served by one sweep at its
+nothing but the small gcd(a, b).  Each block's table is reduced where it is
+swept, in its worker, to a small partial (counts on a grid, tail counts,
+anomaly counts), and the partials are merged in block order
+(``_census_records``); no process holds more than one block's rows, so
+memory stays flat in Z.  A tails grid is served by one sweep at its
 largest X.  Good reduction at 2 and 3 is a function of (a, b) and is not a
 column: the Szpiro tail sweeps only its residue classes mod 384
 (``_good_mod384``), so every row it reads has it, and a census report counts
@@ -173,7 +177,8 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     flat = np.flatnonzero(table)  # k n + r over the allowed (k, r), increasing
     per_row = np.count_nonzero(table, axis=1)
     start = np.cumsum(per_row) - per_row  # R_k is flat[start[k]:start[k] + m_k] - k n
-    cols, los, his = _block_intervals(np.arange(a_lo, a_hi + 1, dtype=np.int64), Z)
+    a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+    cols, los, his = _block_intervals(a[per_row[a % n] > 0], Z)  # columns with allowed b
     row, lo_r = cols % n, los % n
     m, s, kn = per_row[row], start[row], row * n
     j0 = np.searchsorted(flat, kn + lo_r) - s  # below[k, lo mod n], by binary search
@@ -278,7 +283,7 @@ def _blocks(Z: int) -> list[tuple[int, int]]:
     A column's width is its pair count up to rounding, with t = a^2: the gap
     sqrt(t^2 + 16 Z) / 4 between the outer roots minus the hole's
     sqrt(t^2 - 16 Z) / 4 once t^2 > 16 Z, in float64.  No column is wider
-    than sqrt(Z).  The cut depends on Z alone, and records are merged in
+    than sqrt(Z).  The cut depends on Z alone, and partials are merged in
     block order, so it changes no output.
     """
     A = isqrt(4 * Z + 1)
@@ -290,39 +295,46 @@ def _blocks(Z: int) -> list[tuple[int, int]]:
     return [(lo - A, hi - 1 - A) for lo, hi in zip(starts, starts[1:])]
 
 
-def _census_records(Z: int, workers: int = 1, use_family=True, conductors: bool = True):
-    """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
+def _sweep_block(args, reduce, conductors: bool):
+    """One block's partial: its records and anomalies (``_block_records``),
+    reduced in the process that swept them."""
+    return reduce(*_block_records(args, conductors))
 
-    Returns the ``RECORD_DTYPE`` table, sorted by (a, b), and the list of
-    (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
-    {III, I0*, III*}.  With conductors false the table is ``_POLY_DTYPE``:
-    the same rows and anomalies, without the conductor columns.  use_family
-    picks the residue table (``_residue_table``).
+
+def _add(partials):
+    """Block partials summed field by field: counts and count arrays add,
+    lists concatenate."""
+    return tuple(sum(field[1:], field[0]) for field in zip(*partials))
+
+
+def _census_records(Z: int, reduce, workers: int = 1, use_family=True, conductors: bool = True):
+    """Sweep every minimal (family) curve with |cond poly| <= Z, reducing each
+    block where it is swept.
+
+    reduce(records, anomalies) gets one block's ``RECORD_DTYPE`` table, in
+    (a, b) order, and its list of (a, b, p, symbol) for shared primes whose
+    Kodaira symbol is outside {III, I0*, III*}; with conductors false the
+    table is ``_POLY_DTYPE``, the same rows without the conductor columns.
+    It runs in the worker and must be picklable: a module-level function or
+    a ``functools.partial`` of one.  Its partials are summed in block order
+    (``_add``), so the calling process holds no row, only the sum.
+    use_family picks the residue table (``_residue_table``).
     """
     if Z > _MAX_Z:
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in _blocks(Z)]
-    parts: list[np.ndarray] = []
-    anomalies: list = []
     # a fork pool starts all its processes at the first submit: ask for no more than can work
     workers = min(workers, len(blocks), os.cpu_count() or 1)
-    sweep = partial(_block_records, conductors=conductors)
+    sweep = partial(_sweep_block, reduce=reduce, conductors=conductors)
     if workers <= 1:
-        results = map(sweep, blocks)
-    else:
-        # imported here: it loads multiprocessing, which a one-worker run never needs
-        from concurrent.futures import ProcessPoolExecutor
+        return _add(map(sweep, blocks))
+    # imported here: it loads multiprocessing, which a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(sweep, blocks)
-    for recs, anoms in results:
-        parts.append(recs)
-        anomalies.extend(anoms)
-    if workers > 1:
-        pool.shutdown()
-    return np.concatenate(parts), anomalies
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _add(pool.map(sweep, blocks))
 
 
 @dataclass(frozen=True)
@@ -376,23 +388,63 @@ def _default_cutoffs(X: int) -> tuple:
     return tuple(cuts)
 
 
-def _predicate_vs_tate(records: np.ndarray) -> dict:
-    """The counted curves in the mod-96 predicate, and those of them that
+def _predicate_vs_tate(records: np.ndarray) -> tuple[int, int]:
+    """The curves of a table in the mod-96 predicate, and those of them that
     Tate's algorithm finds bad at 2, by one residue lookup mod 384.
 
     The predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and
     ``_good_mod384`` is its Tate-exact part, so a predicate curve outside
-    that table is exactly one with f_2 > 0.  The rows go in chunks of 2^14
-    to keep the int64 residues small.
+    that table is exactly one with f_2 > 0.
     """
-    in_family, good = np.tile(FAMILY_MOD96, (4, 4)).ravel(), _good_mod384().ravel()
-    family_curves = good_curves = 0
-    for i in range(0, len(records), 1 << 14):
-        part = records[i:i + (1 << 14)]
-        cell = part["a"] % 384 * 384 + part["b"] % 384
-        family_curves += int(np.count_nonzero(in_family[cell]))
-        good_curves += int(np.count_nonzero(good[cell]))
-    return {"family_curves": family_curves, "bad_at_2": family_curves - good_curves}
+    cell = records["a"] % 384 * 384 + records["b"] % 384
+    family = np.tile(FAMILY_MOD96, (4, 4)).ravel()[cell]
+    bad = family & ~_good_mod384().ravel()[cell]
+    return int(np.count_nonzero(family)), int(np.count_nonzero(bad))
+
+
+# The one tail a CubeFree or Kappa report carries (``_census_block`` counts it).
+_TAILS = {"CubeFree": "index_tail_delta_0.1", "Kappa": "szpiro_tail_theta_0.25"}
+
+
+def _census_block(records: np.ndarray, anomalies: list, config: CensusConfig, cutoffs: tuple):
+    """One block's share of a ``run_census`` report, as a tuple that ``_add``
+    merges: the counts on the cutoff grid, the curves counted, the family's
+    tail (``_TAILS``), the index-cap overflow, the out-of-list symbols and
+    their first ten examples, and the ``_predicate_vs_tate`` pair.  All but
+    the symbols refer to the counted curves: the family's rows in the window,
+    after the Kappa filter."""
+    X = config.X
+    if config.family == "CubeFree":
+        records = records[records["cubefree"]]
+    key = "cond_poly" if config.order_by == "CondPoly" else "conductor"
+    window = records[key] <= X
+    szpiro = np.zeros(0)
+    if config.family == "Kappa":
+        records = records[window & (records["conductor"] > 1)]
+        # |b| without its 2s and 3s: 2^62 and 3^39 are the top powers in int64
+        part_b = np.abs(records["b"])
+        part_b //= np.gcd(part_b, 1 << 62)
+        part_b //= np.gcd(part_b, 3**39)
+        part_c = records["index_6"] * records["conductor"] // part_b
+        cols = (records["a"], records["b"], part_b, part_c, records["conductor"])
+        szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])
+        kept = szpiro <= config.kappa
+        records, szpiro = records[kept], szpiro[kept]
+    elif not window.all():  # under CondPoly ordering Z = X: the window is the whole block
+        records = records[window]
+    # the curves with key in (cutoffs[i - 1], cutoffs[i]] land in bin i
+    bins = np.bincount(np.searchsorted(cutoffs, records[key]), minlength=len(cutoffs) + 1)
+    return (
+        np.cumsum(bins[:len(cutoffs)]),
+        len(records),
+        int(np.count_nonzero(records["index_6"] > X**0.2) if config.family == "CubeFree"
+            else np.count_nonzero(szpiro > 1.5 + 0.25)),
+        int(np.count_nonzero(records["index_6"] > config.index_cap))
+        if config.order_by == "Conductor" else 0,
+        len(anomalies),
+        anomalies[:10],
+        *_predicate_vs_tate(records),
+    )
 
 
 def run_census(
@@ -406,64 +458,40 @@ def run_census(
     outside {III, I0*, III*}, the index-cap overflow under conductor ordering
     and, as ``predicate_oracle_2_3``, the counted curves in the mod-96
     predicate and those of them bad at 2 by Tate (``_predicate_vs_tate``).
+    Each block is reduced where it is swept (``_census_block``), so no
+    process holds more than one block's records.
     """
     X = config.X
     cutoffs = tuple(sorted(set(cutoffs))) if cutoffs else _default_cutoffs(X)
     if cutoffs[-1] > X:
         raise ValueError("cutoffs beyond config.X")
     Z = X if config.order_by == "CondPoly" else X * config.index_cap
-    records, anomaly_rows = _census_records(
-        Z, workers=config.workers, use_family=config.good_reduction_filter,
+    (counts, total, tail, overflow, out_of_list, examples, family_curves,
+     bad_at_2) = _census_records(
+        Z, reduce=partial(_census_block, config=config, cutoffs=cutoffs),
+        workers=config.workers, use_family=config.good_reduction_filter,
         conductors=config.family != "CondPoly" or config.order_by != "CondPoly",
     )
-
-    if config.family == "CubeFree":
-        records = records[records["cubefree"]]
-    key = "cond_poly" if config.order_by == "CondPoly" else "conductor"
-    window = records[key] <= X
-    if config.family == "Kappa":
-        records = records[window & (records["conductor"] > 1)]
-        # |b| without its 2s and 3s: 2^62 and 3^39 are the top powers in int64
-        part_b = np.abs(records["b"])
-        part_b //= np.gcd(part_b, 1 << 62)
-        part_b //= np.gcd(part_b, 3**39)
-        part_c = records["index_6"] * records["conductor"] // part_b
-        cols = (records["a"], records["b"], part_b, part_c, records["conductor"])
-        szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])
-        kept = szpiro <= config.kappa
-        records, szpiro = records[kept], szpiro[kept]
-    elif not window.all():  # under CondPoly ordering Z = X: the window is the whole sweep
-        records = records[window]
-
-    keys = np.sort(records[key])
-    counts = tuple(int(np.searchsorted(keys, c, side="right")) for c in cutoffs)
+    counts = tuple(counts.tolist())
 
     const = local_density.mt1_constant(config.family, tol=euler_tol)  # None: the default
     predicted = tuple(const * c ** 0.75 for c in cutoffs)
     ratios = tuple(n / p for n, p in zip(counts, predicted))
 
-    tails = {}
-    if config.family == "CubeFree":
-        thr = X**0.2
-        tails["index_tail_delta_0.1"] = int(np.count_nonzero(records["index_6"] > thr))
-    if config.family == "Kappa":
-        lo = 1.5 + 0.25
-        tails["szpiro_tail_theta_0.25"] = int(np.count_nonzero(szpiro > lo))
+    tails = {_TAILS[config.family]: tail} if config.family in _TAILS else {}
 
-    overflow = 0
     caveat = None
     if config.order_by == "Conductor":
-        overflow = int(np.count_nonzero(records["index_6"] > config.index_cap))
         caveat = (
             f"conductor ordering sees only |cond poly| <= {Z}; curves of conductor"
             f" <= {X} with index beyond {config.index_cap} * (X/C) are invisible"
         )
 
     anomalies = {
-        "out_of_list_symbols": len(anomaly_rows),
-        "out_of_list_examples": anomaly_rows[:10],
+        "out_of_list_symbols": out_of_list,
+        "out_of_list_examples": examples[:10],
         "index_cap_overflow": overflow,
-        "predicate_oracle_2_3": _predicate_vs_tate(records),
+        "predicate_oracle_2_3": {"family_curves": family_curves, "bad_at_2": bad_at_2},
     }
     return CensusReport(
         config=config,
@@ -471,7 +499,7 @@ def run_census(
         counts=counts,
         predicted=predicted,
         ratios=ratios,
-        total_curves=len(records),
+        total_curves=total,
         tails=tails,
         anomalies=anomalies,
         caveat=caveat,
@@ -485,7 +513,30 @@ def run_census(
 
 # A tails grid is served by one sweep at |cond poly| <= 100 max(grid): a
 # record depends on (a, b) alone, so that sweep's rows with |cond poly| <= 100 X
-# are the sweep at 100 X.
+# are the sweep at 100 X.  Each block counts its own rows for every X of the
+# grid, and the per-X counts add up over the blocks.
+
+
+def _index_tail_block(records: np.ndarray, _anomalies, grid: tuple, delta: float) -> tuple:
+    """One block's ``tail_counts_index``, per X in grid."""
+    records = records[records["cubefree"]]
+    return (np.array([
+        np.count_nonzero((records["cond_poly"] <= X * TAIL_INDEX_CAP)
+                         & (records["conductor"] <= X) & (records["index_6"] > X ** (2 * delta)))
+        for X in grid]),)
+
+
+def _szpiro_tail_block(records: np.ndarray, _anomalies, grid: tuple, theta: float,
+                       kappa: float) -> tuple:
+    """One block's ``tail_counts_szpiro``, per X in grid."""
+    records = records[records["conductor"] > 1]
+    cond = records["conductor"]
+    ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
+             / (2 * np.log(cond.astype(np.float64))))
+    band = (1.5 + theta < ratio) & (ratio <= kappa)
+    return (np.array([
+        np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X))
+        for X in grid]),)
 
 
 def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
@@ -500,15 +551,9 @@ def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
     grid = tuple(grid)
-    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers)
-    records = records[records["cubefree"]]
-    return [
-        int(np.count_nonzero(
-            (records["cond_poly"] <= X * TAIL_INDEX_CAP)
-            & (records["conductor"] <= X)
-            & (records["index_6"] > X ** (2 * delta))))
-        for X in grid
-    ]
+    (counts,) = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers,
+                                reduce=partial(_index_tail_block, grid=grid, delta=delta))
+    return counts.tolist()
 
 
 def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> list[int]:
@@ -533,13 +578,7 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     if not 1 < kappa < KAPPA_MAX:
         raise ValueError(f"need 1 < kappa < {KAPPA_MAX}")
     grid = tuple(grid)
-    records, _ = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers, use_family="good")
-    records = records[records["conductor"] > 1]
-    cond = records["conductor"]
-    ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
-             / (2 * np.log(cond.astype(np.float64))))
-    band = (1.5 + theta < ratio) & (ratio <= kappa)
-    return [
-        int(np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X)))
-        for X in grid
-    ]
+    (counts,) = _census_records(
+        max(grid) * TAIL_INDEX_CAP, workers=workers, use_family="good",
+        reduce=partial(_szpiro_tail_block, grid=grid, theta=theta, kappa=kappa))
+    return counts.tolist()

@@ -203,7 +203,12 @@ def _cmd_census(args):
         for x, n, pred, ratio in zip(
             report.cutoffs, report.counts, report.predicted, report.ratios)
     ]
-    scalars = {"total_curves": report.total_curves}
+    anomalies, oracle = report.anomalies, report.anomalies["predicate_oracle_2_3"]
+    scalars = {"total_curves": report.total_curves,
+               "out_of_list_symbols": anomalies["out_of_list_symbols"],
+               "index_cap_overflow": anomalies["index_cap_overflow"],
+               "predicate_oracle_2_3.family_curves": oracle["family_curves"],
+               "predicate_oracle_2_3.bad_at_2": oracle["bad_at_2"]}
     return scalars, header, rows, {"report": report}
 
 

@@ -3,7 +3,8 @@
 These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, one block's (a, b) pairs
-expanded from a full residue mask and sorted, and one census record computed
+expanded from a full residue mask and sorted, the whole record table of a
+sweep that the census reduces block by block, and one census record computed
 from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x, and the region itself as a pointwise
@@ -47,7 +48,7 @@ from twotor import curve_core as cc
 from twotor import local_density as ld
 from twotor import real_density as rd
 from twotor._constants import SQRT2
-from twotor.census import _MAX_Z, _block_intervals, _block_pairs, _blocks
+from twotor.census import _MAX_Z, _block_intervals, _block_pairs, _blocks, _census_records
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
@@ -159,6 +160,27 @@ def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     a, b, f = a[keep], b[keep], f[keep]
     order = np.lexsort((b, a))
     return a[order], b[order], f[order]
+
+
+def keep_rows(records: np.ndarray, anomalies: list) -> tuple[list, list]:
+    """The census block reducer that keeps every row: partials that add up
+    to the list of block tables and the anomaly list."""
+    return [records], anomalies
+
+
+def census_records(Z: int, workers: int = 1, use_family=True, conductors: bool = True):
+    """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
+
+    Returns the ``census.RECORD_DTYPE`` table, sorted by (a, b), and the list
+    of (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
+    {III, I0*, III*}; with conductors false the table is ``census._POLY_DTYPE``.
+    This is ``census._census_records`` with a reducer that keeps the rows,
+    then one ``np.concatenate``: the whole table in memory at once, which no
+    census report needs.
+    """
+    tables, anomalies = _census_records(Z, reduce=keep_rows, workers=workers,
+                                        use_family=use_family, conductors=conductors)
+    return np.concatenate(tables), anomalies
 
 
 def isogeny(c: CurveParams) -> CurveParams:

@@ -4,6 +4,8 @@ import concurrent.futures
 import math
 import os
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -28,6 +30,7 @@ from twotor.curve_core import (
 from oracles import (
     b_intervals,
     block_pairs_by_mask,
+    census_records,
     curve_record,
     enumerate_region,
     good_family,
@@ -210,7 +213,7 @@ class TestColumnarSweep:
                 if rec is not None:
                     want_records.append(rec)
                     want_anomalies.extend(anoms)
-        records, anomalies = census._census_records(Z)
+        records, anomalies = census_records(Z)
         assert want_anomalies and any(not r[5] for r in want_records)
         assert records.dtype == census.RECORD_DTYPE
         assert records.tolist() == want_records
@@ -225,7 +228,7 @@ class TestColumnarSweep:
     def test_all_residues_matches_scalar_records(self):
         Z = 2000
         want = [curve_record(c.a, c.b)[0] for c in enumerate_region(Z)]
-        records, _ = census._census_records(Z, use_family=False)
+        records, _ = census_records(Z, use_family=False)
         assert records.tolist() == [r for r in want if r is not None]
 
     def test_rescaled_copy_skipped_in_block(self):
@@ -241,10 +244,10 @@ class TestColumnarSweep:
 
     def test_shared_primes_need_no_scalar_code(self, monkeypatch):
         # the shared-prime rows are columns: no Kodaira call and no lone factoring
-        want = census._census_records(10**6, use_family=False)
+        want = census_records(10**6, use_family=False)
         for module, name in ((curve_core, "kodaira_symbol_large_p"), (ar, "factorize")):
             monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} called"))
-        records, anomalies = census._census_records(10**6, use_family=False)
+        records, anomalies = census_records(10**6, use_family=False)
         assert np.array_equal(records, want[0]) and anomalies == want[1]
         assert len(anomalies) == 648 and (75, 1250) not in set(zip(records["a"].tolist(),
                                                                    records["b"].tolist()))
@@ -275,8 +278,8 @@ class TestColumnarSweep:
     @pytest.mark.parametrize("use_family", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lean_sweep_matches_full(self, Z, use_family, workers):
-        full, full_anomalies = census._census_records(Z, workers, use_family)
-        lean, anomalies = census._census_records(Z, workers, use_family, conductors=False)
+        full, full_anomalies = census_records(Z, workers, use_family)
+        lean, anomalies = census_records(Z, workers, use_family, conductors=False)
         assert lean.dtype == census._POLY_DTYPE and full.dtype == census.RECORD_DTYPE
         assert len(lean) == len(full) > 0
         assert all(np.array_equal(lean[k], full[k]) for k in lean.dtype.names)
@@ -293,7 +296,7 @@ class TestColumnarSweep:
         fixed = [(lo, min(lo + 1023, A)) for lo in range(-A, A + 1, 1024)]
         assert blocks != fixed
         parts = [census._block_records((Z, lo, hi, use_family)) for lo, hi in fixed]
-        records, anomalies = census._census_records(Z, use_family=use_family)
+        records, anomalies = census_records(Z, use_family=use_family)
         assert np.array_equal(records, np.concatenate([r for r, _ in parts]))
         assert anomalies == [x for _, anoms in parts for x in anoms]
 
@@ -433,7 +436,7 @@ class TestRunCensus:
             X=X, family="Kappa", kappa=kappa, order_by="Conductor", index_cap=cap
         )
         report = census.run_census(cfg)
-        records, _ = census._census_records(X * cap)
+        records, _ = census_records(X * cap)
         window = records[(records["conductor"] > 1) & (records["conductor"] <= X)]
         ratios = []
         for a, b, cond in zip(window["a"].tolist(), window["b"].tolist(),
@@ -459,8 +462,8 @@ class TestRunCensus:
 
     def test_two_workers_give_the_same_records(self):
         # 1e7: several blocks and 147 anomalies
-        one = census._census_records(10**7)
-        two = census._census_records(10**7, workers=2)
+        one = census_records(10**7)
+        two = census_records(10**7, workers=2)
         assert len(census._blocks(10**7)) > 2 and len(one[1]) == 147
         assert np.array_equal(one[0], two[0]) and one[1] == two[1]
 
@@ -481,24 +484,27 @@ class TestRunCensus:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
             def map(self, fn, blocks):
                 return map(fn, blocks)
-
-            def shutdown(self):
-                pass
 
         # census imports the pool class where it starts one, from concurrent.futures
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         cpus = os.cpu_count() or 1
         blocks = len(census._blocks(10**6))
         assert blocks > 3
-        records, _ = census._census_records(10**6, workers=10**6)
+        records, _ = census_records(10**6, workers=10**6)
         assert pools == ([min(blocks, cpus)] if cpus > 1 else [])
-        assert np.array_equal(records, census._census_records(10**6)[0])
+        assert np.array_equal(records, census_records(10**6)[0])
         for cpu_count, expected in ((64, blocks), (3, 3)):
             pools.clear()
             monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-            census._census_records(10**6, workers=10**6)
+            census_records(10**6, workers=10**6)
             assert pools == [expected]
         # X = 1e3 is one block: no pool, and the config keeps what was asked
         assert len(census._blocks(10**3)) == 1
@@ -511,6 +517,61 @@ class TestRunCensus:
         assert report.cutoffs == (100, 500)
         with pytest.raises(ValueError):
             census.run_census(census.CensusConfig(X=500), cutoffs=(100, 600))
+
+
+class TestBlockReduction:
+    """Each block is reduced where it is swept and the partials are merged:
+    the reports do not depend on which process swept a block, and the
+    calling process never holds the whole record table."""
+
+    @pytest.mark.parametrize("config", [
+        census.CensusConfig(X=10**6),
+        census.CensusConfig(X=10**6, good_reduction_filter=False),
+        census.CensusConfig(X=10**6, family="CubeFree"),
+        census.CensusConfig(X=10**6, family="Kappa", kappa=2.2),
+        census.CensusConfig(X=10**3, order_by="Conductor", index_cap=10**3),
+        census.CensusConfig(X=10**3, family="CubeFree", order_by="Conductor", index_cap=10**3),
+        census.CensusConfig(X=10**3, family="Kappa", kappa=2.2, order_by="Conductor",
+                            index_cap=10**3),
+    ], ids=lambda c: f"{c.family}-{c.order_by}-{c.good_reduction_filter}")
+    def test_one_and_two_workers_give_one_report(self, config):
+        # Z = 1e6 in every case: four blocks, so each worker of a real fork
+        # pool sweeps more than one, and the merge sees them out of process
+        Z = config.X * (config.index_cap if config.order_by == "Conductor" else 1)
+        assert len(census._blocks(Z)) >= 3
+        one = census.run_census(config)
+        two = census.run_census(replace(config, workers=2))
+        assert one.total_curves > 0 and one.anomalies["out_of_list_symbols"] > 0
+        assert replace(two, config=config) == one
+
+    @pytest.mark.parametrize("count", [
+        lambda w: census.tail_counts_index((10**4, 10**3, 3 * 10**3), 0.1, workers=w),
+        lambda w: census.tail_counts_szpiro((10**3, 10**4), 0.25, 2.2, workers=w),
+    ])
+    def test_one_and_two_workers_give_one_tail(self, count):
+        assert len(census._blocks(10**4 * census.TAIL_INDEX_CAP)) >= 3
+        one = count(1)
+        assert count(2) == one and min(one) > 0 and all(type(n) is int for n in one)
+
+    def test_main_process_memory_is_one_block(self):
+        # The bound, 8 times the largest block's pair arrays (a, b and
+        # b (a^2 - 4b), int64), was fixed before measuring.  At Z = 1e8 the
+        # traced peak of a one-worker census reads 4.9 times them (3.0 MB),
+        # where the whole lean table alone is 10.3 times them and a sweep
+        # that concatenates the block tables peaks at 20.8 times.
+        Z = 10**8
+        largest = max(len(census._block_pairs(Z, lo, hi, curve_core.FAMILY_MOD96)[0])
+                      for lo, hi in census._blocks(Z))
+        bound = 8 * 3 * 8 * largest
+        census.run_census(census.CensusConfig(X=10**3))  # the caches a census fills once
+        tracemalloc.start()
+        try:
+            report = census.run_census(census.CensusConfig(X=Z))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total_curves * census._POLY_DTYPE.itemsize > bound
+        assert peak < bound
 
 
 class TestTails:
@@ -607,8 +668,8 @@ class TestGoodClasses:
 
     def test_good_sweep_is_the_filtered_family_sweep(self):
         Z = 10**7
-        family, family_anomalies = census._census_records(Z)
-        good, anomalies = census._census_records(Z, use_family="good")
+        family, family_anomalies = census_records(Z)
+        good, anomalies = census_records(Z, use_family="good")
         assert np.array_equal(good, family[good_family(family["a"], family["b"])])
         assert anomalies == [x for x in family_anomalies if good_family(x[0], x[1])]
         assert 0 < len(good) < len(family) // 4
@@ -618,7 +679,7 @@ class TestGoodClasses:
 def szpiro_window():
     """avg_szpiro, by Tate's algorithm, on every good_family curve with
     1 < C <= 1e6 and |cond poly| <= 1e8; and the good-class sweep it was read from."""
-    records, anomalies = census._census_records(10**6 * census.TAIL_INDEX_CAP, use_family="good")
+    records, anomalies = census_records(10**6 * census.TAIL_INDEX_CAP, use_family="good")
     near = np.flatnonzero((records["conductor"] > 1) & (records["conductor"] <= 10**6))
     rows = []
     for i, a, b in zip(near.tolist(), records["a"][near].tolist(), records["b"][near].tolist()):
@@ -633,7 +694,8 @@ class TestClosedFormSzpiro:
         (0.25, 2.2), (0.25, 2.25), (0.1, 1.9), (0.4, 2.27), (0.2, 2.0), (0.5, 2.1)])
     def test_counts_match_avg_szpiro(self, szpiro_window, monkeypatch, theta, kappa):
         sweep, rows = szpiro_window
-        monkeypatch.setattr(census, "_census_records", lambda Z, **kw: sweep)
+        # the whole table is one block to the tail's reducer
+        monkeypatch.setattr(census, "_census_records", lambda Z, reduce, **kw: reduce(*sweep))
         grid = (10**4, 3 * 10**4, 10**5, 10**6)
         got = census.tail_counts_szpiro(grid, theta, kappa)
         want = [

@@ -31,6 +31,8 @@ from twotor import census
 from twotor import local_density
 from twotor import lp_bounds
 
+from oracles import census_records
+
 
 def run_json(capsys, argv):
     code = cli.main(argv)
@@ -86,7 +88,7 @@ class TestClassify:
     @pytest.mark.parametrize("a, b", [(1, -2), (9, 20)])
     def test_index_is_prime_to_6(self, a, b, capsys):
         # |cond poly| = 18 and 20; the prime-to-6 index, as census records it, is 1
-        records, _ = census._census_records(100, use_family=False)
+        records, _ = census_records(100, use_family=False)
         assert (a, b, 1) in {(r[0], r[1], r[4]) for r in records}
         code, doc = run_json(capsys, ["classify", str(a), str(b)])
         assert code == 0
@@ -181,6 +183,23 @@ class TestCensusCommand:
                 if ln and not ln.startswith("#") and not ln.startswith("X,")]
         assert [int(r[0]) for r in rows] == list(report.cutoffs)
         assert [int(r[1]) for r in rows] == list(report.counts)
+
+    def test_csv_carries_the_anomaly_counts(self, tmp_path, capsys):
+        # the # lines of a CSV report give the counts of the JSON report's anomalies
+        argv = ["census", "--x", "1e4", "--order-by", "conductor", "--index-cap", "100"]
+        out = tmp_path / "census.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        _, doc = run_json(capsys, argv)
+        anomalies = doc["report"]["anomalies"]
+        oracle = anomalies["predicate_oracle_2_3"]
+        want = {"out_of_list_symbols": anomalies["out_of_list_symbols"],
+                "index_cap_overflow": anomalies["index_cap_overflow"],
+                "predicate_oracle_2_3.family_curves": oracle["family_curves"],
+                "predicate_oracle_2_3.bad_at_2": oracle["bad_at_2"]}
+        assert min(want.values()) > 0
+        lines = out.read_text().splitlines()
+        assert [f"# {k}: {v}" for k, v in want.items()] == [
+            ln for ln in lines if ln.startswith("# ") and ln[2:].split(":")[0] in want]
 
     def test_json_includes_anomalies(self, capsys):
         code, doc = run_json(capsys, ["census", "--x", "1000"])

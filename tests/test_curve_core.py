@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import good_family, isogeny, step6_shift_search
+from oracles import census_records, good_family, isogeny, step6_shift_search
 from uniformity import valuation
 
 from twotor import arithmetic as ar
@@ -409,7 +409,7 @@ class TestGoodFamily:
         assert checked == 2 * m * m // 32
 
     def test_matches_tate_on_census_records(self):
-        records, _ = census._census_records(10**5)
+        records, _ = census_records(10**5)
         good = 0
         for a, b, *_ in records.tolist():
             c = CurveParams(a, b)
@@ -497,7 +497,7 @@ class TestReduction:
     def test_census_records_against_oracles(self):
         # off the family (Z = 2000), E and phi(E) also have bad reduction at 2 and 3
         for Z, use_family in ((10**4, True), (2000, False)):
-            records, _ = census._census_records(Z, use_family=use_family)
+            records, _ = census_records(Z, use_family=use_family)
             assert len(records) > 100
             for a, b, _, cond_6, index_6, *_ in records.tolist():
                 c = CurveParams(a, b)
