@@ -6,9 +6,9 @@ a.  ``--all-residues`` sweeps with a 1x1 table that allows every b; any other
 (n, n) residue table works the same way.
 
 The region |b (a^2 - 4b)| <= Z is swept in blocks of consecutive a-columns,
-cut so that each holds about the same number of pairs (``_blocks``); per column
+cut so that each holds about as many rows of its table (``_blocks``); per column
 the admissible b form one interval, or two once a^4 > 16 Z opens a hole
-around b = a^2/4.  The interval ends of a whole block are estimated in
+around b = a^2/8.  The interval ends of a whole block are estimated in
 float64 and then decided exactly by vectorized int64 nudge passes over
 b (a^2 - 4b), which never form a^4; so no float decides membership, up to
 Z = _MAX_Z.
@@ -62,7 +62,7 @@ from .curve_core import (
 KAPPA_MAX = Fraction(155, 68)
 TAIL_INDEX_CAP = 100
 _MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
-# Pairs (all residues) per worker block, over sqrt(Z).  census --x 5e7 / 1e9,
+# Pairs (all residues) per family-table block, over sqrt(Z).  census --x 5e7 / 1e9,
 # median of 14 fresh interpreters: 74 gives 0.074 / 0.405 s and 42.4 / 105.2
 # MiB peak RSS; 37 gives 0.075 / 0.392 s, 42.3 / 109.7 MiB; 148 gives
 # 0.072 / 0.425 s, 43.4 / 106.6 MiB.  None is faster at both without more RSS.
@@ -162,6 +162,16 @@ def _spread(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
 
 
+@cache
+def _layout(cells: bytes, n: int):
+    """The allowed k n + r of the (n, n) table with these packed cells, in order, the
+    m_k of each row, where each row starts, and whether n divides no allowed r (k^2 - 4r)."""
+    flat = np.flatnonzero(np.unpackbits(np.frombuffer(cells, dtype=np.uint8), count=n * n))
+    k, r = np.divmod(flat, n)
+    per_row = np.bincount(k, minlength=n)
+    return flat, per_row, np.cumsum(per_row) - per_row, not np.any(r * (k * k - 4 * r) % n == 0)
+
+
 def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     """(a, b, b (a^2 - 4b)) for a_lo <= a <= a_hi, as int64 arrays sorted by (a, b).
 
@@ -171,12 +181,10 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     (x // n) m_k + below[k, x mod n].  Then an interval [lo, hi] in row k holds
     under(hi + 1) - under(lo) allowed b; the e-th is lo - lo mod n + n (j // m_k) +
     R_k[j mod m_k], j = below[k, lo mod n] + e.  So one spread lists a block in (a, b)
-    order, and as the interval ends are exact only b (a^2 - 4b) = 0 is dropped.
+    order; the ends are exact, so only b (a^2 - 4b) = 0 is dropped, if the table admits it.
     """
     n = len(table)
-    flat = np.flatnonzero(table)  # k n + r over the allowed (k, r), increasing
-    per_row = np.count_nonzero(table, axis=1)
-    start = np.cumsum(per_row) - per_row  # R_k is flat[start[k]:start[k] + m_k] - k n
+    flat, per_row, start, zero_free = _layout(np.packbits(table).tobytes(), n)
     a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
     cols, los, his = _block_intervals(a[per_row[a % n] > 0], Z)  # columns with allowed b
     row, lo_r = cols % n, los % n
@@ -188,8 +196,15 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     b = (los - lo_r - kn)[iv] + n * q + flat[s[iv] + r]
     a = cols[iv]
     f = b * (a * a - 4 * b)
-    keep = f != 0
+    keep = slice(None) if zero_free else f != 0
     return a[keep], b[keep], f[keep]
+
+
+@cache
+def _clause_mod128() -> np.ndarray:
+    """Tate's f_2 = 0 on a family pair: b even, or b = (a/2)^2 + 64 mod 128."""
+    a, b = np.ogrid[:128, :128]
+    return (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
 
 
 @cache
@@ -200,14 +215,11 @@ def _good_mod384() -> np.ndarray:
     The family's criterion at 3 and its clause (a = 1 mod 4, b = 16 mod 32)
     at 2 agree with Tate's algorithm; on the odd-b clause (b odd, a = 6 mod 8)
     Tate gives f_2 = 0 exactly when b = (a/2)^2 + 64 mod 128, which a modulus
-    of 96 cannot express.  So the table is the 96-table tiled 4x4 and the
-    clause "b even or b = (a/2)^2 + 64 mod 128" tiled 3x3, and no full-grid
-    int64 array is formed.  ``tests/oracles.py::good_family`` is the same
-    predicate on (a, b).  Built at the first call, not at import.
+    of 96 cannot express.  So the table is the 96-table tiled 4x4 and the clause
+    (``_clause_mod128``) tiled 3x3, with no full-grid int64 array, at the first
+    call.  ``tests/oracles.py::good_family`` is the same predicate on (a, b).
     """
-    a, b = np.ogrid[:128, :128]
-    clause = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
-    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(clause, (3, 3))
+    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(_clause_mod128(), (3, 3))
     table.flags.writeable = False
     return table
 
@@ -276,23 +288,34 @@ def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
     return records, anomalies
 
 
-def _blocks(Z: int) -> list[tuple[int, int]]:
-    """Consecutive a-ranges (a_lo, a_hi) covering |a| <= sqrt(4 Z + 1), each
-    about _PAIRS_PER_ROOT_Z * sqrt(Z) pairs wide.
+def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
+    """Consecutive a-ranges (a_lo, a_hi) covering |a| <= sqrt(4 Z + 1): for the family table
+    each about _PAIRS_PER_ROOT_Z * sqrt(Z) pairs wide, for a sparser table as much wider.
 
     A column's width is its pair count up to rounding, with t = a^2: the gap
     sqrt(t^2 + 16 Z) / 4 between the outer roots minus the hole's
-    sqrt(t^2 - 16 Z) / 4 once t^2 > 16 Z, in float64.  No column is wider
-    than sqrt(Z).  The cut depends on Z alone, and partials are merged in
+    sqrt(t^2 - 16 Z) / 4 once t^2 > 16 Z, in float64.  It depends on a^4, so
+    it is summed over a >= 0, in place.  No column is wider than sqrt(Z).  The
+    cut depends on Z and the table's density alone, and partials are merged in
     block order, so it changes no output.
     """
     A = isqrt(4 * Z + 1)
-    tt = np.arange(-A, A + 1, dtype=np.float64) ** 4
-    width = np.sqrt(tt + 16.0 * Z)
-    width -= np.sqrt(np.maximum(tt - 16.0 * Z, 0.0, out=tt), out=tt)
-    block = np.cumsum(width, out=width) // (4 * _PAIRS_PER_ROOT_Z * sqrt(Z))
-    starts = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), 2 * A + 1]
-    return [(lo - A, hi - 1 - A) for lo, hi in zip(starts, starts[1:])]
+    tt = np.square(np.arange(A + 1, dtype=np.float64))
+    tt *= tt
+    cum = tt + 16.0 * Z
+    np.sqrt(cum, out=cum)
+    tt -= 16.0 * Z
+    cum -= np.sqrt(np.maximum(tt, 0.0, out=tt), out=tt)
+    np.cumsum(cum, out=cum)  # cum[k]: the columns 0..k; below, tt[k]: -A..-k, cum[k]: -A..k
+    size = 4 * _PAIRS_PER_ROOT_Z * sqrt(Z) * max(1.0, FAMILY_MOD96.mean() / table.mean())
+    tt[0] = cum[-1]
+    np.subtract(cum[-1], cum[:-1], out=tt[1:])
+    cum += cum[-1] - cum[0]
+    tt //= size
+    cum //= size
+    starts = [-A, *(-np.flatnonzero(tt[:-1] != tt[1:])[::-1]).tolist(),
+              *(np.flatnonzero(cum[1:] != cum[:-1]) + 1).tolist(), A + 1]
+    return [(lo, hi - 1) for lo, hi in zip(starts, starts[1:])]
 
 
 def _sweep_block(args, reduce, conductors: bool):
@@ -324,7 +347,7 @@ def _census_records(Z: int, reduce, workers: int = 1, use_family=True, conductor
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in _blocks(Z)]
+    blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in _blocks(Z, _residue_table(use_family))]
     # a fork pool starts all its processes at the first submit: ask for no more than can work
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     sweep = partial(_sweep_block, reduce=reduce, conductors=conductors)
@@ -388,18 +411,17 @@ def _default_cutoffs(X: int) -> tuple:
     return tuple(cuts)
 
 
-def _predicate_vs_tate(records: np.ndarray) -> tuple[int, int]:
+def _predicate_vs_tate(records: np.ndarray, in_family: bool) -> tuple[int, int]:
     """The curves of a table in the mod-96 predicate, and those of them that
-    Tate's algorithm finds bad at 2, by one residue lookup mod 384.
-
-    The predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and
-    ``_good_mod384`` is its Tate-exact part, so a predicate curve outside
-    that table is exactly one with f_2 > 0.
+    Tate's algorithm finds bad at 2: outside the clause at (a & 127, b & 127).
+    The predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and its
+    Tate-exact part ``_good_mod384`` is it and ``_clause_mod128``.  Rows not
+    swept from the predicate's classes (in_family false) are looked up in it.
     """
-    cell = records["a"] % 384 * 384 + records["b"] % 384
-    family = np.tile(FAMILY_MOD96, (4, 4)).ravel()[cell]
-    bad = family & ~_good_mod384().ravel()[cell]
-    return int(np.count_nonzero(family)), int(np.count_nonzero(bad))
+    if not in_family:
+        records = records[FAMILY_MOD96.ravel()[records["a"] % 96 * 96 + records["b"] % 96]]
+    cell = (records["a"] & 127) << 7 | records["b"] & 127
+    return len(records), len(records) - int(np.count_nonzero(_clause_mod128().ravel()[cell]))
 
 
 # The one tail a CubeFree or Kappa report carries (``_census_block`` counts it).
@@ -443,7 +465,7 @@ def _census_block(records: np.ndarray, anomalies: list, config: CensusConfig, cu
         if config.order_by == "Conductor" else 0,
         len(anomalies),
         anomalies[:10],
-        *_predicate_vs_tate(records),
+        *_predicate_vs_tate(records, config.good_reduction_filter),
     )
 
 

@@ -544,14 +544,70 @@ class TestBlockReduction:
         assert one.total_curves > 0 and one.anomalies["out_of_list_symbols"] > 0
         assert replace(two, config=config) == one
 
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        """The cut of each sweep, in order, as ``census._blocks`` returns it."""
+        cuts = []
+        blocks = census._blocks
+        monkeypatch.setattr(census, "_blocks", lambda *args: cuts.append(blocks(*args)) or cuts[-1])
+        return cuts
+
     @pytest.mark.parametrize("count", [
         lambda w: census.tail_counts_index((10**4, 10**3, 3 * 10**3), 0.1, workers=w),
-        lambda w: census.tail_counts_szpiro((10**3, 10**4), 0.25, 2.2, workers=w),
+        lambda w: census.tail_counts_szpiro((10**3, 10**7), 0.25, 2.2, workers=w),
     ])
-    def test_one_and_two_workers_give_one_tail(self, count):
-        assert len(census._blocks(10**4 * census.TAIL_INDEX_CAP)) >= 3
+    def test_one_and_two_workers_give_one_tail(self, count, cuts):
+        # the cut each tail's own sweep makes (the Szpiro tail's good classes get
+        # blocks 8 times wider, so its grid reaches 1e7) has at least three blocks
         one = count(1)
+        assert len(cuts) == 1 and len(cuts[0]) >= 3
         assert count(2) == one and min(one) > 0 and all(type(n) is int for n in one)
+
+    @pytest.mark.parametrize("scale", [2, 0.5])
+    def test_reports_do_not_depend_on_the_cut(self, scale, cuts, monkeypatch):
+        # each table's cut against one twice and one half as wide: the same
+        # census counts, anomalies and tails, from a different set of blocks
+        def sweeps():
+            cuts.clear()
+            return (census.run_census(census.CensusConfig(X=10**6)),
+                    census.run_census(census.CensusConfig(X=10**5, good_reduction_filter=False)),
+                    census.tail_counts_index((10**3, 10**4), 0.1),
+                    census.tail_counts_szpiro((10**3, 10**6), 0.25, 2.2)), list(cuts)
+
+        want, want_cuts = sweeps()
+        monkeypatch.setattr(census, "_PAIRS_PER_ROOT_Z", census._PAIRS_PER_ROOT_Z * scale)
+        got, got_cuts = sweeps()
+        assert got == want
+        assert want[0].anomalies["out_of_list_symbols"] > 0 and min(want[3]) > 0
+        assert all(x != y for x, y in zip(want_cuts, got_cuts)) and len(got_cuts) == 4
+        assert all(len(x) > 1 for x in (want_cuts if scale > 1 else got_cuts))
+
+    def test_sparse_table_blocks_hold_no_more_rows(self):
+        # the good classes keep 1/8 of the family's pairs and get blocks 8 times
+        # wider: no block of theirs holds more rows than the largest family block
+        good = census._good_mod384()
+        assert len(census._blocks(3 * 10**6, good)) == 1 and len(census._blocks(10**8, good)) == 2
+        for Z in (10**8, 10**9):
+            assert census._blocks(Z, census._ALL_RESIDUES) == census._blocks(Z)
+            rows = [[len(census._block_pairs(Z, lo, hi, table)[0])
+                     for lo, hi in census._blocks(Z, table)] for table in (curve_core.FAMILY_MOD96, good)]
+            assert len(rows[0]) >= 4 * len(rows[1]) and max(rows[1]) <= max(rows[0])
+
+    def test_blocks_memory_at_the_top_of_the_range(self):
+        # The bound, three float64 arrays of A + 1 entries (48 MB at Z = 1e12),
+        # was fixed before measuring.  The cut still partitions [-A, A].
+        Z = census._MAX_Z
+        A = isqrt(4 * Z + 1)
+        tracemalloc.start()
+        try:
+            blocks = census._blocks(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks[0][0] == -A and blocks[-1][1] == A and len(blocks) > 1
+        assert all(lo <= hi for lo, hi in blocks)
+        assert all(hi + 1 == nxt for (_, hi), (nxt, _) in zip(blocks, blocks[1:]))
+        assert peak <= 3 * 8 * (A + 1)
 
     def test_main_process_memory_is_one_block(self):
         # The bound, 8 times the largest block's pair arrays (a, b and
