@@ -4,6 +4,9 @@ Every run emits a report plus a manifest (subcommand, config echo, seed,
 wall time, version, config hash) so outputs are self-describing.  JSON goes
 to stdout by default; --out picks CSV or JSON by file extension.  CSV files
 carry the manifest in '#'-prefixed comment lines above the header row.
+JSON reports are written by ``_write``, one recursive writer whose bytes are
+those of ``json.dumps(report, indent=2, sort_keys=True)``; the stdlib's
+indent path is its pure-Python encoder, and the tests keep it as the oracle.
 
 Exit codes: 0 success, 2 configuration error, 3 internal check failure
 (an oracle disagreement; never silently swallowed).
@@ -12,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 internal check failure
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
@@ -77,7 +79,11 @@ def _build_manifest(args: argparse.Namespace, wall_time_s: float) -> RunManifest
 
 
 def _encode(x):
-    """``json.dumps``'s default: the values of a report that JSON has no type for."""
+    """The values of a report that JSON has no type for, as values it has.
+
+    ``_write`` sends anything that is not a str, number, bool, None, list,
+    tuple or dict here, and writes what comes back in its place.
+    """
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if is_dataclass(x) and not isinstance(x, type):
@@ -87,16 +93,106 @@ def _encode(x):
     return str(x)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_JSON_TYPES = frozenset((str, int, float, dict, list, tuple))
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(o, append, newline: str) -> None:
+    """Append the JSON text of ``o`` to a report, in pieces, through ``append``.
+
+    The text is byte for byte ``json.dumps(o, indent=2, sort_keys=True,
+    default=_encode)``, whose indent runs json's pure-Python encoder at about
+    twice the cost.  ``newline`` is the line break and indent of o's own
+    line; o's items go one level deeper.  A report is a tree, so there is no
+    check for cycles.
+    """
+    t = type(o)
+    if t not in _JSON_TYPES:
+        # a subclass is written as its base, found in json's own order
+        if o is None:
+            append("null")
+            return
+        if o is True or o is False:
+            append("true" if o else "false")
+            return
+        if isinstance(o, str):
+            t = str
+        elif isinstance(o, int):
+            t = int
+        elif isinstance(o, float):
+            t = float
+        elif isinstance(o, (list, tuple)):
+            t = list
+        elif isinstance(o, dict):
+            t = dict
+        else:
+            _write(_encode(o), append, newline)
+            return
+    if t is str:
+        append(_quote(o))
+    elif t is int:
+        append(int.__repr__(o))  # past 4300 digits: ValueError, as in json
+    elif t is float:
+        append(_float_text(o))
+    elif not o:
+        append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):  # json's order: on the keys as given
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, float):
+                key = _float_text(key)
+            elif key is True or key is False or key is None:
+                key = "null" if key is None else "true" if key else "false"
+            elif isinstance(key, int):
+                key = int.__repr__(key)
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            sep = "," + inner
+            _write(value, append, inner)
+        append(newline)
+        append("}")
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            append(sep)
+            sep = "," + inner
+            _write(value, append, inner)
+        append(newline)
+        append("]")
+
+
 def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
           header: list, rows: list, payload: dict) -> None:
-    text = json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True,
-                      default=_encode) + "\n"
+    chunks = []
+    _write({"manifest": manifest, **payload}, chunks.append, "\n")
+    chunks.append("\n")
+    text = "".join(chunks)
     if out is None:
         sys.stdout.write(text)
         return
     if out.endswith(".json"):
         Path(out).write_text(text)
         return
+    import csv  # here, not at import: no JSON report needs it
+
     buf = io.StringIO()
     for key in ("subcommand", "version", "seed"):
         buf.write(f"# {key}: {getattr(manifest, key)}\n")

@@ -1,6 +1,8 @@
 """Exit codes, report formats, and manifest determinism for the CLI."""
 
+import collections
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -290,6 +292,80 @@ class TestPinnedReports:
             "34c09625d42303d21b08ddc303384532587fa6111ffda00d02b910ce2fd6569f")
 
 
+def stdlib_report_text(obj) -> str:
+    """The reference the report writer must match byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=cli._encode)
+
+
+def written(obj) -> str:
+    chunks = []
+    cli._write(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+Point = collections.namedtuple("Point", "x y")
+_FLOATS = st.floats() | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\n\t\x1f\x7f", "caf\u00e9", "\u65e5\u672c",
+                                     "\U0001f600", "\ud800"])
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.fractions()
+    | st.just(cli.RunManifest("lp", {"delta": "1/3", "sweep": False}, None, 0.25, "0",
+                              {"config_sha256": "0"}))
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | _FLOATS.map(np.float64)
+    | st.booleans().map(np.bool_)
+)
+
+
+def _containers(children):
+    def keyed(keys):
+        return st.dictionaries(keys, children, max_size=4)
+
+    # the keys of one dict must sort against each other, as json sorts them
+    dicts = keyed(_TEXT) | keyed(st.integers() | _FLOATS | st.booleans()) | keyed(st.none())
+    items = st.lists(children, max_size=4)
+    return (items | items.map(tuple) | dicts | dicts.map(collections.OrderedDict)
+            | st.builds(Point, children, children))
+
+
+class TestReportWriter:
+    """``cli._write`` gives the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(_LEAVES, _containers, max_leaves=30))
+    def test_matches_stdlib_indent_encoder(self, obj):
+        assert written(obj) == stdlib_report_text(obj)
+
+    @pytest.mark.parametrize("obj, error", [
+        ({"n": [10**4999]}, ValueError),  # past Python's int-to-str digit limit
+        ({10**4999: 1}, ValueError),
+        ({(1, 2): 1}, TypeError),
+    ])
+    def test_raises_as_stdlib(self, obj, error):
+        with pytest.raises(error) as stdlib:
+            stdlib_report_text(obj)
+        with pytest.raises(error) as ours:
+            written(obj)
+        assert str(ours.value) == str(stdlib.value)
+
+    @pytest.mark.parametrize("argv", [["census", "--x", "1e4"], ["classify", "150", "3125"]])
+    def test_emit_leaves_no_reference_cycle(self, argv):
+        # a cycle would keep each report's pieces alive until the cyclic GC runs
+        args = cli.build_parser().parse_args(argv)
+        scalars, header, rows, payload = args.func(args)
+        manifest = cli._build_manifest(args, 0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli._emit(None, manifest, scalars, header, rows, payload)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert out.getvalue() == stdlib_report_text({"manifest": manifest, **payload}) + "\n"
+
+
 class TestLocalDensityCommand:
     def test_check_agrees(self, capsys):
         code, doc = run_json(capsys, ["local-density", "--p", "7",
@@ -535,7 +611,8 @@ class TestPlumbing:
         # tails and the Gamma(1/4) constants are tables and literals, and the
         # version is the package's own string
         denied = ("mpmath", "importlib.metadata", "concurrent.futures.process",
-                  "multiprocessing")
+                  "multiprocessing",
+                  "csv")  # imported where a report is written as CSV
         code = (f"import sys, twotor.cli; "
                 f"print([m for m in {denied!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
