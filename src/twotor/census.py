@@ -13,19 +13,19 @@ float64 and then decided exactly by vectorized int64 nudge passes over
 b (a^2 - 4b), which never form a^4; so no float decides membership, up to
 Z = _MAX_Z.
 
-A block's rows are one record table, a numpy structured array.  Its columns
-(a, b) and |cond poly| are always there; the prime-to-6 conductor and index
-and the cube-free flag (``RECORD_DTYPE``) are built only for a caller that
-asks for them (``conductors``): conductor ordering, the CubeFree and Kappa
-families and both tails.  The default census, CondPoly counted by
-|cond poly|, reads the lean table (``_POLY_DTYPE``), and its sweep factors
-nothing but the small gcd(a, b).  Each block's table is reduced where it is
-swept, in its worker, to a small partial (counts on a grid, tail counts,
-anomaly counts), and the partials are merged in block order
-(``_census_records``); no process holds more than one block's rows, so
-memory stays flat in Z.  A tails grid is served by one sweep at its
-largest X.  Good reduction at 2 and 3 is a function of (a, b) and is not a
-column: the Szpiro tail sweeps only its residue classes mod 384
+A block's rows are one table: a dict of contiguous 1-D columns, a and b
+and |cond poly| always, and the prime-to-6 conductor and index and the
+cube-free flag only for a caller that asks for them (``conductors``):
+conductor ordering, the CubeFree and Kappa families and both tails.  The
+default census, CondPoly counted by |cond poly|, reads the lean table, and
+its sweep factors nothing but the small gcd(a, b).  A block with no
+rescaled copy keeps the sweep's own a and b arrays.  Each block's table is
+reduced where it is swept, in its worker, to a small partial (counts on a
+grid, tail counts, the I* count and first examples), and the partials are
+merged in block order (``_census_records``); no process holds more than one
+block's rows, so memory stays flat in Z.  A tails grid is served by one
+sweep at its largest X.  Good reduction at 2 and 3 is a function of (a, b)
+and is not a column: the Szpiro tail sweeps only its residue classes mod 384
 (``_good_mod384``), so every row it reads has it, and a census report counts
 its predicate curves that are bad at 2 by one lookup in the same table
 (``_predicate_vs_tate``).  No census runs Tate's algorithm outside the Kappa
@@ -70,22 +70,6 @@ _PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 # The residue table of --all-residues: every (a, b) mod 1.
 _ALL_RESIDUES = np.ones((1, 1), dtype=bool)
-
-# One row per minimal curve: (a, b) and |cond poly|, the whole row of the
-# lean table; the full table adds the prime-to-6 conductor and index and the
-# cube-free flag, which only conductor ordering, CubeFree, Kappa and the
-# tails read.
-_POLY_DTYPE = np.dtype([
-    ("a", np.int64),
-    ("b", np.int64),
-    ("cond_poly", np.int64),
-])
-RECORD_DTYPE = np.dtype([
-    *_POLY_DTYPE.descr,
-    ("conductor", np.int64),
-    ("index_6", np.int64),
-    ("cubefree", np.bool_),
-])
 
 
 def _nudge(f, b: np.ndarray, step: int) -> np.ndarray:
@@ -232,9 +216,12 @@ def _residue_table(use_family) -> np.ndarray:
     return FAMILY_MOD96 if use_family else _ALL_RESIDUES
 
 
-def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
-    """The records of one block of a-columns, as a ``RECORD_DTYPE`` array,
-    or as a ``_POLY_DTYPE`` array when conductors is false.
+def _block_records(args, conductors: bool = True) -> tuple[dict, np.ndarray]:
+    """The records of one block of a-columns, in (a, b) order, as a table
+    {name: 1-D array}: the int64 columns a, b and cond_poly and, when
+    conductors is set, the int64 conductor and index_6 and the bool cubefree.
+    Also the I*_n rows of the shared primes, as an int64 array with the four
+    columns (a, b, p, n = v_p(Delta)).
 
     args is (Z, a_lo, a_hi, use_family), with use_family as for
     ``_residue_table``.  A prime p >= 5 divides both b and c = a^2 - 4b
@@ -243,8 +230,10 @@ def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
     |a| <= sqrt(4 Z + 1) keeps that gcd small (at a = 0 it is |b| <= sqrt(Z)/2).
     The shared primes get one row each, with columns v_p(b), v_p(c) and
     p^2 | a, which ``curve_core.additive_type`` reads: the rescaled-copy skip,
-    the I*_n rows reported as anomalies and, in the full table, the cube-free
-    correction (v_p(bc) > 2).
+    the I*_n rows and, in the full table, the cube-free correction
+    (v_p(bc) > 2).  Rows are dropped, by a gather of every column, only when
+    some pair is a rescaled copy; otherwise a and b are ``_block_pairs``'s
+    own arrays.
 
     On a minimal pair a prime p >= 5 dividing only one of b, c has conductor
     exponent 1, and one dividing both has exponent 2 (additive reduction).
@@ -262,16 +251,8 @@ def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
     v_b = ar.valuations(b_row, p)
     v_c = ar.valuations(a_row * a_row - 4 * b_row, p)
     non_minimal, kind = additive_type(v_b, v_c, a_row % (p * p) == 0)
-    keep = np.ones(len(a), dtype=bool)
-    keep[row[non_minimal]] = False
-    star = (kind == ADDITIVE_TAGS.index("I*")) & keep[row]  # I*_{n-6}, n = v_p(Delta)
-    anomalies = [
-        (ai, bi, pi, str(KodairaSymbol("I*", n - 6)))
-        for ai, bi, pi, n in zip(a_row[star].tolist(), b_row[star].tolist(),
-                                 p[star].tolist(), (2 * v_b + v_c)[star].tolist())
-    ]
-    columns = (a, b, np.abs(f))
-    dtype = _POLY_DTYPE
+    star = kind == ADDITIVE_TAGS.index("I*")  # I*_{n-6}, n = v_p(Delta)
+    table = {"a": a, "b": b, "cond_poly": np.abs(f)}
     if conductors:
         c = a * a - 4 * b
         values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
@@ -280,12 +261,18 @@ def _block_records(args, conductors: bool = True) -> tuple[np.ndarray, list]:
         cond = rad_b * rad_c
         cubefree = (emax_b <= 2) & (emax_c <= 2)
         cubefree[row[v_b + v_c > 2]] = False
-        columns += (cond, part_b * part_c // cond, cubefree)
-        dtype = RECORD_DTYPE
-    records = np.empty(np.count_nonzero(keep), dtype=dtype)
-    for name, col in zip(dtype.names, columns):
-        records[name] = col[keep]
-    return records, anomalies
+        table.update(conductor=cond, index_6=part_b * part_c // cond, cubefree=cubefree)
+    if non_minimal.any():
+        keep = np.ones(len(a), dtype=bool)
+        keep[row[non_minimal]] = False
+        star &= keep[row]
+        table = _rows(table, keep)
+    return table, np.column_stack((a_row, b_row, p, 2 * v_b + v_c))[star]
+
+
+def _rows(table: dict, which) -> dict:
+    """The rows of a table that a mask or index array selects."""
+    return {name: col[which] for name, col in table.items()}
 
 
 def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
@@ -319,7 +306,7 @@ def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
 
 
 def _sweep_block(args, reduce, conductors: bool):
-    """One block's partial: its records and anomalies (``_block_records``),
+    """One block's partial: its table and I* rows (``_block_records``),
     reduced in the process that swept them."""
     return reduce(*_block_records(args, conductors))
 
@@ -334,14 +321,14 @@ def _census_records(Z: int, reduce, workers: int = 1, use_family=True, conductor
     """Sweep every minimal (family) curve with |cond poly| <= Z, reducing each
     block where it is swept.
 
-    reduce(records, anomalies) gets one block's ``RECORD_DTYPE`` table, in
-    (a, b) order, and its list of (a, b, p, symbol) for shared primes whose
-    Kodaira symbol is outside {III, I0*, III*}; with conductors false the
-    table is ``_POLY_DTYPE``, the same rows without the conductor columns.
-    It runs in the worker and must be picklable: a module-level function or
-    a ``functools.partial`` of one.  Its partials are summed in block order
-    (``_add``), so the calling process holds no row, only the sum.
-    use_family picks the residue table (``_residue_table``).
+    reduce(table, star) gets one block's ``_block_records``: its table of
+    columns, in (a, b) order, with the conductor columns when conductors is
+    set, and its I* rows (a, b, p, v_p(Delta)), the shared primes whose
+    Kodaira symbol is outside {III, I0*, III*}.  It runs in the worker and
+    must be picklable: a module-level function or a ``functools.partial`` of
+    one.  Its partials are summed in block order (``_add``), so the calling
+    process holds no row, only the sum.  use_family picks the residue table
+    (``_residue_table``).
     """
     if Z > _MAX_Z:
         raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
@@ -411,61 +398,64 @@ def _default_cutoffs(X: int) -> tuple:
     return tuple(cuts)
 
 
-def _predicate_vs_tate(records: np.ndarray, in_family: bool) -> tuple[int, int]:
-    """The curves of a table in the mod-96 predicate, and those of them that
+def _predicate_vs_tate(a: np.ndarray, b: np.ndarray, in_family: bool) -> tuple[int, int]:
+    """The curves (a, b) in the mod-96 predicate, and those of them that
     Tate's algorithm finds bad at 2: outside the clause at (a & 127, b & 127).
     The predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and its
     Tate-exact part ``_good_mod384`` is it and ``_clause_mod128``.  Rows not
     swept from the predicate's classes (in_family false) are looked up in it.
     """
     if not in_family:
-        records = records[FAMILY_MOD96.ravel()[records["a"] % 96 * 96 + records["b"] % 96]]
-    cell = (records["a"] & 127) << 7 | records["b"] & 127
-    return len(records), len(records) - int(np.count_nonzero(_clause_mod128().ravel()[cell]))
+        fam = FAMILY_MOD96.ravel()[a % 96 * 96 + b % 96]
+        a, b = a[fam], b[fam]
+    cell = (a & 127) << 7 | b & 127
+    return len(a), len(a) - int(np.count_nonzero(_clause_mod128().ravel()[cell]))
 
 
-# The one tail a CubeFree or Kappa report carries (``_census_block`` counts it).
-_TAILS = {"CubeFree": "index_tail_delta_0.1", "Kappa": "szpiro_tail_theta_0.25"}
+# The parameters of the one tail a CubeFree or Kappa report carries
+# (``_census_block`` counts it), and its name in the report.
+_TAIL_DELTA, _TAIL_THETA = 0.1, 0.25
+_TAILS = {"CubeFree": f"index_tail_delta_{_TAIL_DELTA}", "Kappa": f"szpiro_tail_theta_{_TAIL_THETA}"}
 
 
-def _census_block(records: np.ndarray, anomalies: list, config: CensusConfig, cutoffs: tuple):
+def _census_block(table: dict, star: np.ndarray, config: CensusConfig, cutoffs: tuple):
     """One block's share of a ``run_census`` report, as a tuple that ``_add``
     merges: the counts on the cutoff grid, the curves counted, the family's
-    tail (``_TAILS``), the index-cap overflow, the out-of-list symbols and
-    their first ten examples, and the ``_predicate_vs_tate`` pair.  All but
-    the symbols refer to the counted curves: the family's rows in the window,
-    after the Kappa filter."""
+    tail (``_TAILS``), the index-cap overflow, the I* row count and its first
+    ten rows as (a, b, p, v_p(Delta)) ints, and the ``_predicate_vs_tate``
+    pair.  All but the I* rows refer to the counted curves: the family's rows
+    in the window, after the Kappa filter."""
     X = config.X
     if config.family == "CubeFree":
-        records = records[records["cubefree"]]
+        table = _rows(table, table["cubefree"])
     key = "cond_poly" if config.order_by == "CondPoly" else "conductor"
-    window = records[key] <= X
+    window = table[key] <= X
     szpiro = np.zeros(0)
     if config.family == "Kappa":
-        records = records[window & (records["conductor"] > 1)]
+        table = _rows(table, window & (table["conductor"] > 1))
         # |b| without its 2s and 3s: 2^62 and 3^39 are the top powers in int64
-        part_b = np.abs(records["b"])
+        part_b = np.abs(table["b"])
         part_b //= np.gcd(part_b, 1 << 62)
         part_b //= np.gcd(part_b, 3**39)
-        part_c = records["index_6"] * records["conductor"] // part_b
-        cols = (records["a"], records["b"], part_b, part_c, records["conductor"])
+        part_c = table["index_6"] * table["conductor"] // part_b
+        cols = (table["a"], table["b"], part_b, part_c, table["conductor"])
         szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])
         kept = szpiro <= config.kappa
-        records, szpiro = records[kept], szpiro[kept]
+        table, szpiro = _rows(table, kept), szpiro[kept]
     elif not window.all():  # under CondPoly ordering Z = X: the window is the whole block
-        records = records[window]
+        table = _rows(table, window)
     # the curves with key in (cutoffs[i - 1], cutoffs[i]] land in bin i
-    bins = np.bincount(np.searchsorted(cutoffs, records[key]), minlength=len(cutoffs) + 1)
+    bins = np.bincount(np.searchsorted(cutoffs, table[key]), minlength=len(cutoffs) + 1)
     return (
         np.cumsum(bins[:len(cutoffs)]),
-        len(records),
-        int(np.count_nonzero(records["index_6"] > X**0.2) if config.family == "CubeFree"
-            else np.count_nonzero(szpiro > 1.5 + 0.25)),
-        int(np.count_nonzero(records["index_6"] > config.index_cap))
+        len(table[key]),
+        int(np.count_nonzero(table["index_6"] > X ** (2 * _TAIL_DELTA))
+            if config.family == "CubeFree" else np.count_nonzero(szpiro > 1.5 + _TAIL_THETA)),
+        int(np.count_nonzero(table["index_6"] > config.index_cap))
         if config.order_by == "Conductor" else 0,
-        len(anomalies),
-        anomalies[:10],
-        *_predicate_vs_tate(records, config.good_reduction_filter),
+        len(star),
+        star[:10].tolist(),
+        *_predicate_vs_tate(table["a"], table["b"], config.good_reduction_filter),
     )
 
 
@@ -481,14 +471,15 @@ def run_census(
     and, as ``predicate_oracle_2_3``, the counted curves in the mod-96
     predicate and those of them bad at 2 by Tate (``_predicate_vs_tate``).
     Each block is reduced where it is swept (``_census_block``), so no
-    process holds more than one block's records.
+    process holds more than one block's records, and only the ten printed
+    I* examples are formatted.
     """
     X = config.X
     cutoffs = tuple(sorted(set(cutoffs))) if cutoffs else _default_cutoffs(X)
     if cutoffs[-1] > X:
         raise ValueError("cutoffs beyond config.X")
     Z = X if config.order_by == "CondPoly" else X * config.index_cap
-    (counts, total, tail, overflow, out_of_list, examples, family_curves,
+    (counts, total, tail, overflow, out_of_list, star, family_curves,
      bad_at_2) = _census_records(
         Z, reduce=partial(_census_block, config=config, cutoffs=cutoffs),
         workers=config.workers, use_family=config.good_reduction_filter,
@@ -511,7 +502,8 @@ def run_census(
 
     anomalies = {
         "out_of_list_symbols": out_of_list,
-        "out_of_list_examples": examples[:10],
+        "out_of_list_examples": [(a, b, p, str(KodairaSymbol("I*", n - 6)))
+                                 for a, b, p, n in star[:10]],
         "index_cap_overflow": overflow,
         "predicate_oracle_2_3": {"family_curves": family_curves, "bad_at_2": bad_at_2},
     }
@@ -539,25 +531,24 @@ def run_census(
 # grid, and the per-X counts add up over the blocks.
 
 
-def _index_tail_block(records: np.ndarray, _anomalies, grid: tuple, delta: float) -> tuple:
+def _index_tail_block(table: dict, _star, grid: tuple, delta: float) -> tuple:
     """One block's ``tail_counts_index``, per X in grid."""
-    records = records[records["cubefree"]]
+    table = _rows(table, table["cubefree"])
     return (np.array([
-        np.count_nonzero((records["cond_poly"] <= X * TAIL_INDEX_CAP)
-                         & (records["conductor"] <= X) & (records["index_6"] > X ** (2 * delta)))
+        np.count_nonzero((table["cond_poly"] <= X * TAIL_INDEX_CAP)
+                         & (table["conductor"] <= X) & (table["index_6"] > X ** (2 * delta)))
         for X in grid]),)
 
 
-def _szpiro_tail_block(records: np.ndarray, _anomalies, grid: tuple, theta: float,
-                       kappa: float) -> tuple:
+def _szpiro_tail_block(table: dict, _star, grid: tuple, theta: float, kappa: float) -> tuple:
     """One block's ``tail_counts_szpiro``, per X in grid."""
-    records = records[records["conductor"] > 1]
-    cond = records["conductor"]
-    ratio = (3 * np.log((records["index_6"] * cond).astype(np.float64))
+    table = _rows(table, table["conductor"] > 1)
+    cond = table["conductor"]
+    ratio = (3 * np.log((table["index_6"] * cond).astype(np.float64))
              / (2 * np.log(cond.astype(np.float64))))
     band = (1.5 + theta < ratio) & (ratio <= kappa)
     return (np.array([
-        np.count_nonzero(band & (records["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X))
+        np.count_nonzero(band & (table["cond_poly"] <= X * TAIL_INDEX_CAP) & (cond <= X))
         for X in grid]),)
 
 

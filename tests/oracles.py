@@ -4,8 +4,10 @@ These are the per-column and per-curve versions of what ``census`` does a
 block at a time: the interval ends of one a-column by exact integer square
 roots, the region enumerated pair by pair, one block's (a, b) pairs
 expanded from a full residue mask and sorted, the whole record table of a
-sweep that the census reduces block by block, and one census record computed
-from two factorizations.  The truncated real slice length, which
+sweep that the census reduces block by block, as one structured array with
+every I* row formatted as its Kodaira symbol (the census keeps plain
+columns and formats only the examples it prints), and one census record
+computed from two factorizations.  The truncated real slice length, which
 ``real_density`` computes for a whole array of x by inclusion-exclusion, is
 here as an interval list at one x, and the region itself as a pointwise
 test.  The lattice count of the truncated region, which checks the area
@@ -67,6 +69,10 @@ TAIL_INTEGRAL = (-SQRT2 + (1.0 + SQRT2) * _G) / 3.0
 
 # per-curve record: (a, b, |cond poly|, conductor, prime-to-6 index, cube-free flag)
 Record = tuple[int, int, int, int, int, bool]
+# The same record as a row of the tests' structured tables; a lean table
+# (conductors false) has the first three fields.
+RECORD_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("cond_poly", np.int64),
+                         ("conductor", np.int64), ("index_6", np.int64), ("cubefree", np.bool_)])
 
 
 def _nudge_down(f: Callable[[int], bool], b: int) -> int:
@@ -162,21 +168,32 @@ def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     return a[order], b[order], f[order]
 
 
-def keep_rows(records: np.ndarray, anomalies: list) -> tuple[list, list]:
+def structured(table: dict, star: np.ndarray) -> tuple[np.ndarray, list]:
+    """One ``census._block_records`` result in the tests' comparison format:
+    its columns as one structured array, with the fields of ``RECORD_DTYPE``
+    it has, and its I* rows as the list of (a, b, p, symbol)."""
+    records = np.empty(len(table["a"]), [f for f in RECORD_DTYPE.descr if f[0] in table])
+    for name in records.dtype.names:
+        records[name] = table[name]
+    return records, [(a, b, p, str(cc.KodairaSymbol("I*", n - 6))) for a, b, p, n in star.tolist()]
+
+
+def keep_rows(table: dict, star: np.ndarray) -> tuple[list, list]:
     """The census block reducer that keeps every row: partials that add up
-    to the list of block tables and the anomaly list."""
+    to the list of block tables (``structured``) and the anomaly list."""
+    records, anomalies = structured(table, star)
     return [records], anomalies
 
 
 def census_records(Z: int, workers: int = 1, use_family=True, conductors: bool = True):
     """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
 
-    Returns the ``census.RECORD_DTYPE`` table, sorted by (a, b), and the list
-    of (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
-    {III, I0*, III*}; with conductors false the table is ``census._POLY_DTYPE``.
-    This is ``census._census_records`` with a reducer that keeps the rows,
-    then one ``np.concatenate``: the whole table in memory at once, which no
-    census report needs.
+    Returns the ``RECORD_DTYPE`` table, sorted by (a, b), and the list of
+    (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
+    {III, I0*, III*}; with conductors false the table has only the fields a,
+    b and cond_poly.  This is ``census._census_records`` with a reducer that
+    keeps the rows, then one ``np.concatenate``: the whole table in memory at
+    once, which no census report needs.
     """
     tables, anomalies = _census_records(Z, reduce=keep_rows, workers=workers,
                                         use_family=use_family, conductors=conductors)

@@ -34,7 +34,19 @@ from oracles import (
     curve_record,
     enumerate_region,
     good_family,
+    structured,
 )
+
+# A block table's columns and their dtypes: the lean table's three, then the
+# conductor columns that the full table adds.
+LEAN_COLUMNS = {"a": "int64", "b": "int64", "cond_poly": "int64"}
+FULL_COLUMNS = {**LEAN_COLUMNS, "conductor": "int64", "index_6": "int64", "cubefree": "bool"}
+
+
+def column_types(table):
+    """{name: dtype name} of a block table whose columns are all contiguous 1-D arrays."""
+    assert all(col.ndim == 1 and col.flags.c_contiguous for col in table.values())
+    return {name: col.dtype.name for name, col in table.items()}
 
 
 def brute_region(X):
@@ -215,7 +227,8 @@ class TestColumnarSweep:
                     want_anomalies.extend(anoms)
         records, anomalies = census_records(Z)
         assert want_anomalies and any(not r[5] for r in want_records)
-        assert records.dtype == census.RECORD_DTYPE
+        table, _ = census._block_records((Z, *census._blocks(Z)[0], True))
+        assert column_types(table) == FULL_COLUMNS
         assert records.tolist() == want_records
         assert anomalies == want_anomalies
         assert all(type(x) is int for x, *_ in anomalies)
@@ -237,7 +250,7 @@ class TestColumnarSweep:
         pairs = [(a, b) for lo, hi in b_intervals(a, Z) for b in range(lo, hi + 1)
                  if b * (a * a - 4 * b) != 0]
         want = [curve_record(a, b) for a, b in pairs]
-        records, anomalies = census._block_records((Z, a, a, False))
+        records, anomalies = structured(*census._block_records((Z, a, a, False)))
         assert records.tolist() == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert (a, 1250) in pairs and (a, 1250) not in {r[:2] for r in records.tolist()}
@@ -252,13 +265,31 @@ class TestColumnarSweep:
         assert len(anomalies) == 648 and (75, 1250) not in set(zip(records["a"].tolist(),
                                                                    records["b"].tolist()))
 
+    @pytest.mark.parametrize("conductors", [False, True])
+    def test_block_without_copy_hands_on_the_pairs(self, monkeypatch, conductors):
+        # only a block with a rescaled copy, such as (75, 1250), gathers its rows
+        pairs, tables = [], []
+        block_pairs = census._block_pairs
+        monkeypatch.setattr(census, "_block_pairs",
+                            lambda *args: pairs.append(block_pairs(*args)) or pairs[-1])
+        census._census_records(10**6, reduce=lambda table, star: tables.append(table) or (0,),
+                               use_family=False, conductors=conductors)
+        assert len(pairs) == len(tables) > 2
+        copies = 0
+        for (a, b, _), table in zip(pairs, tables):
+            gathered = len(table["a"]) < len(a)
+            copies += gathered
+            assert np.shares_memory(table["a"], a) != gathered
+            assert np.shares_memory(table["b"], b) != gathered
+        assert 0 < copies < len(tables)
+
     def test_shared_radical_past_the_table(self):
         # a = 0 with all residues is the one column where the shared part
         # gcd(a, b) = |b| can pass the SPF table (|b| up to sqrt(Z) / 2 = 67082 here)
         Z = 18 * 10**9
         pairs = [b for lo, hi in b_intervals(0, Z) for b in range(lo, hi + 1) if b]
         want = [curve_record(0, b) for b in pairs]
-        records, anomalies = census._block_records((Z, 0, 0, False))
+        records, anomalies = structured(*census._block_records((Z, 0, 0, False)))
         assert records.tolist() == [rec for rec, _ in want if rec is not None]
         assert anomalies == [x for _, anoms in want for x in anoms]
         assert {65537, 65545, -65537} <= set(records["b"].tolist())
@@ -280,7 +311,10 @@ class TestColumnarSweep:
     def test_lean_sweep_matches_full(self, Z, use_family, workers):
         full, full_anomalies = census_records(Z, workers, use_family)
         lean, anomalies = census_records(Z, workers, use_family, conductors=False)
-        assert lean.dtype == census._POLY_DTYPE and full.dtype == census.RECORD_DTYPE
+        lo, hi = census._blocks(Z)[0]
+        for conductors, columns in ((False, LEAN_COLUMNS), (True, FULL_COLUMNS)):
+            table, _ = census._block_records((Z, lo, hi, use_family), conductors)
+            assert column_types(table) == columns
         assert len(lean) == len(full) > 0
         assert all(np.array_equal(lean[k], full[k]) for k in lean.dtype.names)
         assert anomalies == full_anomalies and len(anomalies) > 0
@@ -295,7 +329,7 @@ class TestColumnarSweep:
         assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
         fixed = [(lo, min(lo + 1023, A)) for lo in range(-A, A + 1, 1024)]
         assert blocks != fixed
-        parts = [census._block_records((Z, lo, hi, use_family)) for lo, hi in fixed]
+        parts = [structured(*census._block_records((Z, lo, hi, use_family))) for lo, hi in fixed]
         records, anomalies = census_records(Z, use_family=use_family)
         assert np.array_equal(records, np.concatenate([r for r, _ in parts]))
         assert anomalies == [x for _, anoms in parts for x in anoms]
@@ -609,6 +643,18 @@ class TestBlockReduction:
         assert all(hi + 1 == nxt for (_, hi), (nxt, _) in zip(blocks, blocks[1:]))
         assert peak <= 3 * 8 * (A + 1)
 
+    def test_only_printed_examples_are_formatted(self, monkeypatch):
+        # X = 1e6: 21 I* rows over 4 blocks, of which the report prints 10
+        _, anomalies = census_records(10**6)
+        assert len(anomalies) == 21 and len(census._blocks(10**6)) == 4
+        built = []
+        monkeypatch.setattr(census, "KodairaSymbol",
+                            lambda *args: built.append(args) or curve_core.KodairaSymbol(*args))
+        report = census.run_census(census.CensusConfig(X=10**6))
+        assert report.anomalies["out_of_list_symbols"] == 21
+        assert report.anomalies["out_of_list_examples"] == anomalies[:10]
+        assert len(built) == 10 and all(tag == "I*" for tag, _ in built)
+
     def test_main_process_memory_is_one_block(self):
         # The bound, 8 times the largest block's pair arrays (a, b and
         # b (a^2 - 4b), int64), was fixed before measuring.  At Z = 1e8 the
@@ -626,7 +672,7 @@ class TestBlockReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.total_curves * census._POLY_DTYPE.itemsize > bound
+        assert report.total_curves * 3 * 8 > bound  # the lean table's three int64 columns
         assert peak < bound
 
 
@@ -749,9 +795,10 @@ class TestClosedFormSzpiro:
     @pytest.mark.parametrize("theta, kappa", [
         (0.25, 2.2), (0.25, 2.25), (0.1, 1.9), (0.4, 2.27), (0.2, 2.0), (0.5, 2.1)])
     def test_counts_match_avg_szpiro(self, szpiro_window, monkeypatch, theta, kappa):
-        sweep, rows = szpiro_window
-        # the whole table is one block to the tail's reducer
-        monkeypatch.setattr(census, "_census_records", lambda Z, reduce, **kw: reduce(*sweep))
+        (records, _), rows = szpiro_window
+        # the whole table is one block to the tail's reducer, which reads no I* row
+        table = {name: records[name] for name in records.dtype.names}
+        monkeypatch.setattr(census, "_census_records", lambda Z, reduce, **kw: reduce(table, None))
         grid = (10**4, 3 * 10**4, 10**5, 10**6)
         got = census.tail_counts_szpiro(grid, theta, kappa)
         want = [
