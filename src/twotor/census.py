@@ -1,35 +1,49 @@
 """Enumeration of family curves by conductor-polynomial size.
 
-The family is ``curve_core.family_at_2 & family_at_3``: the sweep generates
-only the b in the residue classes that ``curve_core.FAMILY_MOD96`` allows for
-a.  ``--all-residues`` sweeps with a 1x1 table that allows every b; any other
-(n, n) residue table works the same way.
+The family is ``curve_core.family_at_2 & family_at_3``: only the b in the
+residue classes that ``curve_core.FAMILY_MOD96`` allows for a are taken.
+``--all-residues`` uses a 1x1 table that allows every b; any other (n, n)
+residue table works the same way.
 
-The region |b (a^2 - 4b)| <= Z is swept in blocks of consecutive a-columns,
-cut so that each holds about as many rows of its table (``_blocks``); per column
-the admissible b form one interval, or two once a^4 > 16 Z opens a hole
-around b = a^2/8.  The interval ends of a whole block are estimated in
-float64 and then decided exactly by vectorized int64 nudge passes over
-b (a^2 - 4b), which never form a^4; so no float decides membership, up to
-Z = _MAX_Z.
+Per a-column the b with |b (a^2 - 4b)| <= Z form one interval, or two once
+a^4 > 16 Z opens a hole around b = a^2/8.  The interval ends of a whole
+block of columns are estimated in float64 and then decided exactly by
+vectorized int64 nudge passes over b (a^2 - 4b), which never form a^4; so
+no float decides membership, up to Z = 2^50 (``_block_intervals``).  An
+interval holds under(hi + 1) - under(lo) allowed b in closed form
+(``_runs``).  A census either counts or sweeps:
 
-A block's rows are one table: a dict of contiguous 1-D columns, a and b
-and |cond poly| always, and the prime-to-6 conductor and index and the
-cube-free flag only for a caller that asks for them (``conductors``):
-conductor ordering, the CubeFree and Kappa families and both tails.  The
-default census, CondPoly counted by |cond poly|, reads the lean table, and
-its sweep factors nothing but the small gcd(a, b).  A block with no
-rescaled copy keeps the sweep's own a and b arrays.  Each block's table is
-reduced where it is swept, in its worker, to a small partial (counts on a
-grid, tail counts, the I* count and first examples), and the partials are
-merged in block order (``_census_records``); no process holds more than one
-block's rows, so memory stays flat in Z.  A tails grid is served by one
-sweep at its largest X.  Good reduction at 2 and 3 is a function of (a, b)
-and is not a column: the Szpiro tail sweeps only its residue classes mod 384
-(``_good_mod384``), so every row it reads has it, and a census report counts
-its predicate curves that are bad at 2 by one lookup in the same table
-(``_predicate_vs_tate``).  No census runs Tate's algorithm outside the Kappa
-filter.
+* It counts when it reads only |cond poly|: the CondPoly family ordered by
+  |cond poly|, with or without ``--all-residues``, up to Z = _MAX_COUNT_Z.
+  No pair is listed.  The pairs of a table sum over the intervals, and the
+  rescaled copies (p^2 | a, p^4 | b, p >= 5) leave by a Moebius sum over
+  d^8 <= Z of the counts at Z // d^8 (``_pair_counts``).  The 2,3 check is
+  two counts, of the family's table and of its Tate-exact classes.  A
+  minimal pair is I* at p >= 5 exactly when (a, b) = (p a', p^2 b') with p
+  not dividing a' but dividing b' (a'^2 - 4b') (``additive_type``: v_p(a) = 1
+  and v_p(b) >= 2, less I0*, where p divides neither b' nor a'^2 - 4b').
+  Then b (a^2 - 4b) = p^4 b' (a'^2 - 4b') with p | b' (a'^2 - 4b'), so
+  p^5 <= Z, and the I* rows are listed on that sublattice at Z / p^4
+  (``_star_rows``): about one pair in 80 of the region.  Count blocks are
+  runs of _COLUMNS_PER_BLOCK columns (``_column_blocks``).
+* It sweeps otherwise, up to Z = _MAX_Z: conductor ordering, the CubeFree
+  and Kappa families and both tails.  Its blocks are cut so that each holds
+  about as many rows of its table (``_blocks``), and a block's rows are one
+  table, a dict of contiguous 1-D columns: a, b, |cond poly|, the prime-to-6
+  conductor and index and the cube-free flag.  The shared primes come from
+  the small gcd(a, b).  A block with no rescaled copy keeps the sweep's own
+  a and b arrays.
+
+Each block is reduced where it is taken, in its worker, to a small partial
+(counts on a grid, tail counts, the I* count and first examples), and the
+partials are merged in block order (``_census_records``); no process holds
+more than one block's rows, so memory stays flat in Z.  A tails grid is
+served by one sweep at its largest X.  Good reduction at 2 and 3 is a
+function of (a, b) and is not a column: the Szpiro tail sweeps only its
+residue classes mod 384 (``_good_mod384``), so every row it reads has it,
+and a census report counts its predicate curves that are bad at 2 against
+the same table (``_predicate_vs_tate``).  No census runs Tate's algorithm
+outside the Kappa filter.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -61,15 +75,23 @@ from .curve_core import (
 
 KAPPA_MAX = Fraction(155, 68)
 TAIL_INDEX_CAP = 100
-_MAX_Z = 10**12  # keeps b*(a^2-4b) evaluations inside int64
-# Pairs (all residues) per family-table block, over sqrt(Z).  census --x 5e7 / 1e9,
-# median of 14 fresh interpreters: 74 gives 0.074 / 0.405 s and 42.4 / 105.2
-# MiB peak RSS; 37 gives 0.075 / 0.392 s, 42.3 / 109.7 MiB; 148 gives
-# 0.072 / 0.425 s, 43.4 / 106.6 MiB.  None is faster at both without more RSS.
+# The largest region each kind of census takes.  A sweep lists every pair, so
+# its bound is set by time and memory: 263.5M rows at 1e12.  A count lists only
+# the I* rows, and its bound is where _block_intervals stops being exact: Z <=
+# 2^50, with margin, by the error bound in its docstring (1e15 < 2^50).
+_MAX_Z = 10**12
+_MAX_COUNT_Z = 10**15
+# Pairs (all residues) per family-table block of a sweep, over sqrt(Z).  census
+# --x 5e7 / 1e9 --family cubefree, median of 7 fresh interpreters: 74 gives 0.069
+# / 0.581 s and 38.6 / 49.7 MiB peak RSS; 37 gives 0.077 / 0.656 s, 37.0 / 43.7
+# MiB; 148 gives 0.077 / 0.609 s, 41.5 / 63.4 MiB.  Only 74 is fastest at both.
 _PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 # The residue table of --all-residues: every (a, b) mod 1.
 _ALL_RESIDUES = np.ones((1, 1), dtype=bool)
+# A count block's a-columns, and the most rows an I* listing holds at once.
+_COLUMNS_PER_BLOCK = 1 << 16
+_STAR_ROWS = 1 << 17
 
 
 def _nudge(f, b: np.ndarray, step: int) -> np.ndarray:
@@ -106,6 +128,17 @@ def _block_intervals(a: np.ndarray, Z: int):
     are the roots of b (t - 4b) = -Z and the hole's ends those of
     b (t - 4b) = Z; float64 puts each root within a unit and the nudges
     decide it on the exact predicate.
+
+    Exact for Z <= 2^50 (``_MAX_COUNT_Z``).  Let u = 2^-53.  t = a^2 <= 4 Z + 1
+    and 16 Z are exact floats, so an outer estimate errs by at most 3 u Z + 1.
+    The hole's D = sqrt(t^2 - 16 Z) comes from (t - 4 sqrt Z)(t + 4 sqrt Z),
+    whose error is under 32 u Z + 2 u D^2, so D errs by under
+    min(sqrt(32 u Z), 32 u Z / D) + 3 u D, and the hole's estimates by under
+    (sqrt(32 u Z) + 6 u t) / 8 + 1: under 2 at 2^50, inside the _NUDGE steps.
+    A hole holding one integer h has D < 8, and h lies at least 1/D inside
+    both roots, since b (t - 4b) is concave with slope D there; its estimates
+    err by under (4 u Z + 16 u sqrt Z) / D < 1/D, so no walk starts on the far
+    side of h.  Within the walks |b (t - 4b)| stays under 40 Z, inside int64.
     """
     t = a * a
     tf = t.astype(np.float64)
@@ -148,12 +181,33 @@ def _spread(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def _layout(cells: bytes, n: int):
-    """The allowed k n + r of the (n, n) table with these packed cells, in order, the
-    m_k of each row, where each row starts, and whether n divides no allowed r (k^2 - 4r)."""
-    flat = np.flatnonzero(np.unpackbits(np.frombuffer(cells, dtype=np.uint8), count=n * n))
+    """The allowed k n + r of the (n, n) table with these packed cells, in order;
+    below[k (n + 1) + r], the allowed residues under r in row k (so r = n gives
+    the row's m_k); the m_k and where each row starts in the first array; and
+    whether n divides no allowed r (k^2 - 4r)."""
+    table = np.unpackbits(np.frombuffer(cells, dtype=np.uint8), count=n * n).view(bool).reshape(n, n)
+    flat = np.flatnonzero(table)
+    below = np.zeros((n, n + 1), dtype=np.min_scalar_type(n))  # 1/4 of int64 at n = 384
+    np.cumsum(table, axis=1, dtype=below.dtype, out=below[:, 1:])
+    per_row = below[:, n].astype(np.int64)
     k, r = np.divmod(flat, n)
-    per_row = np.bincount(k, minlength=n)
-    return flat, per_row, np.cumsum(per_row) - per_row, not np.any(r * (k * k - 4 * r) % n == 0)
+    zero_free = not np.any(r * (k * k - 4 * r) % n == 0)
+    return flat, below.ravel(), per_row, np.cumsum(per_row) - per_row, zero_free
+
+
+def _table_layout(table: np.ndarray):
+    """``_layout`` of an (n, n) residue table."""
+    return _layout(np.packbits(table).tobytes(), len(table))
+
+
+def _runs(row: np.ndarray, los: np.ndarray, his: np.ndarray, n: int, below: np.ndarray):
+    """Per b-interval [lo, hi] in table row k: lo mod n, j0 = below[k, lo mod n],
+    and under(hi + 1) - under(lo), the number of allowed b it holds (see
+    ``_block_pairs``)."""
+    base = row * (n + 1)
+    lo_r = los % n
+    j0 = below[base + lo_r]
+    return lo_r, j0, (his + 1 - los + lo_r) // n * below[base + n] + below[base + (his + 1) % n] - j0
 
 
 def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
@@ -163,21 +217,26 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     ``curve_core.FAMILY_MOD96``, or ``_ALL_RESIDUES`` for every b.  Let row k allow the
     m_k residues R_k (increasing), below[k, r] of them under r, and under(x) =
     (x // n) m_k + below[k, x mod n].  Then an interval [lo, hi] in row k holds
-    under(hi + 1) - under(lo) allowed b; the e-th is lo - lo mod n + n (j // m_k) +
-    R_k[j mod m_k], j = below[k, lo mod n] + e.  So one spread lists a block in (a, b)
-    order; the ends are exact, so only b (a^2 - 4b) = 0 is dropped, if the table admits it.
+    under(hi + 1) - under(lo) allowed b (``_runs``); the e-th is lo - lo mod n +
+    n (j // m_k) + R_k[j mod m_k], j = below[k, lo mod n] + e.  So one spread lists
+    a block in (a, b) order; the ends are exact, so only b (a^2 - 4b) = 0 is
+    dropped, if the table admits it.
     """
-    n = len(table)
-    flat, per_row, start, zero_free = _layout(np.packbits(table).tobytes(), n)
+    layout = _table_layout(table)
+    per_row = layout[2]
     a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-    cols, los, his = _block_intervals(a[per_row[a % n] > 0], Z)  # columns with allowed b
-    row, lo_r = cols % n, los % n
-    m, s, kn = per_row[row], start[row], row * n
-    j0 = np.searchsorted(flat, kn + lo_r) - s  # below[k, lo mod n], by binary search
-    top = (his + 1 - los + lo_r) // n * m + np.searchsorted(flat, kn + (his + 1) % n) - s
-    iv, e = _spread(top - j0)  # top is under(hi + 1) - under(lo - lo mod n)
-    q, r = np.divmod(j0[iv] + e, m[iv])
-    b = (los - lo_r - kn)[iv] + n * q + flat[s[iv] + r]
+    return _list_pairs(*_block_intervals(a[per_row[a % len(table)] > 0], Z), layout)
+
+
+def _list_pairs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
+    """``_block_pairs`` on given b-intervals of columns with allowed b."""
+    flat, below, per_row, start, zero_free = layout
+    n = len(per_row)
+    row = cols % n
+    lo_r, j0, count = _runs(row, los, his, n, below)
+    iv, e = _spread(count)
+    q, r = np.divmod(j0[iv] + e, per_row[row][iv])
+    b = (los - lo_r - row * n)[iv] + n * q + flat[start[row][iv] + r]
     a = cols[iv]
     f = b * (a * a - 4 * b)
     keep = slice(None) if zero_free else f != 0
@@ -216,10 +275,20 @@ def _residue_table(use_family) -> np.ndarray:
     return FAMILY_MOD96 if use_family else _ALL_RESIDUES
 
 
-def _block_records(args, conductors: bool = True) -> tuple[dict, np.ndarray]:
+@cache
+def _sublattice(use_family, p: int):
+    """``_layout`` of T_p[a, b] = T[p a mod n, p^2 b mod n], for the residue table
+    T of use_family (``_residue_table``) and p prime to n: the (a, b) whose
+    (p a, p^2 b) T admits."""
+    table = _residue_table(use_family)
+    k = np.arange(len(table))
+    return _table_layout(table[p * k % len(k)][:, p * p * k % len(k)])
+
+
+def _block_records(args) -> tuple[dict, np.ndarray]:
     """The records of one block of a-columns, in (a, b) order, as a table
-    {name: 1-D array}: the int64 columns a, b and cond_poly and, when
-    conductors is set, the int64 conductor and index_6 and the bool cubefree.
+    {name: 1-D array}: the int64 columns a, b, cond_poly, conductor and
+    index_6, and the bool cubefree.
     Also the I*_n rows of the shared primes, as an int64 array with the four
     columns (a, b, p, n = v_p(Delta)).
 
@@ -230,7 +299,7 @@ def _block_records(args, conductors: bool = True) -> tuple[dict, np.ndarray]:
     |a| <= sqrt(4 Z + 1) keeps that gcd small (at a = 0 it is |b| <= sqrt(Z)/2).
     The shared primes get one row each, with columns v_p(b), v_p(c) and
     p^2 | a, which ``curve_core.additive_type`` reads: the rescaled-copy skip,
-    the I*_n rows and, in the full table, the cube-free correction
+    the I*_n rows and the cube-free correction
     (v_p(bc) > 2).  Rows are dropped, by a gather of every column, only when
     some pair is a rescaled copy; otherwise a and b are ``_block_pairs``'s
     own arrays.
@@ -238,9 +307,9 @@ def _block_records(args, conductors: bool = True) -> tuple[dict, np.ndarray]:
     On a minimal pair a prime p >= 5 dividing only one of b, c has conductor
     exponent 1, and one dividing both has exponent 2 (additive reduction).
     So the conductor is rad(b)_{6'} rad(c)_{6'} and the index is |bc|_{6'}
-    over it.  For the full table the |b| and |c| of a block are profiled
-    together, once per distinct value, and read back per row: at Z = 5e7
-    each value occurs about 3.4 times in its block.
+    over it.  The |b| and |c| of a block are profiled together, once per
+    distinct value, and read back per row: at Z = 5e7 each value occurs about
+    3.4 times in its block.
     """
     Z, a_lo, a_hi, use_family = args
     a, b, f = _block_pairs(Z, a_lo, a_hi, _residue_table(use_family))
@@ -252,27 +321,26 @@ def _block_records(args, conductors: bool = True) -> tuple[dict, np.ndarray]:
     v_c = ar.valuations(a_row * a_row - 4 * b_row, p)
     non_minimal, kind = additive_type(v_b, v_c, a_row % (p * p) == 0)
     star = kind == ADDITIVE_TAGS.index("I*")  # I*_{n-6}, n = v_p(Delta)
-    table = {"a": a, "b": b, "cond_poly": np.abs(f)}
-    if conductors:
-        c = a * a - 4 * b
-        values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
-        (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
-            x[inv].reshape(2, -1) for x in ar.prime_to_6_profile(values))
-        cond = rad_b * rad_c
-        cubefree = (emax_b <= 2) & (emax_c <= 2)
-        cubefree[row[v_b + v_c > 2]] = False
-        table.update(conductor=cond, index_6=part_b * part_c // cond, cubefree=cubefree)
+    c = a * a - 4 * b
+    values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
+    (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
+        x[inv].reshape(2, -1) for x in ar.prime_to_6_profile(values))
+    cond = rad_b * rad_c
+    cubefree = (emax_b <= 2) & (emax_c <= 2)
+    cubefree[row[v_b + v_c > 2]] = False
+    table = {"a": a, "b": b, "cond_poly": np.abs(f), "conductor": cond,
+             "index_6": part_b * part_c // cond, "cubefree": cubefree}
     if non_minimal.any():
         keep = np.ones(len(a), dtype=bool)
         keep[row[non_minimal]] = False
         star &= keep[row]
-        table = _rows(table, keep)
+        table = _rows(table, keep, table)
     return table, np.column_stack((a_row, b_row, p, 2 * v_b + v_c))[star]
 
 
-def _rows(table: dict, which) -> dict:
-    """The rows of a table that a mask or index array selects."""
-    return {name: col[which] for name, col in table.items()}
+def _rows(table: dict, which, names) -> dict:
+    """The rows of a table's named columns that a mask or index array selects."""
+    return {name: table[name][which] for name in names}
 
 
 def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
@@ -305,10 +373,144 @@ def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
     return [(lo, hi - 1) for lo, hi in zip(starts, starts[1:])]
 
 
-def _sweep_block(args, reduce, conductors: bool):
+def _column_blocks(Z: int) -> list[tuple[int, int]]:
+    """Consecutive a-ranges of _COLUMNS_PER_BLOCK columns covering |a| <= sqrt(4 Z + 1):
+    the blocks of a count, whose work goes by columns, not rows."""
+    A = isqrt(4 * Z + 1)
+    return [(lo, min(lo + _COLUMNS_PER_BLOCK - 1, A)) for lo in range(-A, A + 1, _COLUMNS_PER_BLOCK)]
+
+
+def _columns(Z: int, a_lo: int, a_hi: int, u: int) -> np.ndarray:
+    """The a with a_lo <= u a <= a_hi and |a| <= sqrt(4 Z + 1), as an int64 array."""
+    A = isqrt(4 * Z + 1)
+    return np.arange(max(-A, -(-a_lo // u)), min(A, a_hi // u) + 1, dtype=np.int64)
+
+
+def _iroot(Z: int, k: int) -> int:
+    """The largest r with r^k <= Z."""
+    r = int(Z ** (1 / k))
+    while r**k > Z:
+        r -= 1
+    while (r + 1) ** k <= Z:
+        r += 1
+    return r
+
+
+def _primes_from_5(n: int) -> list[int]:
+    """The primes 5 <= p <= n."""
+    return ar.primes_up_to(n)[2:].tolist()
+
+
+def _rescalings(Z: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the square-free d with primes >= 5 and d^8 <= Z, d = 1 first."""
+    terms = [(1, 1)]
+    for p in _primes_from_5(_iroot(Z, 8)):
+        terms += [(d * p, -mu) for d, mu in terms if (d * p) ** 8 <= Z]
+    return terms
+
+
+def _pair_counts(Z: int, a_lo: int, a_hi: int, families: tuple) -> list[int]:
+    """Per residue table (``_residue_table`` of each of families), the minimal
+    pairs it admits with a_lo <= a <= a_hi and 0 < |b (a^2 - 4b)| <= Z, counted
+    without listing.  The first table's rows must cover the others'.
+
+    A pair (a, b) is a rescaled copy of (a / d^2, b / d^4) for every d with
+    d^2 | a and d^4 | b, and b (a^2 - 4b) scales by d^8.  For d prime to 6
+    the two are isomorphic at 2 and 3, so a table, a condition at 2 and 3,
+    admits both or neither.  So by Moebius inversion over d (square-free,
+    primes >= 5) the minimal pairs number sum mu(d) count(Z // d^8) over
+    the columns a_lo / d^2 .. a_hi / d^2.  Each count is a sum over the
+    b-intervals of ``_runs``'s closed form; a table that admits
+    b (a^2 - 4b) = 0 loses b = 0 and b = a^2 / 4 per column.  All tables share
+    each term's intervals.
+    """
+    layouts = [_table_layout(_residue_table(family)) for family in families]
+    counts = [0] * len(families)
+    rows = layouts[0][2]
+    for d, mu in _rescalings(Z):
+        Zd = Z // d**8
+        a = _columns(Zd, a_lo, a_hi, d * d)
+        a = a[rows[a % len(rows)] > 0]
+        if not len(a):
+            continue
+        cols, los, his = _block_intervals(a, Zd)
+        for i, (_, below, per_row, _, zero_free) in enumerate(layouts):
+            n = len(per_row)
+            count = int(_runs(cols % n, los, his, n, below)[2].sum())
+            if not zero_free:  # row k admits r when below[k, r + 1] > below[k, r]
+                base, r = a % n * (n + 1), a * a // 4 % n
+                count -= int(below[base + 1].sum()) + int(np.count_nonzero(
+                    (a % 2 == 0) & (a != 0) & (below[base + r + 1] > below[base + r])))
+            counts[i] += mu * count
+    return counts
+
+
+def _star_rows(Z: int, a_lo: int, a_hi: int, use_family) -> tuple[int, list]:
+    """The I*_n rows at p >= 5 of the minimal pairs with a_lo <= a <= a_hi and
+    0 < |b (a^2 - 4b)| <= Z: their number and the first ten in (a, b, p) order,
+    as [a, b, p, n = v_p(Delta)].
+
+    By ``curve_core.additive_type`` a minimal pair is I* at p exactly when
+    (a, b) = (p a', p^2 b') with p not dividing a' and p dividing
+    b' (a'^2 - 4b'): then f = b (a^2 - 4b) is p^4 f', p | f', so p^5 <= Z.  So
+    the I* rows at p are the pairs of T_p = ``_sublattice(use_family, p)`` with
+    |f'| <= Z // p^4 and those two conditions, listed by ``_list_pairs`` in
+    runs of about _STAR_ROWS, less the rescaled copies at a prime q != p
+    (q^2 | a', q^4 | b').  Each prime's rows come in (a, b) order, so the
+    first ten are among the first ten of each.
+    """
+    found, first = 0, []
+    for p in _primes_from_5(_iroot(Z, 5)):
+        Zp = Z // p**4
+        layout = _sublattice(use_family, p)
+        _, below, per_row, _, _ = layout
+        n = len(per_row)
+        a = _columns(Zp, a_lo, a_hi, p)
+        a = a[(a % p != 0) & (per_row[a % n] > 0)]
+        if not len(a):
+            continue
+        cols, los, his = _block_intervals(a, Zp)
+        ends = np.cumsum(_runs(cols % n, los, his, n, below)[2])
+        copies = [q for q in _primes_from_5(_iroot(Zp, 8)) if q != p]
+        ahead = 10
+        for run in np.split(np.arange(len(cols)), np.flatnonzero(np.diff((ends - 1) // _STAR_ROWS)) + 1):
+            a1, b1, f1 = _list_pairs(cols[run], los[run], his[run], layout)
+            keep = f1 % p == 0
+            for q in copies:
+                keep &= (a1 % (q * q) != 0) | (b1 % q**4 != 0)
+            a1, b1 = a1[keep][:ahead], b1[keep][:ahead]
+            found += int(np.count_nonzero(keep))
+            first += [(p * x, p * p * y, p) for x, y in zip(a1.tolist(), b1.tolist())]
+            ahead -= len(a1)
+    first = sorted(first)[:10]
+    if not first:
+        return found, []
+    a, b, p = np.array(first).T
+    n = 2 * ar.valuations(b, p) + ar.valuations(a * a - 4 * b, p)
+    return found, np.column_stack((a, b, p, n)).tolist()
+
+
+def _count_block(args, cutoffs: tuple) -> tuple:
+    """One block's share of a CondPoly census by |cond poly| (``run_census``),
+    counted without listing a pair: ``_census_block``'s tuple for the same
+    block.  The counts on the cutoff grid and at Z = X (``_pair_counts``), no
+    tail or index-cap overflow, the I* rows (``_star_rows``), and the
+    ``_predicate_vs_tate`` pair as two counts at X, of the family's table and
+    of its Tate-exact classes (``_good_mod384``)."""
+    X, a_lo, a_hi, use_family = args
+    families = (use_family, "good") if use_family else (False, True, "good")
+    at_x = _pair_counts(X, a_lo, a_hi, families)
+    counts = [at_x[0] if cut == X else _pair_counts(cut, a_lo, a_hi, families[:1])[0]
+              for cut in cutoffs]
+    family, good = at_x[-2:]
+    return (np.array(counts, dtype=np.int64), at_x[0], 0, 0, *_star_rows(X, a_lo, a_hi, use_family),
+            family, family - good)
+
+
+def _sweep_block(args, reduce):
     """One block's partial: its table and I* rows (``_block_records``),
     reduced in the process that swept them."""
-    return reduce(*_block_records(args, conductors))
+    return reduce(*_block_records(args))
 
 
 def _add(partials):
@@ -317,34 +519,35 @@ def _add(partials):
     return tuple(sum(field[1:], field[0]) for field in zip(*partials))
 
 
-def _census_records(Z: int, reduce, workers: int = 1, use_family=True, conductors: bool = True):
-    """Sweep every minimal (family) curve with |cond poly| <= Z, reducing each
-    block where it is swept.
+def _census_records(Z: int, block, workers: int = 1, use_family=True, counting: bool = False):
+    """Every minimal (family) curve with |cond poly| <= Z, block by block,
+    each block reduced to a partial in the process that takes it.
 
-    reduce(table, star) gets one block's ``_block_records``: its table of
-    columns, in (a, b) order, with the conductor columns when conductors is
-    set, and its I* rows (a, b, p, v_p(Delta)), the shared primes whose
-    Kodaira symbol is outside {III, I0*, III*}.  It runs in the worker and
-    must be picklable: a module-level function or a ``functools.partial`` of
-    one.  Its partials are summed in block order (``_add``), so the calling
-    process holds no row, only the sum.  use_family picks the residue table
-    (``_residue_table``).
+    block(args) is one block's partial, args = (Z, a_lo, a_hi, use_family),
+    use_family picking the residue table (``_residue_table``).  A sweep's
+    block is ``_sweep_block`` with a reducer, on the blocks of ``_blocks``;
+    with counting set the blocks are ``_column_blocks`` and block is
+    ``_count_block``.  block runs in the worker and must be picklable: a
+    module-level function or a ``functools.partial`` of one.  The partials
+    are summed in block order (``_add``), so the calling process holds no row,
+    only the sum.
     """
-    if Z > _MAX_Z:
-        raise ValueError(f"region bound beyond the int64-safe limit {_MAX_Z}")
+    kind, limit = ("count", _MAX_COUNT_Z) if counting else ("sweep", _MAX_Z)
+    if Z > limit:
+        raise ValueError(f"region bound beyond the limit {limit} of a census {kind}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in _blocks(Z, _residue_table(use_family))]
+    cut = _column_blocks(Z) if counting else _blocks(Z, _residue_table(use_family))
+    blocks = [(Z, a_lo, a_hi, use_family) for a_lo, a_hi in cut]
     # a fork pool starts all its processes at the first submit: ask for no more than can work
     workers = min(workers, len(blocks), os.cpu_count() or 1)
-    sweep = partial(_sweep_block, reduce=reduce, conductors=conductors)
     if workers <= 1:
-        return _add(map(sweep, blocks))
+        return _add(map(block, blocks))
     # imported here: it loads multiprocessing, which a one-worker run never needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _add(pool.map(sweep, blocks))
+        return _add(pool.map(block, blocks))
 
 
 @dataclass(frozen=True)
@@ -426,13 +629,15 @@ def _census_block(table: dict, star: np.ndarray, config: CensusConfig, cutoffs: 
     pair.  All but the I* rows refer to the counted curves: the family's rows
     in the window, after the Kappa filter."""
     X = config.X
-    if config.family == "CubeFree":
-        table = _rows(table, table["cubefree"])
     key = "cond_poly" if config.order_by == "CondPoly" else "conductor"
+    # the columns read below: a gather copies only these
+    names = {key, "a", "b", "index_6", *(("conductor",) if config.family == "Kappa" else ())}
+    if config.family == "CubeFree":
+        table = _rows(table, table["cubefree"], names)
     window = table[key] <= X
     szpiro = np.zeros(0)
     if config.family == "Kappa":
-        table = _rows(table, window & (table["conductor"] > 1))
+        table = _rows(table, window & (table["conductor"] > 1), names)
         # |b| without its 2s and 3s: 2^62 and 3^39 are the top powers in int64
         part_b = np.abs(table["b"])
         part_b //= np.gcd(part_b, 1 << 62)
@@ -441,9 +646,9 @@ def _census_block(table: dict, star: np.ndarray, config: CensusConfig, cutoffs: 
         cols = (table["a"], table["b"], part_b, part_c, table["conductor"])
         szpiro = np.array([avg_szpiro_of_parts(*row) for row in zip(*(c.tolist() for c in cols))])
         kept = szpiro <= config.kappa
-        table, szpiro = _rows(table, kept), szpiro[kept]
+        table, szpiro = _rows(table, kept, names), szpiro[kept]
     elif not window.all():  # under CondPoly ordering Z = X: the window is the whole block
-        table = _rows(table, window)
+        table = _rows(table, window, names)
     # the curves with key in (cutoffs[i - 1], cutoffs[i]] land in bin i
     bins = np.bincount(np.searchsorted(cutoffs, table[key]), minlength=len(cutoffs) + 1)
     return (
@@ -470,21 +675,23 @@ def run_census(
     outside {III, I0*, III*}, the index-cap overflow under conductor ordering
     and, as ``predicate_oracle_2_3``, the counted curves in the mod-96
     predicate and those of them bad at 2 by Tate (``_predicate_vs_tate``).
-    Each block is reduced where it is swept (``_census_block``), so no
-    process holds more than one block's records, and only the ten printed
-    I* examples are formatted.
+    The CondPoly family by |cond poly| is counted, block by block of columns
+    (``_count_block``).  Every other kind is swept, and each block reduced
+    where it is swept (``_census_block``).  Either way no process holds more
+    than one block's records, and only the ten printed I* examples are
+    formatted.
     """
     X = config.X
     cutoffs = tuple(sorted(set(cutoffs))) if cutoffs else _default_cutoffs(X)
     if cutoffs[-1] > X:
         raise ValueError("cutoffs beyond config.X")
     Z = X if config.order_by == "CondPoly" else X * config.index_cap
+    counting = config.family == "CondPoly" and config.order_by == "CondPoly"
+    block = (partial(_count_block, cutoffs=cutoffs) if counting else
+             partial(_sweep_block, reduce=partial(_census_block, config=config, cutoffs=cutoffs)))
     (counts, total, tail, overflow, out_of_list, star, family_curves,
-     bad_at_2) = _census_records(
-        Z, reduce=partial(_census_block, config=config, cutoffs=cutoffs),
-        workers=config.workers, use_family=config.good_reduction_filter,
-        conductors=config.family != "CondPoly" or config.order_by != "CondPoly",
-    )
+     bad_at_2) = _census_records(Z, block, workers=config.workers,
+                                 use_family=config.good_reduction_filter, counting=counting)
     counts = tuple(counts.tolist())
 
     const = local_density.mt1_constant(config.family, tol=euler_tol)  # None: the default
@@ -533,7 +740,7 @@ def run_census(
 
 def _index_tail_block(table: dict, _star, grid: tuple, delta: float) -> tuple:
     """One block's ``tail_counts_index``, per X in grid."""
-    table = _rows(table, table["cubefree"])
+    table = _rows(table, table["cubefree"], ("cond_poly", "conductor", "index_6"))
     return (np.array([
         np.count_nonzero((table["cond_poly"] <= X * TAIL_INDEX_CAP)
                          & (table["conductor"] <= X) & (table["index_6"] > X ** (2 * delta)))
@@ -542,7 +749,7 @@ def _index_tail_block(table: dict, _star, grid: tuple, delta: float) -> tuple:
 
 def _szpiro_tail_block(table: dict, _star, grid: tuple, theta: float, kappa: float) -> tuple:
     """One block's ``tail_counts_szpiro``, per X in grid."""
-    table = _rows(table, table["conductor"] > 1)
+    table = _rows(table, table["conductor"] > 1, ("cond_poly", "conductor", "index_6"))
     cond = table["conductor"]
     ratio = (3 * np.log((table["index_6"] * cond).astype(np.float64))
              / (2 * np.log(cond.astype(np.float64))))
@@ -564,8 +771,9 @@ def tail_counts_index(grid, delta: float, workers: int = 1) -> list[int]:
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
     grid = tuple(grid)
-    (counts,) = _census_records(max(grid) * TAIL_INDEX_CAP, workers=workers,
-                                reduce=partial(_index_tail_block, grid=grid, delta=delta))
+    (counts,) = _census_records(
+        max(grid) * TAIL_INDEX_CAP, workers=workers,
+        block=partial(_sweep_block, reduce=partial(_index_tail_block, grid=grid, delta=delta)))
     return counts.tolist()
 
 
@@ -593,5 +801,6 @@ def tail_counts_szpiro(grid, theta: float, kappa: float, workers: int = 1) -> li
     grid = tuple(grid)
     (counts,) = _census_records(
         max(grid) * TAIL_INDEX_CAP, workers=workers, use_family="good",
-        reduce=partial(_szpiro_tail_block, grid=grid, theta=theta, kappa=kappa))
+        block=partial(_sweep_block, reduce=partial(_szpiro_tail_block, grid=grid, theta=theta,
+                                                   kappa=kappa)))
     return counts.tolist()

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt, sqrt
 from typing import Callable, Iterator, Optional
 
@@ -50,7 +51,8 @@ from twotor import curve_core as cc
 from twotor import local_density as ld
 from twotor import real_density as rd
 from twotor._constants import SQRT2
-from twotor.census import _MAX_Z, _block_intervals, _block_pairs, _blocks, _census_records
+from twotor.census import (_MAX_Z, _block_intervals, _block_pairs, _blocks, _census_records,
+                           _sweep_block)
 from twotor.curve_core import CurveParams, kodaira_symbol_large_p
 from twotor.lp_bounds import LinearProgram, LPInfeasibleError, LPUnboundedError
 
@@ -69,8 +71,7 @@ TAIL_INTEGRAL = (-SQRT2 + (1.0 + SQRT2) * _G) / 3.0
 
 # per-curve record: (a, b, |cond poly|, conductor, prime-to-6 index, cube-free flag)
 Record = tuple[int, int, int, int, int, bool]
-# The same record as a row of the tests' structured tables; a lean table
-# (conductors false) has the first three fields.
+# The same record as a row of the tests' structured tables.
 RECORD_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("cond_poly", np.int64),
                          ("conductor", np.int64), ("index_6", np.int64), ("cubefree", np.bool_)])
 
@@ -170,9 +171,9 @@ def block_pairs_by_mask(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
 
 def structured(table: dict, star: np.ndarray) -> tuple[np.ndarray, list]:
     """One ``census._block_records`` result in the tests' comparison format:
-    its columns as one structured array, with the fields of ``RECORD_DTYPE``
-    it has, and its I* rows as the list of (a, b, p, symbol)."""
-    records = np.empty(len(table["a"]), [f for f in RECORD_DTYPE.descr if f[0] in table])
+    its columns as one ``RECORD_DTYPE`` array, and its I* rows as the list of
+    (a, b, p, symbol)."""
+    records = np.empty(len(table["a"]), RECORD_DTYPE)
     for name in records.dtype.names:
         records[name] = table[name]
     return records, [(a, b, p, str(cc.KodairaSymbol("I*", n - 6))) for a, b, p, n in star.tolist()]
@@ -185,19 +186,114 @@ def keep_rows(table: dict, star: np.ndarray) -> tuple[list, list]:
     return [records], anomalies
 
 
-def census_records(Z: int, workers: int = 1, use_family=True, conductors: bool = True):
+def census_records(Z: int, workers: int = 1, use_family=True):
     """All minimal (family) curves with |cond poly| <= Z, in deterministic order.
 
     Returns the ``RECORD_DTYPE`` table, sorted by (a, b), and the list of
     (a, b, p, symbol) for shared primes whose Kodaira symbol is outside
-    {III, I0*, III*}; with conductors false the table has only the fields a,
-    b and cond_poly.  This is ``census._census_records`` with a reducer that
-    keeps the rows, then one ``np.concatenate``: the whole table in memory at
-    once, which no census report needs.
+    {III, I0*, III*}.  This is ``census._census_records`` sweeping with a
+    reducer that keeps the rows, then one ``np.concatenate``: the whole table
+    in memory at once, which no census report needs.
     """
-    tables, anomalies = _census_records(Z, reduce=keep_rows, workers=workers,
-                                        use_family=use_family, conductors=conductors)
+    tables, anomalies = _census_records(Z, partial(_sweep_block, reduce=keep_rows),
+                                        workers=workers, use_family=use_family)
     return np.concatenate(tables), anomalies
+
+
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """isqrt of each entry of an int64 array of values >= 0."""
+    return np.array([isqrt(v) for v in values.tolist()], dtype=np.int64)
+
+
+def _in_ranges(cum: np.ndarray, key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per line, the a in [lo, hi] (none when hi < lo) whose residue mod m is
+    allowed in row key of a table with cum[key, x] allowed residues under x,
+    x = 0..m."""
+    m = cum.shape[1] - 1
+
+    def under(x):
+        return x // m * cum[key, m] + cum[key, x % m]
+
+    return np.where(hi >= lo, under(hi + 1) - under(lo), 0)
+
+
+def _cumulative(allowed: np.ndarray) -> np.ndarray:
+    """cum[k, x]: the True entries of row k of allowed under column x."""
+    cum = np.zeros((allowed.shape[0], allowed.shape[1] + 1), dtype=np.int64)
+    np.cumsum(allowed, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _count_lines(Z: int, tables: list, chunk: int = 1 << 18) -> list[int]:
+    """Per (n, n) residue table, the pairs (a, b) it admits with
+    0 < |b c| <= Z, c = a^2 - 4b, rescaled copies included, by lines.
+
+    Since |b| |c| <= Z, a pair has |b| <= S = isqrt(Z) or |c| <= Z // (S + 1) <= S.
+    The b-lines 1 <= |b| <= S hold the a with |a^2 - 4b| <= Z // |b|, less
+    a^2 = 4b; the c-lines 1 <= |c| <= S the a with a^2 = c mod 4 and
+    S < b = (a^2 - c) / 4 <= Z // |c| (b >= -|c| / 4 leaves no b < -S).  Either
+    way a^2 runs over an interval, and its ends come from ``math.isqrt``.
+    """
+    S = isqrt(Z)
+    counts = [0] * len(tables)
+    by_b = [_cumulative(t.T) for t in tables]  # row b mod n, columns a mod n
+    # row c mod 4n, columns a mod 2n: a^2 = c mod 4 and b = (a^2 - c) / 4 allowed
+    by_c = []
+    for t in tables:
+        n = len(t)
+        c, r = np.ogrid[:4 * n, :2 * n]
+        ok = (r * r - c) % 4 == 0
+        by_c.append(_cumulative(ok & t[r % n, (r * r - c) // 4 % n]))
+    for start in range(1, S + 1, chunk):
+        v = np.arange(start, min(start + chunk, S + 1), dtype=np.int64)
+        M = Z // v
+        root = _isqrt(v)
+        square = root * root == v
+        for line in (v, -v):
+            # b-lines, b = line: a^2 in [4b - M, 4b + M]
+            live = 4 * line + M >= 0
+            U = _isqrt(np.maximum(4 * line + M, 0))
+            L = np.where(4 * line - M > 0, _isqrt(np.maximum(4 * line - M - 1, 0)) + 1, 0)
+            # c-lines, c = line: S < b <= M, so a^2 in [4 (S + 1) + c, 4 M + c]
+            c_live = M > S
+            c_U = _isqrt(np.maximum(4 * M + line, 0))
+            c_L = _isqrt(np.maximum(4 * (S + 1) + line - 1, 0)) + 1
+            for i, t in enumerate(tables):
+                n = len(t)
+                key = line % n
+                got = (_in_ranges(by_b[i], key, L, U)
+                       + _in_ranges(by_b[i], key, -U, -np.maximum(L, 1)))[live].sum()
+                if line[0] > 0:  # b = s^2 and a = +-2s give c = 0
+                    s, b = root[square], v[square]
+                    got -= t[2 * s % n, b % n].sum() + t[-2 * s % n, b % n].sum()
+                key = line % (4 * n)
+                got += (_in_ranges(by_c[i], key, c_L, c_U)
+                        + _in_ranges(by_c[i], key, -c_U, -c_L))[c_live].sum()
+                counts[i] += int(got)
+    return counts
+
+
+def count_by_lines(Z: int, tables: list) -> list[int]:
+    """Per (n, n) residue table, the minimal pairs (no p >= 5 with p^2 | a and
+    p^4 | b) it admits with 0 < |b (a^2 - 4b)| <= Z: ``census._pair_counts``
+    over every column, by other means.
+
+    The same Moebius sum over the square-free d with primes >= 5 and
+    d^8 <= Z, of mu(d) times the pairs of T_d[a, b] = T[d^2 a, d^4 b] at
+    Z // d^8, but each term by lines (``_count_lines``), with integer square
+    roots only: no float and no interval nudge.
+    """
+    root8 = isqrt(isqrt(isqrt(Z)))
+    primes = [p for p in range(5, root8 + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
+    terms = [(1, 1)]
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms if (d * p) ** 8 <= Z]
+    counts = [0] * len(tables)
+    for d, mu in terms:
+        rescaled = [t[np.ix_(d * d * np.arange(len(t)) % len(t), d**4 * np.arange(len(t)) % len(t))]
+                    for t in tables]
+        counts = [c + mu * x for c, x in zip(counts, _count_lines(Z // d**8, rescaled))]
+    return counts
 
 
 def isogeny(c: CurveParams) -> CurveParams:

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 import numpy as np
@@ -31,16 +32,16 @@ from oracles import (
     b_intervals,
     block_pairs_by_mask,
     census_records,
+    count_by_lines,
     curve_record,
     enumerate_region,
     good_family,
     structured,
 )
 
-# A block table's columns and their dtypes: the lean table's three, then the
-# conductor columns that the full table adds.
-LEAN_COLUMNS = {"a": "int64", "b": "int64", "cond_poly": "int64"}
-FULL_COLUMNS = {**LEAN_COLUMNS, "conductor": "int64", "index_6": "int64", "cubefree": "bool"}
+# A block table's columns and their dtypes.
+COLUMNS = {"a": "int64", "b": "int64", "cond_poly": "int64", "conductor": "int64",
+           "index_6": "int64", "cubefree": "bool"}
 
 
 def column_types(table):
@@ -228,7 +229,7 @@ class TestColumnarSweep:
         records, anomalies = census_records(Z)
         assert want_anomalies and any(not r[5] for r in want_records)
         table, _ = census._block_records((Z, *census._blocks(Z)[0], True))
-        assert column_types(table) == FULL_COLUMNS
+        assert column_types(table) == COLUMNS
         assert records.tolist() == want_records
         assert anomalies == want_anomalies
         assert all(type(x) is int for x, *_ in anomalies)
@@ -265,15 +266,16 @@ class TestColumnarSweep:
         assert len(anomalies) == 648 and (75, 1250) not in set(zip(records["a"].tolist(),
                                                                    records["b"].tolist()))
 
-    @pytest.mark.parametrize("conductors", [False, True])
-    def test_block_without_copy_hands_on_the_pairs(self, monkeypatch, conductors):
-        # only a block with a rescaled copy, such as (75, 1250), gathers its rows
+    @pytest.mark.parametrize("use_family", [False, True])
+    def test_block_without_copy_hands_on_the_pairs(self, monkeypatch, use_family):
+        # only a block with a rescaled copy, such as (75, 1250) of all residues,
+        # gathers its rows; the family's first copy is swept at 1e7
         pairs, tables = [], []
         block_pairs = census._block_pairs
         monkeypatch.setattr(census, "_block_pairs",
                             lambda *args: pairs.append(block_pairs(*args)) or pairs[-1])
-        census._census_records(10**6, reduce=lambda table, star: tables.append(table) or (0,),
-                               use_family=False, conductors=conductors)
+        keep = partial(census._sweep_block, reduce=lambda table, star: tables.append(table) or (0,))
+        census._census_records(10**7 if use_family else 10**6, keep, use_family=use_family)
         assert len(pairs) == len(tables) > 2
         copies = 0
         for (a, b, _), table in zip(pairs, tables):
@@ -304,20 +306,6 @@ class TestColumnarSweep:
             want = ar.prime_divisors(np.gcd(rad_b, rad_c))
             row, p = ar.prime_divisors(np.gcd(a, b))
             assert np.array_equal(row[p >= 5], want[0]) and np.array_equal(p[p >= 5], want[1])
-
-    @pytest.mark.parametrize("Z", [10**6, 10**7])
-    @pytest.mark.parametrize("use_family", [True, False])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_lean_sweep_matches_full(self, Z, use_family, workers):
-        full, full_anomalies = census_records(Z, workers, use_family)
-        lean, anomalies = census_records(Z, workers, use_family, conductors=False)
-        lo, hi = census._blocks(Z)[0]
-        for conductors, columns in ((False, LEAN_COLUMNS), (True, FULL_COLUMNS)):
-            table, _ = census._block_records((Z, lo, hi, use_family), conductors)
-            assert column_types(table) == columns
-        assert len(lean) == len(full) > 0
-        assert all(np.array_equal(lean[k], full[k]) for k in lean.dtype.names)
-        assert anomalies == full_anomalies and len(anomalies) > 0
 
     @pytest.mark.parametrize("Z", [10**6, 10**7])
     @pytest.mark.parametrize("use_family", [True, False])
@@ -601,10 +589,12 @@ class TestBlockReduction:
     def test_reports_do_not_depend_on_the_cut(self, scale, cuts, monkeypatch):
         # each table's cut against one twice and one half as wide: the same
         # census counts, anomalies and tails, from a different set of blocks
+        # (CubeFree: a census that sweeps; TestCounting cuts the counts)
         def sweeps():
             cuts.clear()
-            return (census.run_census(census.CensusConfig(X=10**6)),
-                    census.run_census(census.CensusConfig(X=10**5, good_reduction_filter=False)),
+            return (census.run_census(census.CensusConfig(X=10**6, family="CubeFree")),
+                    census.run_census(census.CensusConfig(X=10**5, family="CubeFree",
+                                                          good_reduction_filter=False)),
                     census.tail_counts_index((10**3, 10**4), 0.1),
                     census.tail_counts_szpiro((10**3, 10**6), 0.25, 2.2)), list(cuts)
 
@@ -656,11 +646,12 @@ class TestBlockReduction:
         assert len(built) == 10 and all(tag == "I*" for tag, _ in built)
 
     def test_main_process_memory_is_one_block(self):
-        # The bound, 8 times the largest block's pair arrays (a, b and
+        # The bound, 8 times the largest sweep block's pair arrays (a, b and
         # b (a^2 - 4b), int64), was fixed before measuring.  At Z = 1e8 the
-        # traced peak of a one-worker census reads 4.9 times them (3.0 MB),
-        # where the whole lean table alone is 10.3 times them and a sweep
-        # that concatenates the block tables peaks at 20.8 times.
+        # traced peak of a one-worker census, which counts, reads 4.3 times
+        # them (2.65 MB); the a, b and cond_poly columns of its curves alone
+        # are 10.3 times them, and a sweep that concatenates the block tables
+        # peaks at 20.8 times.
         Z = 10**8
         largest = max(len(census._block_pairs(Z, lo, hi, curve_core.FAMILY_MOD96)[0])
                       for lo, hi in census._blocks(Z))
@@ -672,7 +663,142 @@ class TestBlockReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.total_curves * 3 * 8 > bound  # the lean table's three int64 columns
+        assert report.total_curves * 3 * 8 > bound  # three int64 columns of its curves
+        assert peak < bound
+
+
+class TestCounting:
+    """The default census and --all-residues count without listing
+    (``census._count_block``): against the sweep's partial on each block of
+    the sweep's own cut, and past the sweep's reach against
+    ``oracles.count_by_lines``, which shares no code with it."""
+
+    @pytest.mark.parametrize("Z, use_family", [
+        *((Z, use_family) for Z in (10**3, 10**4, 10**6, 10**7, 5 * 10**7)
+          for use_family in (True, False)),
+        (10**9, True)])
+    def test_count_block_is_the_sweep_block(self, Z, use_family):
+        # every field: the cutoff counts, the total, no tail or overflow, the
+        # I* count and first ten rows, family_curves and bad_at_2
+        cutoffs = census._default_cutoffs(Z)
+        reduce = partial(census._census_block, cutoffs=cutoffs,
+                         config=census.CensusConfig(X=Z, good_reduction_filter=use_family))
+        blocks = census._blocks(Z, census._residue_table(use_family))
+        stars = 0
+        for lo, hi in blocks:
+            want = census._sweep_block((Z, lo, hi, use_family), reduce)
+            got = census._count_block((Z, lo, hi, use_family), cutoffs)
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+            stars += want[4]
+        assert Z < 10**6 or (len(blocks) > 1 and stars > 10)
+
+    @pytest.mark.parametrize("Z", [10**6, 10**7])
+    @pytest.mark.parametrize("use_family", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_matches_sweep(self, Z, use_family, workers, monkeypatch):
+        # the count on its own column blocks, cut two ways and with I* runs
+        # of a few rows, sums to the sweep's partials, in and out of process
+        cutoffs = census._default_cutoffs(Z)
+        config = census.CensusConfig(X=Z, good_reduction_filter=use_family)
+        want = census._census_records(Z, partial(census._sweep_block, reduce=partial(
+            census._census_block, config=config, cutoffs=cutoffs)), use_family=use_family)
+        count = partial(census._count_block, cutoffs=cutoffs)
+        for columns, rows in ((1000, 50), (333, 7)):
+            monkeypatch.setattr(census, "_COLUMNS_PER_BLOCK", columns)
+            monkeypatch.setattr(census, "_STAR_ROWS", rows)
+            assert len(census._column_blocks(Z)) > 3
+            got = census._census_records(Z, count, workers, use_family, counting=True)
+            # each block hands on its first ten I* rows: a report prints the first ten
+            assert np.array_equal(got[0], want[0]) and got[5][:10] == want[5][:10]
+            assert got[1:5] == want[1:5] and got[6:] == want[6:]
+        assert want[4] > 10 and len(want[5]) > 10
+
+    def test_run_census_counts(self, monkeypatch):
+        # the default census and --all-residues list no pair and sweep no block
+        want = [census.run_census(census.CensusConfig(X=10**6, good_reduction_filter=f))
+                for f in (True, False)]
+        monkeypatch.setattr(census, "_block_records", lambda *a: pytest.fail("swept"))
+        got = [census.run_census(census.CensusConfig(X=10**6, good_reduction_filter=f))
+               for f in (True, False)]
+        assert got == want
+
+    @pytest.mark.parametrize("use_family", [True, False, "good"])
+    def test_rescaling_keeps_the_table(self, use_family):
+        # (d^2 a, d^4 b) is (a, b) rescaled by d, prime to 6: the same curve at
+        # 2 and 3, so a table of conditions there admits both or neither, and
+        # the Moebius sum counts every term on the table itself
+        table = census._residue_table(use_family)
+        k = np.arange(len(table))
+        for d in range(5, 2 * len(table) + 5, 2):
+            if d % 3:
+                assert np.array_equal(table[d * d * k % len(k)][:, d**4 * k % len(k)], table)
+
+    @pytest.mark.parametrize("use_family", [True, False, "good"])
+    def test_lines_oracle_matches_the_sweep(self, use_family):
+        for Z in (10**4, 10**6):
+            records, _ = census_records(Z, use_family=use_family)
+            assert count_by_lines(Z, [census._residue_table(use_family)]) == [len(records)]
+
+    @pytest.mark.parametrize("use_family", [True, False])
+    def test_count_past_the_sweep(self, use_family):
+        # the family gives 263,501,445; all residues 8,430,084,918
+        Z = census._MAX_Z + 10**6
+        got = sum(census._pair_counts(Z, lo, hi, (use_family,))[0]
+                  for lo, hi in census._column_blocks(Z))
+        assert [got] == count_by_lines(Z, [census._residue_table(use_family)])
+
+    def test_count_limit_is_derived(self):
+        # the error bound in census._block_intervals' docstring, at the limit:
+        # t = a^2 and 16 Z exact floats, every estimate within the nudge
+        # budget, a one-integer hole's estimates inside its margin 1/D, and
+        # the walks' products inside int64
+        Z, u = census._MAX_COUNT_Z, 2.0**-53
+        assert census._MAX_Z < Z <= 2**50 and 4 * Z + 1 < 2**53
+        assert 3 * u * Z + 1 < census._NUDGE - 1
+        assert (math.sqrt(32 * u * Z) + 6 * u * (4 * Z + 1)) / 8 + 1 < census._NUDGE - 1
+        assert 4 * u * Z + 16 * u * math.sqrt(Z) < 1
+        assert 40 * Z < 2**63
+
+    def test_intervals_exact_at_the_limit(self):
+        # evidence next to the bound: the ends, the columns around a^4 = 16 Z
+        # (where the hole opens, one integer wide) and random columns
+        Z = census._MAX_COUNT_Z
+        A, edge = isqrt(4 * Z + 1), isqrt(isqrt(16 * Z))
+        rng = random.Random(5)
+        cols = sorted({*range(-A, -A + 200), *range(A - 200, A + 1), *range(-300, 300),
+                       *range(edge - 300, edge + 300), *range(-edge - 300, -edge + 300),
+                       *(rng.randint(-A, A) for _ in range(1000))})
+        got = census._block_intervals(np.array(cols, dtype=np.int64), Z)
+        want = [(a, lo, hi) for a in cols for lo, hi in b_intervals(a, Z)]
+        assert list(zip(*(x.tolist() for x in got))) == want
+        assert sum(len(b_intervals(a, Z)) == 2 for a in range(edge, edge + 3)) >= 1
+
+    def test_limit_of_each_kind(self, monkeypatch):
+        # each kind refuses past its own limit, before any block
+        monkeypatch.setattr(census, "_block_intervals", lambda *a: pytest.fail("counted"))
+        for config, limit, kind in (
+                (census.CensusConfig(X=census._MAX_COUNT_Z + 1), census._MAX_COUNT_Z, "count"),
+                (census.CensusConfig(X=census._MAX_Z + 1, family="CubeFree"), census._MAX_Z, "sweep"),
+                (census.CensusConfig(X=census._MAX_Z + 1, order_by="Conductor", index_cap=1),
+                 census._MAX_Z, "sweep")):
+            with pytest.raises(ValueError, match=f"limit {limit} of a census {kind}"):
+                census.run_census(config)
+
+    def test_count_memory_is_flat(self):
+        # The bound, 16 int64 arrays of two I* runs (33.6 MB), depends on no
+        # Z, and holds a count block's column arrays too.  At Z = 1e11 the
+        # count peaks at 10.8 MB, where the a, b and cond_poly columns of its
+        # 46.8M curves would take 1.1 GB.
+        bound = 16 * 8 * 2 * census._STAR_ROWS
+        census.run_census(census.CensusConfig(X=10**3))  # the caches a census fills once
+        tracemalloc.start()
+        try:
+            report = census.run_census(census.CensusConfig(X=10**11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total_curves * 3 * 8 > 30 * bound
         assert peak < bound
 
 
@@ -798,7 +924,8 @@ class TestClosedFormSzpiro:
         (records, _), rows = szpiro_window
         # the whole table is one block to the tail's reducer, which reads no I* row
         table = {name: records[name] for name in records.dtype.names}
-        monkeypatch.setattr(census, "_census_records", lambda Z, reduce, **kw: reduce(table, None))
+        monkeypatch.setattr(census, "_blocks", lambda Z, table: [(0, 0)])
+        monkeypatch.setattr(census, "_block_records", lambda args: (table, None))
         grid = (10**4, 3 * 10**4, 10**5, 10**6)
         got = census.tail_counts_szpiro(grid, theta, kappa)
         want = [

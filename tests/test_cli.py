@@ -223,6 +223,18 @@ class TestCensusCommand:
     def test_config_errors(self, argv, capsys):
         assert cli.main(argv) == 2
 
+    @pytest.mark.parametrize("argv, limit", [
+        (["census", "--x", "1e16"], f"{10**15} of a census count"),
+        (["census", "--x", "1e16", "--all-residues"], f"{10**15} of a census count"),
+        (["census", "--x", "1e13", "--family", "cubefree"], f"{10**12} of a census sweep"),
+    ])
+    def test_limit_of_the_kind_asked_for(self, argv, limit, capsys, monkeypatch):
+        # each kind exits 2 past its own limit, and names it, before any block
+        monkeypatch.setattr(census, "_block_intervals", lambda *a: pytest.fail("ran"))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"beyond the limit {limit}" in captured.err
+
     def test_two_workers_give_the_same_report(self, capsys):
         # forked workers take the trial-division path for |b|, |a^2 - 4b| > 2^16
         _, one = run_json(capsys, ["census", "--x", "1e6", "--workers", "1"])

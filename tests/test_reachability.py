@@ -57,6 +57,8 @@ CALLS = [
     (["census", "--x", "0"], 2),
     (["census", "--x", "1e3", "--kappa", "nan"], 2),
     (["census", "--x", "1e3", "--family", "kappa"], 2),
+    (["census", "--x", "1e16"], 2),  # past the count's limit
+    (["census", "--x", "1e13", "--family", "cubefree"], 2),  # past the sweep's
     (["local-density", "--p", "5", "--class", "Good", "--check"], 0),
     (["local-density", "--p", "5", "--class", "III", "--check"], 0),
     (["local-density", "--p", "7", "--class", "I0*", "--m", "3", "--check"], 0),
