@@ -58,6 +58,11 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(is_p)[0].astype(np.int64)
 
 
+def primes_from_5(n: int) -> np.ndarray:
+    """The primes 5 <= p <= n as an int64 array: the primes prime to 6."""
+    return primes_up_to(n)[2:]
+
+
 class _SpfSieve:
     """Smallest-prime-factor table of _INITIAL_SIEVE entries.
 

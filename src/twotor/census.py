@@ -11,7 +11,8 @@ block of columns are estimated in float64 and then decided exactly by
 vectorized int64 nudge passes over b (a^2 - 4b), which never form a^4; so
 no float decides membership, up to Z = 2^50 (``_block_intervals``).  An
 interval holds under(hi + 1) - under(lo) allowed b in closed form
-(``_runs``).  A census either counts or sweeps:
+(``_runs``).  One walk picks the columns (``_walk``) of a sweep block, a
+count's rescalings and its I* sublattices.  A census counts or sweeps:
 
 * It counts when it reads only |cond poly|: the CondPoly family ordered by
   |cond poly|, with or without ``--all-residues``, up to Z = _MAX_COUNT_Z.
@@ -28,7 +29,7 @@ interval holds under(hi + 1) - under(lo) allowed b in closed form
   runs of _COLUMNS_PER_BLOCK columns (``_column_blocks``).
 * It sweeps otherwise, up to Z = _MAX_Z: conductor ordering, the CubeFree
   and Kappa families and both tails.  Its blocks are cut so that each holds
-  about as many rows of its table (``_blocks``), and a block's rows are one
+  about as many rows, whatever its table (``_blocks``), and a block's rows are one
   table, a dict of contiguous 1-D columns: a, b, |cond poly|, the prime-to-6
   conductor and index and the cube-free flag.  The shared primes come from
   the small gcd(a, b).  A block with no rescaled copy keeps the sweep's own
@@ -81,10 +82,12 @@ TAIL_INDEX_CAP = 100
 # 2^50, with margin, by the error bound in its docstring (1e15 < 2^50).
 _MAX_Z = 10**12
 _MAX_COUNT_Z = 10**15
-# Pairs (all residues) per family-table block of a sweep, over sqrt(Z).  census
-# --x 5e7 / 1e9 --family cubefree, median of 7 fresh interpreters: 74 gives 0.069
-# / 0.581 s and 38.6 / 49.7 MiB peak RSS; 37 gives 0.077 / 0.656 s, 37.0 / 43.7
-# MiB; 148 gives 0.077 / 0.609 s, 41.5 / 63.4 MiB.  Only 74 is fastest at both.
+# Pairs (all residues) per family-table block of a sweep, over sqrt(Z); a table
+# of another density gets blocks as much wider or narrower, so that every block
+# holds about 74/32 sqrt(Z) rows (``_blocks``).  census --x 5e7 / 1e9 --family
+# cubefree, median of 7 fresh interpreters: 74 gives 0.069 / 0.581 s and 38.6 /
+# 49.7 MiB peak RSS; 37 gives 0.077 / 0.656 s, 37.0 / 43.7 MiB; 148 gives 0.077
+# / 0.609 s, 41.5 / 63.4 MiB.  Only 74 is fastest at both.
 _PAIRS_PER_ROOT_Z = 74
 _NUDGE = 8  # steps an estimated interval end may move in each direction
 # The residue table of --all-residues: every (a, b) mod 1.
@@ -223,9 +226,23 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     dropped, if the table admits it.
     """
     layout = _table_layout(table)
-    per_row = layout[2]
-    a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-    return _list_pairs(*_block_intervals(a[per_row[a % len(table)] > 0], Z), layout)
+    return _list_pairs(*_block_intervals(_walk(Z, a_lo, a_hi, layout[2]), Z), layout)
+
+
+def _walk(Z: int, a_lo: int, a_hi: int, per_row: np.ndarray, u: int = 1, coprime: bool = False):
+    """The columns a with a_lo <= u a <= a_hi and |a| <= sqrt(4 Z + 1) (past it
+    no b has 0 < |b (a^2 - 4b)| <= Z) whose table row allows some b
+    (per_row[a mod n] > 0, per_row as in ``_layout``), with coprime only those
+    prime to u, as an int64 array.  Empty arrays pass through
+    ``_block_intervals``, ``_runs`` and ``_list_pairs``, but the count's loops
+    skip an empty walk: 5,585 of the 5,828 walks at 1e12 are empty, and
+    passing them through took that count from 0.8 to 1.5 s."""
+    A = isqrt(4 * Z + 1)
+    a = np.arange(max(-A, -(-a_lo // u)), min(A, a_hi // u) + 1, dtype=np.int64)
+    keep = per_row[a % len(per_row)] > 0
+    if coprime:
+        keep &= a % u != 0
+    return a[keep]
 
 
 def _list_pairs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
@@ -345,7 +362,8 @@ def _rows(table: dict, which, names) -> dict:
 
 def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
     """Consecutive a-ranges (a_lo, a_hi) covering |a| <= sqrt(4 Z + 1): for the family table
-    each about _PAIRS_PER_ROOT_Z * sqrt(Z) pairs wide, for a sparser table as much wider.
+    each about _PAIRS_PER_ROOT_Z * sqrt(Z) pairs wide, for a sparser table as much wider
+    and for a denser one as much narrower, so that every block holds about as many rows.
 
     A column's width is its pair count up to rounding, with t = a^2: the gap
     sqrt(t^2 + 16 Z) / 4 between the outer roots minus the hole's
@@ -362,7 +380,7 @@ def _blocks(Z: int, table: np.ndarray = FAMILY_MOD96) -> list[tuple[int, int]]:
     tt -= 16.0 * Z
     cum -= np.sqrt(np.maximum(tt, 0.0, out=tt), out=tt)
     np.cumsum(cum, out=cum)  # cum[k]: the columns 0..k; below, tt[k]: -A..-k, cum[k]: -A..k
-    size = 4 * _PAIRS_PER_ROOT_Z * sqrt(Z) * max(1.0, FAMILY_MOD96.mean() / table.mean())
+    size = 4 * _PAIRS_PER_ROOT_Z * sqrt(Z) * FAMILY_MOD96.mean() / table.mean()
     tt[0] = cum[-1]
     np.subtract(cum[-1], cum[:-1], out=tt[1:])
     cum += cum[-1] - cum[0]
@@ -380,31 +398,10 @@ def _column_blocks(Z: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _COLUMNS_PER_BLOCK - 1, A)) for lo in range(-A, A + 1, _COLUMNS_PER_BLOCK)]
 
 
-def _columns(Z: int, a_lo: int, a_hi: int, u: int) -> np.ndarray:
-    """The a with a_lo <= u a <= a_hi and |a| <= sqrt(4 Z + 1), as an int64 array."""
-    A = isqrt(4 * Z + 1)
-    return np.arange(max(-A, -(-a_lo // u)), min(A, a_hi // u) + 1, dtype=np.int64)
-
-
-def _iroot(Z: int, k: int) -> int:
-    """The largest r with r^k <= Z."""
-    r = int(Z ** (1 / k))
-    while r**k > Z:
-        r -= 1
-    while (r + 1) ** k <= Z:
-        r += 1
-    return r
-
-
-def _primes_from_5(n: int) -> list[int]:
-    """The primes 5 <= p <= n."""
-    return ar.primes_up_to(n)[2:].tolist()
-
-
 def _rescalings(Z: int) -> list[tuple[int, int]]:
     """(d, mu(d)) for the square-free d with primes >= 5 and d^8 <= Z, d = 1 first."""
     terms = [(1, 1)]
-    for p in _primes_from_5(_iroot(Z, 8)):
+    for p in ar.primes_from_5(ar._iroot(Z, 8)).tolist():
         terms += [(d * p, -mu) for d, mu in terms if (d * p) ** 8 <= Z]
     return terms
 
@@ -419,18 +416,16 @@ def _pair_counts(Z: int, a_lo: int, a_hi: int, families: tuple) -> list[int]:
     the two are isomorphic at 2 and 3, so a table, a condition at 2 and 3,
     admits both or neither.  So by Moebius inversion over d (square-free,
     primes >= 5) the minimal pairs number sum mu(d) count(Z // d^8) over
-    the columns a_lo / d^2 .. a_hi / d^2.  Each count is a sum over the
-    b-intervals of ``_runs``'s closed form; a table that admits
-    b (a^2 - 4b) = 0 loses b = 0 and b = a^2 / 4 per column.  All tables share
+    the columns a_lo / d^2 .. a_hi / d^2 (``_walk`` with u = d^2).  Each
+    count is a sum over the b-intervals of ``_runs``'s closed form; a table
+    that admits b (a^2 - 4b) = 0 loses b = 0 and b = a^2 / 4 per column.  All tables share
     each term's intervals.
     """
     layouts = [_table_layout(_residue_table(family)) for family in families]
     counts = [0] * len(families)
-    rows = layouts[0][2]
     for d, mu in _rescalings(Z):
         Zd = Z // d**8
-        a = _columns(Zd, a_lo, a_hi, d * d)
-        a = a[rows[a % len(rows)] > 0]
+        a = _walk(Zd, a_lo, a_hi, layouts[0][2], d * d)
         if not len(a):
             continue
         cols, los, his = _block_intervals(a, Zd)
@@ -454,24 +449,24 @@ def _star_rows(Z: int, a_lo: int, a_hi: int, use_family) -> tuple[int, list]:
     (a, b) = (p a', p^2 b') with p not dividing a' and p dividing
     b' (a'^2 - 4b'): then f = b (a^2 - 4b) is p^4 f', p | f', so p^5 <= Z.  So
     the I* rows at p are the pairs of T_p = ``_sublattice(use_family, p)`` with
-    |f'| <= Z // p^4 and those two conditions, listed by ``_list_pairs`` in
+    |f'| <= Z // p^4 and those two conditions, on the columns a' prime to p
+    (``_walk`` with u = p and coprime), listed by ``_list_pairs`` in
     runs of about _STAR_ROWS, less the rescaled copies at a prime q != p
     (q^2 | a', q^4 | b').  Each prime's rows come in (a, b) order, so the
     first ten are among the first ten of each.
     """
     found, first = 0, []
-    for p in _primes_from_5(_iroot(Z, 5)):
+    for p in ar.primes_from_5(ar._iroot(Z, 5)).tolist():
         Zp = Z // p**4
         layout = _sublattice(use_family, p)
         _, below, per_row, _, _ = layout
         n = len(per_row)
-        a = _columns(Zp, a_lo, a_hi, p)
-        a = a[(a % p != 0) & (per_row[a % n] > 0)]
+        a = _walk(Zp, a_lo, a_hi, per_row, p, coprime=True)
         if not len(a):
             continue
         cols, los, his = _block_intervals(a, Zp)
         ends = np.cumsum(_runs(cols % n, los, his, n, below)[2])
-        copies = [q for q in _primes_from_5(_iroot(Zp, 8)) if q != p]
+        copies = [q for q in ar.primes_from_5(ar._iroot(Zp, 8)).tolist() if q != p]
         ahead = 10
         for run in np.split(np.arange(len(cols)), np.flatnonzero(np.diff((ends - 1) // _STAR_ROWS)) + 1):
             a1, b1, f1 = _list_pairs(cols[run], los[run], his[run], layout)

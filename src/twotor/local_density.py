@@ -401,11 +401,6 @@ _LOG_ZETA_ABOVE_100 = (
 )
 
 
-def _head_primes(P: int) -> np.ndarray:
-    primes = ar.primes_up_to(P)
-    return primes[primes >= 5]
-
-
 def _prime_sum_bound(s: float, P: float) -> float:
     """Bound on sum_{p > P} p^{-s}, s > 1, from pi(t) <= 1.3 t/log t and
     partial summation: (1.3 s/(s-1)) P^{1-s}/log P."""
@@ -492,7 +487,7 @@ def _tail_cutoff(family: str, tol: float) -> tuple[int, int]:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     P = _HEAD_CUTOFF
-    budget = tol - _rounding_bound(len(_head_primes(P)))
+    budget = tol - _rounding_bound(len(ar.primes_from_5(P)))
     e = _family_exponents(family)
     if budget <= 0 or _remainder_bound(family, e, _MAX_ORDER, P) > budget:
         raise ToleranceUnreachable(
@@ -540,7 +535,7 @@ def euler_product(family: str, tol: float) -> tuple[float, int]:
     float64, the rest is the zeta factors and a bounded remainder.
     """
     P, log_tail = _zeta_tail(family, tol)
-    log_head = math.fsum(np.log(_factor_values(_head_primes(P), family)))
+    log_head = math.fsum(np.log(_factor_values(ar.primes_from_5(P), family)))
     return math.exp(log_head + log_tail), P
 
 
@@ -556,7 +551,7 @@ def dirichlet_index_sum(family: str, tol: float) -> tuple[float, int]:
     if _local_sum(family) != _SERIES[family]:
         raise LocalSumMismatch(f"{family}: the local sum differs from the Euler factor")
     logs = [math.log(_q_float(dirichlet_local_sum_q4(p, family), p))
-            for p in map(int, _head_primes(P))]
+            for p in map(int, ar.primes_from_5(P))]
     return math.exp(math.fsum(logs) + log_tail), P
 
 

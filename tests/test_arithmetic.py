@@ -9,6 +9,7 @@ from oracles import is_prime_13_bases, trial_hits_int64
 import uniformity as un
 
 from twotor import arithmetic as ar
+from twotor import census
 
 
 def brute_factor(n):
@@ -373,6 +374,17 @@ def test_cube_root_profile_matches_factorize(table, small, large, at):
 
 def _prime_after(p):
     return next(q for q in range(p + 1, 2 * p + 2) if ar.is_prime(q))
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_iroot_at_the_census_orders(k):
+    # a census count takes the primes p^5 <= Z and the d^8 <= Z, up to its limit:
+    # every r^k - 1, r^k and r^k + 1 in reach, each side of a float k-th root
+    top = ar._iroot(census._MAX_COUNT_Z, k)
+    assert top**k <= census._MAX_COUNT_Z < (top + 1) ** k and top == {5: 1000, 8: 74}[k]
+    for r in range(1, top + 1):
+        n = r**k
+        assert (ar._iroot(n - 1, k), ar._iroot(n, k), ar._iroot(n + 1, k)) == (r - 1, r, r)
 
 
 @pytest.mark.parametrize("table", [None, 2**8])

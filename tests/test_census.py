@@ -608,14 +608,17 @@ class TestBlockReduction:
 
     def test_sparse_table_blocks_hold_no_more_rows(self):
         # the good classes keep 1/8 of the family's pairs and get blocks 8 times
-        # wider: no block of theirs holds more rows than the largest family block
+        # wider: no block of theirs holds more rows than the largest family block.
+        # The table of every residue is about 30 times denser, and its blocks as
+        # much narrower: the largest holds at most twice the largest family
+        # block's rows (745,830 against 25,446 at 1e8 with the family's cut)
         good = census._good_mod384()
         assert len(census._blocks(3 * 10**6, good)) == 1 and len(census._blocks(10**8, good)) == 2
         for Z in (10**8, 10**9):
-            assert census._blocks(Z, census._ALL_RESIDUES) == census._blocks(Z)
-            rows = [[len(census._block_pairs(Z, lo, hi, table)[0])
-                     for lo, hi in census._blocks(Z, table)] for table in (curve_core.FAMILY_MOD96, good)]
+            rows = [[len(census._block_pairs(Z, lo, hi, table)[0]) for lo, hi in census._blocks(Z, table)]
+                    for table in (curve_core.FAMILY_MOD96, good, census._ALL_RESIDUES)]
             assert len(rows[0]) >= 4 * len(rows[1]) and max(rows[1]) <= max(rows[0])
+            assert len(rows[2]) >= 20 * len(rows[0]) and max(rows[2]) <= 2 * max(rows[0])
 
     def test_blocks_memory_at_the_top_of_the_range(self):
         # The bound, three float64 arrays of A + 1 entries (48 MB at Z = 1e12),
@@ -692,6 +695,30 @@ class TestCounting:
             assert got[1:] == want[1:]
             stars += want[4]
         assert Z < 10**6 or (len(blocks) > 1 and stars > 10)
+
+    def test_empty_walks(self):
+        # blocks on which a walk has no column: the count still equals the
+        # sweep, and the pair generator passes its empty walk through
+        family = census._table_layout(curve_core.FAMILY_MOD96)[2]
+        every = census._table_layout(census._ALL_RESIDUES)[2]
+        star = census._sublattice(False, 5)[2]
+        # row 8 of the family's table allows no b
+        assert not len(census._walk(10**6, 8, 8, family)) and len(census._walk(10**6, 9, 9, family))
+        # narrower than 5^2: at Z = 5^8 the d = 5 term has no column
+        assert not len(census._walk(1, 1, 24, every, 5**2)) and len(census._walk(1, 1, 25, every, 5**2))
+        # the p = 5 sublattice's one column, 5, is not prime to 5
+        assert not len(census._walk(10**6 // 5**4, 25, 25, star, 5, coprime=True))
+        assert len(census._walk(10**6 // 5**4, 25, 25, star, 5))
+        for Z, lo, hi, use_family in ((10**6, 8, 8, True), (5**8, 1, 24, False), (10**6, 25, 25, False)):
+            cutoffs = census._default_cutoffs(Z)
+            reduce = partial(census._census_block, cutoffs=cutoffs,
+                             config=census.CensusConfig(X=Z, good_reduction_filter=use_family))
+            want = census._sweep_block((Z, lo, hi, use_family), reduce)
+            got = census._count_block((Z, lo, hi, use_family), cutoffs)
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+        pairs = census._block_pairs(10**6, 8, 8, curve_core.FAMILY_MOD96)
+        assert [(len(x), x.dtype) for x in pairs] == [(0, np.int64)] * 3
 
     @pytest.mark.parametrize("Z", [10**6, 10**7])
     @pytest.mark.parametrize("use_family", [True, False])

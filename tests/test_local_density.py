@@ -481,7 +481,7 @@ class TestZetaFactored:
             P, K = ld._tail_cutoff(family, tol)
             e = ld._exponents(family, K)
             out = ld._remainder_bound(family, e, K, P)
-            out += ld._rounding_bound(len(ld._head_primes(P)))
+            out += ld._rounding_bound(len(ar.primes_from_5(P)))
             assert out <= tol
             return out
 
