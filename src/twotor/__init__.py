@@ -6,7 +6,7 @@ arithmetic     factorization, primality, valuations, SPF sieve
 curve_core     invariants, Kodaira symbols, Tate oracle, conductor, Szpiro ratios
 real_density   region area: closed form, quadrature, Monte Carlo
 local_density  p-adic pattern densities, Euler factors, Dirichlet index sums
-census         enumeration by conductor polynomial, family counts, tail decay
+census         counts and sweeps by conductor polynomial, family counts, tail decay
 lp_bounds      exact-rational linear program, certificates, simplex, duality
 cli            batch front door with CSV/JSON reports and run manifests
 

@@ -1,4 +1,4 @@
-"""Enumeration of family curves by conductor-polynomial size.
+"""Counts and sweeps of family curves by conductor-polynomial size.
 
 The family is ``curve_core.family_at_2 & family_at_3``: only the b in the
 residue classes that ``curve_core.FAMILY_MOD96`` allows for a are taken.
@@ -11,8 +11,10 @@ block of columns are estimated in float64 and then decided exactly by
 vectorized int64 nudge passes over b (a^2 - 4b), which never form a^4; so
 no float decides membership, up to Z = 2^50 (``_block_intervals``).  An
 interval holds under(hi + 1) - under(lo) allowed b in closed form
-(``_runs``).  One walk picks the columns (``_walk``) of a sweep block, a
-count's rescalings and its I* sublattices.  A census counts or sweeps:
+(``_runs``), computed once per interval set: a count sums it, a listing
+spreads it (``_list_pairs``).  One walk picks the columns (``_walk``) of a
+sweep block, a count's rescalings and its I* sublattices.  A census counts
+or sweeps:
 
 * It counts when it reads only |cond poly|: the CondPoly family ordered by
   |cond poly|, with or without ``--all-residues``, up to Z = _MAX_COUNT_Z.
@@ -41,10 +43,10 @@ partials are merged in block order (``_census_records``); no process holds
 more than one block's rows, so memory stays flat in Z.  A tails grid is
 served by one sweep at its largest X.  Good reduction at 2 and 3 is a
 function of (a, b) and is not a column: the Szpiro tail sweeps only its
-residue classes mod 384 (``_good_mod384``), so every row it reads has it,
-and a census report counts its predicate curves that are bad at 2 against
-the same table (``_predicate_vs_tate``).  No census runs Tate's algorithm
-outside the Kappa filter.
+residue classes mod 384 (``_good_mod384``, the one table of them), so every
+row it reads has it, and a census report, counted or swept, counts its
+predicate curves that are bad at 2 against it (``_predicate_vs_tate``).
+No census runs Tate's algorithm outside the Kappa filter.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -146,20 +148,21 @@ def _block_intervals(a: np.ndarray, Z: int):
     t = a * a
     tf = t.astype(np.float64)
 
-    def in_outer(t):
-        return lambda b: b * (t - 4 * b) >= -Z  # down parabola: >= -Z between roots
-
-    def below_cap(t):
-        return lambda b: b * (t - 4 * b) <= Z
+    def in_outer(b):  # down parabola: >= -Z between roots
+        return b * (t - 4 * b) >= -Z
 
     dp = np.sqrt(tf * tf + 16.0 * Z)
-    hi = _nudge(in_outer(t), np.floor((tf + dp) / 8).astype(np.int64), 1)
-    lo = _nudge(in_outer(t), -np.floor((dp - tf) / 8).astype(np.int64), -1)
+    hi = _nudge(in_outer, np.floor((tf + dp) / 8).astype(np.int64), 1)
+    lo = _nudge(in_outer, -np.floor((dp - tf) / 8).astype(np.int64), -1)
     cut = np.flatnonzero(t > isqrt(16 * Z))  # t^2 > 16 Z, decided without forming t^2
     th, thf, r = t[cut], tf[cut], 4.0 * sqrt(Z)
+
+    def below_cap(b):
+        return b * (th - 4 * b) <= Z
+
     dm = np.sqrt(np.maximum((thf - r) * (thf + r), 0.0))
-    left_end = _nudge(below_cap(th), np.floor((thf - dm) / 8).astype(np.int64), 1)
-    right_start = _nudge(below_cap(th), np.floor((thf + dm) / 8).astype(np.int64) + 1, -1)
+    left_end = _nudge(below_cap, np.floor((thf - dm) / 8).astype(np.int64), 1)
+    right_start = _nudge(below_cap, np.floor((thf + dm) / 8).astype(np.int64) + 1, -1)
     two = right_start > left_end  # otherwise the hole holds no integer: one interval
     cut = cut[two]
     count = np.ones(len(a), dtype=np.int64)
@@ -203,11 +206,13 @@ def _table_layout(table: np.ndarray):
     return _layout(np.packbits(table).tobytes(), len(table))
 
 
-def _runs(row: np.ndarray, los: np.ndarray, his: np.ndarray, n: int, below: np.ndarray):
-    """Per b-interval [lo, hi] in table row k: lo mod n, j0 = below[k, lo mod n],
-    and under(hi + 1) - under(lo), the number of allowed b it holds (see
+def _runs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
+    """Per b-interval [lo, hi] of column a, in table row k = a mod n of an
+    (n, n) table's ``_layout``: lo mod n, j0 = below[k, lo mod n], and
+    under(hi + 1) - under(lo), the number of allowed b it holds (see
     ``_block_pairs``)."""
-    base = row * (n + 1)
+    below, n = layout[1], len(layout[2])
+    base = cols % n * (n + 1)
     lo_r = los % n
     j0 = below[base + lo_r]
     return lo_r, j0, (his + 1 - los + lo_r) // n * below[base + n] + below[base + (his + 1) % n] - j0
@@ -226,7 +231,8 @@ def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
     dropped, if the table admits it.
     """
     layout = _table_layout(table)
-    return _list_pairs(*_block_intervals(_walk(Z, a_lo, a_hi, layout[2]), Z), layout)
+    cols, los, his = _block_intervals(_walk(Z, a_lo, a_hi, layout[2]), Z)
+    return _list_pairs(cols, los, _runs(cols, los, his, layout), layout)
 
 
 def _walk(Z: int, a_lo: int, a_hi: int, per_row: np.ndarray, u: int = 1, coprime: bool = False):
@@ -245,12 +251,12 @@ def _walk(Z: int, a_lo: int, a_hi: int, per_row: np.ndarray, u: int = 1, coprime
     return a[keep]
 
 
-def _list_pairs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
-    """``_block_pairs`` on given b-intervals of columns with allowed b."""
-    flat, below, per_row, start, zero_free = layout
+def _list_pairs(cols: np.ndarray, los: np.ndarray, runs, layout):
+    """``_block_pairs`` on b-intervals of columns with allowed b, from their ``_runs``."""
+    flat, _, per_row, start, zero_free = layout
     n = len(per_row)
     row = cols % n
-    lo_r, j0, count = _runs(row, los, his, n, below)
+    lo_r, j0, count = runs
     iv, e = _spread(count)
     q, r = np.divmod(j0[iv] + e, per_row[row][iv])
     b = (los - lo_r - row * n)[iv] + n * q + flat[start[row][iv] + r]
@@ -261,25 +267,21 @@ def _list_pairs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
 
 
 @cache
-def _clause_mod128() -> np.ndarray:
-    """Tate's f_2 = 0 on a family pair: b even, or b = (a/2)^2 + 64 mod 128."""
-    a, b = np.ogrid[:128, :128]
-    return (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
-
-
-@cache
 def _good_mod384() -> np.ndarray:
     """The family pairs with good reduction at 2 and 3 (Tate f_2 = f_3 = 0), as
-    a read-only (384, 384) residue table.
+    a read-only (384, 384) residue table: a count counts it, the Szpiro tail
+    sweeps it and ``_predicate_vs_tate`` looks a census's rows up in it.
 
     The family's criterion at 3 and its clause (a = 1 mod 4, b = 16 mod 32)
     at 2 agree with Tate's algorithm; on the odd-b clause (b odd, a = 6 mod 8)
     Tate gives f_2 = 0 exactly when b = (a/2)^2 + 64 mod 128, which a modulus
-    of 96 cannot express.  So the table is the 96-table tiled 4x4 and the clause
-    (``_clause_mod128``) tiled 3x3, with no full-grid int64 array, at the first
-    call.  ``tests/oracles.py::good_family`` is the same predicate on (a, b).
+    of 96 cannot express.  So the table is the 96-table tiled 4x4 and Tate's
+    clause (b even or in that class) tiled 3x3, with no full-grid int64 array.
+    ``tests/oracles.py::good_family`` is the same predicate on (a, b).
     """
-    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(_clause_mod128(), (3, 3))
+    a, b = np.ogrid[:128, :128]
+    clause = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
+    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(clause, (3, 3))
     table.flags.writeable = False
     return table
 
@@ -334,11 +336,11 @@ def _block_records(args) -> tuple[dict, np.ndarray]:
     shared = p >= 5
     row, p = row[shared], p[shared]
     a_row, b_row = a[row], b[row]
+    c = a * a - 4 * b
     v_b = ar.valuations(b_row, p)
-    v_c = ar.valuations(a_row * a_row - 4 * b_row, p)
+    v_c = ar.valuations(c[row], p)
     non_minimal, kind = additive_type(v_b, v_c, a_row % (p * p) == 0)
     star = kind == ADDITIVE_TAGS.index("I*")  # I*_{n-6}, n = v_p(Delta)
-    c = a * a - 4 * b
     values, inv = np.unique(np.abs(np.concatenate([b, c])), return_inverse=True)
     (rad_b, rad_c), (part_b, part_c), (emax_b, emax_c) = (
         x[inv].reshape(2, -1) for x in ar.prime_to_6_profile(values))
@@ -431,7 +433,7 @@ def _pair_counts(Z: int, a_lo: int, a_hi: int, families: tuple) -> list[int]:
         cols, los, his = _block_intervals(a, Zd)
         for i, (_, below, per_row, _, zero_free) in enumerate(layouts):
             n = len(per_row)
-            count = int(_runs(cols % n, los, his, n, below)[2].sum())
+            count = int(_runs(cols, los, his, layouts[i])[2].sum())
             if not zero_free:  # row k admits r when below[k, r + 1] > below[k, r]
                 base, r = a % n * (n + 1), a * a // 4 % n
                 count -= int(below[base + 1].sum()) + int(np.count_nonzero(
@@ -459,17 +461,16 @@ def _star_rows(Z: int, a_lo: int, a_hi: int, use_family) -> tuple[int, list]:
     for p in ar.primes_from_5(ar._iroot(Z, 5)).tolist():
         Zp = Z // p**4
         layout = _sublattice(use_family, p)
-        _, below, per_row, _, _ = layout
-        n = len(per_row)
-        a = _walk(Zp, a_lo, a_hi, per_row, p, coprime=True)
+        a = _walk(Zp, a_lo, a_hi, layout[2], p, coprime=True)
         if not len(a):
             continue
         cols, los, his = _block_intervals(a, Zp)
-        ends = np.cumsum(_runs(cols % n, los, his, n, below)[2])
+        runs = _runs(cols, los, his, layout)
+        ends = np.cumsum(runs[2])
         copies = [q for q in ar.primes_from_5(ar._iroot(Zp, 8)).tolist() if q != p]
         ahead = 10
         for run in np.split(np.arange(len(cols)), np.flatnonzero(np.diff((ends - 1) // _STAR_ROWS)) + 1):
-            a1, b1, f1 = _list_pairs(cols[run], los[run], his[run], layout)
+            a1, b1, f1 = _list_pairs(cols[run], los[run], [x[run] for x in runs], layout)
             keep = f1 % p == 0
             for q in copies:
                 keep &= (a1 % (q * q) != 0) | (b1 % q**4 != 0)
@@ -598,16 +599,14 @@ def _default_cutoffs(X: int) -> tuple:
 
 def _predicate_vs_tate(a: np.ndarray, b: np.ndarray, in_family: bool) -> tuple[int, int]:
     """The curves (a, b) in the mod-96 predicate, and those of them that
-    Tate's algorithm finds bad at 2: outside the clause at (a & 127, b & 127).
-    The predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and its
-    Tate-exact part ``_good_mod384`` is it and ``_clause_mod128``.  Rows not
-    swept from the predicate's classes (in_family false) are looked up in it.
+    Tate's algorithm finds bad at 2: those not in its Tate-exact classes
+    ``_good_mod384``, the table a count counts.  The predicate is exact at 3
+    (3 divides no b (a^2 - 4b) it admits), so the good classes lie inside it.
+    Rows swept from the predicate's classes (in_family) are all in it; the
+    others are looked up in ``FAMILY_MOD96``.
     """
-    if not in_family:
-        fam = FAMILY_MOD96.ravel()[a % 96 * 96 + b % 96]
-        a, b = a[fam], b[fam]
-    cell = (a & 127) << 7 | b & 127
-    return len(a), len(a) - int(np.count_nonzero(_clause_mod128().ravel()[cell]))
+    family = len(a) if in_family else int(np.count_nonzero(FAMILY_MOD96[a % 96, b % 96]))
+    return family, family - int(np.count_nonzero(_good_mod384()[a % 384, b % 384]))
 
 
 # The parameters of the one tail a CubeFree or Kappa report carries

@@ -720,6 +720,26 @@ class TestCounting:
         pairs = census._block_pairs(10**6, 8, 8, curve_core.FAMILY_MOD96)
         assert [(len(x), x.dtype) for x in pairs] == [(0, np.int64)] * 3
 
+    def test_star_rows_count_each_interval_set_once(self, monkeypatch):
+        # the listing chunks of _star_rows reuse the runs their cut was read
+        # from: one _runs call per _block_intervals call, one per non-empty walk
+        calls = {"_walk": 0, "_block_intervals": 0, "_runs": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                out = f(*args, **kwargs)
+                if name != "_walk" or len(out):
+                    calls[name] += 1
+                return out
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(census, name, counted(name, getattr(census, name)))
+        monkeypatch.setattr(census, "_STAR_ROWS", 1000)  # several listing chunks per prime
+        found, first = census._star_rows(10**9, *census._column_blocks(10**9)[0], True)
+        assert found > 10 and len(first) == 10
+        assert calls["_runs"] == calls["_block_intervals"] == calls["_walk"] > 1
+
     @pytest.mark.parametrize("Z", [10**6, 10**7])
     @pytest.mark.parametrize("use_family", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])

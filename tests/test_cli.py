@@ -286,6 +286,11 @@ class TestPinnedReports:
         # the conductor columns of the CondPoly family, by conductor
         (["census", "--x", "1e6", "--order-by", "conductor"],
          "b8bc6c281a1461054acf4c9dc633f4d94a1e1e62eae71ac0207857069e057630"),
+        # sweeps with every residue: _predicate_vs_tate looks rows up in the predicate
+        (["census", "--x", "1e5", "--all-residues", "--order-by", "conductor", "--index-cap", "1000"],
+         "c8abd6a395bf1241df14afc8cbf06f966184b1245d3f9f62ed84b24801b07abd"),
+        (["census", "--x", "1e6", "--family", "cubefree", "--all-residues"],
+         "183514ffed0de000303a13359b4c93a1a95efe7c31f2a99b5aa51f6c6836019c"),
     ])
     def test_report_digest(self, capsys, argv, digest):
         assert cli.main(argv) == 0

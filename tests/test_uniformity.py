@@ -473,6 +473,16 @@ class TestFittedCorpora:
         for Q, R1, R2, R3 in corpus:
             assert un.quadric_point_count(Q, R1, R2, R3) <= c * un.bhb_bound(Q, R1, R2, R3) + 1e-9
 
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_bound_with_the_stated_supremum(self, seed):
+        # criterion 10's corpora against the supremum 4 that the corpus
+        # docstrings state, not against each corpus's own largest ratio
+        for Q, R1, R2, R3 in un.quadric_corpus(100, seed=seed):
+            assert un.quadric_point_count(Q, R1, R2, R3) <= 4 * un.bhb_bound(Q, R1, R2, R3) + 1e-9
+        for basis, R1, R2 in un.lattice_corpus(100, seed=seed):
+            det = abs(basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0])
+            assert un.lattice_box_count(basis, R1, R2) <= 4 * (R1 * R2 / det + 1.0) + 1e-9
+
     def test_corpus_spans_determinants(self):
         dets = [abs(un._det3(Q)) for Q, _, _, _ in un.quadric_corpus(200, seed=0)]
         assert min(dets) <= 10 and max(dets) >= 10**6
