@@ -11,10 +11,9 @@ block of columns are estimated in float64 and then decided exactly by
 vectorized int64 nudge passes over b (a^2 - 4b), which never form a^4; so
 no float decides membership, up to Z = 2^50 (``_block_intervals``).  An
 interval holds under(hi + 1) - under(lo) allowed b in closed form
-(``_runs``), computed once per interval set: a count sums it, a listing
-spreads it (``_list_pairs``).  One walk picks the columns (``_walk``) of a
-sweep block, a count's rescalings and its I* sublattices.  A census counts
-or sweeps:
+(``_runs``, summed by a count, spread by ``_list_pairs``).  One walk picks
+the columns (``_walk``) of a sweep block, a count's rescalings and its I*
+sublattices.  A census counts or sweeps:
 
 * It counts when it reads only |cond poly|: the CondPoly family ordered by
   |cond poly|, with or without ``--all-residues``, up to Z = _MAX_COUNT_Z.
@@ -43,10 +42,10 @@ partials are merged in block order (``_census_records``); no process holds
 more than one block's rows, so memory stays flat in Z.  A tails grid is
 served by one sweep at its largest X.  Good reduction at 2 and 3 is a
 function of (a, b) and is not a column: the Szpiro tail sweeps only its
-residue classes mod 384 (``_good_mod384``, the one table of them), so every
-row it reads has it, and a census report, counted or swept, counts its
-predicate curves that are bad at 2 against it (``_predicate_vs_tate``).
-No census runs Tate's algorithm outside the Kappa filter.
+residue classes mod 384 (``_good_mod384``), so every row it reads has it,
+and a census report counts its predicate curves that are bad at 2 against
+the same table (``_predicate_vs_tate``).  No census runs Tate's algorithm
+outside the Kappa filter.
 
 Conductor ordering is approximated: only curves with |conductor poly| <=
 X * index_cap are visible, and the report says so.  Counts always refer to
@@ -179,12 +178,6 @@ def _block_intervals(a: np.ndarray, Z: int):
 # ---------------------------------------------------------------------------
 
 
-def _spread(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, k) listing (i, 0), ..., (i, count[i] - 1) for each i in turn."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
-
-
 @cache
 def _layout(cells: bytes, n: int):
     """The allowed k n + r of the (n, n) table with these packed cells, in order;
@@ -207,15 +200,15 @@ def _table_layout(table: np.ndarray):
 
 
 def _runs(cols: np.ndarray, los: np.ndarray, his: np.ndarray, layout):
-    """Per b-interval [lo, hi] of column a, in table row k = a mod n of an
-    (n, n) table's ``_layout``: lo mod n, j0 = below[k, lo mod n], and
-    under(hi + 1) - under(lo), the number of allowed b it holds (see
-    ``_block_pairs``)."""
+    """Per b-interval [lo, hi] of column a: its table row k = a mod n, lo mod n,
+    j0 = below[k, lo mod n] and under(hi + 1) - under(lo), the number of allowed
+    b it holds (see ``_block_pairs``), for an (n, n) table's ``_layout``."""
     below, n = layout[1], len(layout[2])
-    base = cols % n * (n + 1)
+    row = cols % n
+    base = row * (n + 1)
     lo_r = los % n
     j0 = below[base + lo_r]
-    return lo_r, j0, (his + 1 - los + lo_r) // n * below[base + n] + below[base + (his + 1) % n] - j0
+    return row, lo_r, j0, (his + 1 - los + lo_r) // n * below[base + n] + below[base + (his + 1) % n] - j0
 
 
 def _block_pairs(Z: int, a_lo: int, a_hi: int, table: np.ndarray):
@@ -255,9 +248,9 @@ def _list_pairs(cols: np.ndarray, los: np.ndarray, runs, layout):
     """``_block_pairs`` on b-intervals of columns with allowed b, from their ``_runs``."""
     flat, _, per_row, start, zero_free = layout
     n = len(per_row)
-    row = cols % n
-    lo_r, j0, count = runs
-    iv, e = _spread(count)
+    row, lo_r, j0, count = runs
+    iv = np.repeat(np.arange(len(count)), count)  # interval i, count[i] times
+    e = np.arange(len(iv)) - np.repeat(np.cumsum(count) - count, count)  # 0, 1, ... each
     q, r = np.divmod(j0[iv] + e, per_row[row][iv])
     b = (los - lo_r - row * n)[iv] + n * q + flat[start[row][iv] + r]
     a = cols[iv]
@@ -267,21 +260,25 @@ def _list_pairs(cols: np.ndarray, los: np.ndarray, runs, layout):
 
 
 @cache
+def _clause_mod128() -> np.ndarray:
+    """Tate's f_2 = 0 on a family pair: b even, or b = (a/2)^2 + 64 mod 128."""
+    a, b = np.ogrid[:128, :128]
+    return (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
+
+
+@cache
 def _good_mod384() -> np.ndarray:
     """The family pairs with good reduction at 2 and 3 (Tate f_2 = f_3 = 0), as
-    a read-only (384, 384) residue table: a count counts it, the Szpiro tail
-    sweeps it and ``_predicate_vs_tate`` looks a census's rows up in it.
+    a read-only (384, 384) residue table: a count counts it, the Szpiro tail sweeps it.
 
     The family's criterion at 3 and its clause (a = 1 mod 4, b = 16 mod 32)
     at 2 agree with Tate's algorithm; on the odd-b clause (b odd, a = 6 mod 8)
     Tate gives f_2 = 0 exactly when b = (a/2)^2 + 64 mod 128, which a modulus
-    of 96 cannot express.  So the table is the 96-table tiled 4x4 and Tate's
-    clause (b even or in that class) tiled 3x3, with no full-grid int64 array.
-    ``tests/oracles.py::good_family`` is the same predicate on (a, b).
+    of 96 cannot express.  So the table is the 96-table tiled 4x4 and the clause
+    (``_clause_mod128``) tiled 3x3, with no full-grid int64 array, at the first
+    call.  ``tests/oracles.py::good_family`` is the same predicate on (a, b).
     """
-    a, b = np.ogrid[:128, :128]
-    clause = (b % 2 == 0) | ((b - (a // 2) ** 2) % 128 == 64)
-    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(clause, (3, 3))
+    table = np.tile(FAMILY_MOD96, (4, 4)) & np.tile(_clause_mod128(), (3, 3))
     table.flags.writeable = False
     return table
 
@@ -431,9 +428,9 @@ def _pair_counts(Z: int, a_lo: int, a_hi: int, families: tuple) -> list[int]:
         if not len(a):
             continue
         cols, los, his = _block_intervals(a, Zd)
-        for i, (_, below, per_row, _, zero_free) in enumerate(layouts):
-            n = len(per_row)
-            count = int(_runs(cols, los, his, layouts[i])[2].sum())
+        for i, layout in enumerate(layouts):
+            below, n, zero_free = layout[1], len(layout[2]), layout[4]
+            count = int(_runs(cols, los, his, layout)[-1].sum())
             if not zero_free:  # row k admits r when below[k, r + 1] > below[k, r]
                 base, r = a % n * (n + 1), a * a // 4 % n
                 count -= int(below[base + 1].sum()) + int(np.count_nonzero(
@@ -466,7 +463,7 @@ def _star_rows(Z: int, a_lo: int, a_hi: int, use_family) -> tuple[int, list]:
             continue
         cols, los, his = _block_intervals(a, Zp)
         runs = _runs(cols, los, his, layout)
-        ends = np.cumsum(runs[2])
+        ends = np.cumsum(runs[-1])
         copies = [q for q in ar.primes_from_5(ar._iroot(Zp, 8)).tolist() if q != p]
         ahead = 10
         for run in np.split(np.arange(len(cols)), np.flatnonzero(np.diff((ends - 1) // _STAR_ROWS)) + 1):
@@ -599,14 +596,17 @@ def _default_cutoffs(X: int) -> tuple:
 
 def _predicate_vs_tate(a: np.ndarray, b: np.ndarray, in_family: bool) -> tuple[int, int]:
     """The curves (a, b) in the mod-96 predicate, and those of them that
-    Tate's algorithm finds bad at 2: those not in its Tate-exact classes
-    ``_good_mod384``, the table a count counts.  The predicate is exact at 3
-    (3 divides no b (a^2 - 4b) it admits), so the good classes lie inside it.
-    Rows swept from the predicate's classes (in_family) are all in it; the
-    others are looked up in ``FAMILY_MOD96``.
+    Tate's algorithm finds bad at 2: outside the clause at (a & 127, b & 127),
+    read in a third of the time of ``_good_mod384`` at (a % 384, b % 384).  The
+    predicate is exact at 3 (3 divides no b (a^2 - 4b) it admits), and its
+    Tate-exact part ``_good_mod384`` is it and ``_clause_mod128``.  Rows not
+    swept from the predicate's classes (in_family false) are looked up in it.
     """
-    family = len(a) if in_family else int(np.count_nonzero(FAMILY_MOD96[a % 96, b % 96]))
-    return family, family - int(np.count_nonzero(_good_mod384()[a % 384, b % 384]))
+    if not in_family:
+        fam = FAMILY_MOD96.ravel()[a % 96 * 96 + b % 96]
+        a, b = a[fam], b[fam]
+    cell = (a & 127) << 7 | b & 127
+    return len(a), len(a) - int(np.count_nonzero(_clause_mod128().ravel()[cell]))
 
 
 # The parameters of the one tail a CubeFree or Kappa report carries
