@@ -5,8 +5,10 @@ wall time, version, config hash) so outputs are self-describing.  JSON goes
 to stdout by default; --out picks CSV or JSON by file extension.  CSV files
 carry the manifest in '#'-prefixed comment lines above the header row.
 JSON reports are written by ``_write``, one recursive writer whose bytes are
-those of ``json.dumps(report, indent=2, sort_keys=True)``; the stdlib's
-indent path is its pure-Python encoder, and the tests keep it as the oracle.
+those of ``json.dumps(report, indent=2, sort_keys=True)``, the tests' oracle.
+It writes the types a report holds and hands json any other value, a path no
+report may take: json's indent encoder is pure Python, twice the cost, and
+leaves a reference cycle per call.  A CSV report builds no JSON text.
 
 Exit codes: 0 success, 2 configuration error, 3 internal check failure
 (an oracle disagreement; never silently swallowed).
@@ -94,73 +96,32 @@ def _encode(x):
 
 
 _quote = json.encoder.encode_basestring_ascii
-_JSON_TYPES = frozenset((str, int, float, dict, list, tuple))
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _write(o, append, newline: str) -> None:
     """Append the JSON text of ``o`` to a report, in pieces, through ``append``.
 
     The text is byte for byte ``json.dumps(o, indent=2, sort_keys=True,
-    default=_encode)``, whose indent runs json's pure-Python encoder at about
-    twice the cost.  ``newline`` is the line break and indent of o's own
+    default=_encode)``.  ``newline`` is the line break and indent of o's own
     line; o's items go one level deeper.  A report is a tree, so there is no
-    check for cycles.
+    check for cycles.  Written here are the exact types a report holds (str,
+    int, finite float, None, bool, list, tuple, dicts keyed by str) and what
+    ``_encode`` maps.  Any other JSON value (a subclass of those types, NaN
+    or +-inf, a dict keyed by int, float, bool or None) is handed to json
+    whole.  No report may take that path: json's indent encoder is pure
+    Python, twice the cost, and leaves a reference cycle on every call, which
+    keeps the text alive until the cyclic GC runs.
     """
     t = type(o)
-    if t not in _JSON_TYPES:
-        # a subclass is written as its base, found in json's own order
-        if o is None:
-            append("null")
-            return
-        if o is True or o is False:
-            append("true" if o else "false")
-            return
-        if isinstance(o, str):
-            t = str
-        elif isinstance(o, int):
-            t = int
-        elif isinstance(o, float):
-            t = float
-        elif isinstance(o, (list, tuple)):
-            t = list
-        elif isinstance(o, dict):
-            t = dict
-        else:
-            _write(_encode(o), append, newline)
-            return
     if t is str:
         append(_quote(o))
     elif t is int:
         append(int.__repr__(o))  # past 4300 digits: ValueError, as in json
-    elif t is float:
-        append(_float_text(o))
-    elif not o:
-        append("{}" if t is dict else "[]")
-    elif t is dict:
+    elif t is dict and o and isinstance((items := sorted(o.items()))[0][0], str):
+        # json's order, on the keys as given; a str sorts against str alone
         inner = newline + "  "
         sep = "{" + inner
-        for key, value in sorted(o.items()):  # json's order: on the keys as given
-            if isinstance(key, str):
-                pass
-            elif isinstance(key, float):
-                key = _float_text(key)
-            elif key is True or key is False or key is None:
-                key = "null" if key is None else "true" if key else "false"
-            elif isinstance(key, int):
-                key = int.__repr__(key)
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {key.__class__.__name__}")
+        for key, value in items:
             append(sep)
             append(_quote(key))
             append(": ")
@@ -168,7 +129,7 @@ def _write(o, append, newline: str) -> None:
             _write(value, append, inner)
         append(newline)
         append("}")
-    else:
+    elif (t is list or t is tuple) and o:
         inner = newline + "  "
         sep = "[" + inner
         for value in o:
@@ -177,19 +138,30 @@ def _write(o, append, newline: str) -> None:
             _write(value, append, inner)
         append(newline)
         append("]")
+    elif t is float and o - o == 0.0:  # finite: inf - inf and NaN - NaN are NaN
+        append(float.__repr__(o))
+    elif o is None:
+        append("null")
+    elif o is True or o is False:
+        append("true" if o else "false")
+    elif (t is dict or t is list or t is tuple) and not o:
+        append("{}" if t is dict else "[]")
+    elif isinstance(o, (str, int, float, list, tuple, dict)):
+        append(json.dumps(o, indent=2, sort_keys=True, default=_encode).replace("\n", newline))
+    else:
+        _write(_encode(o), append, newline)
 
 
 def _emit(out: Optional[str], manifest: RunManifest, scalars: dict,
           header: list, rows: list, payload: dict) -> None:
-    chunks = []
-    _write({"manifest": manifest, **payload}, chunks.append, "\n")
-    chunks.append("\n")
-    text = "".join(chunks)
-    if out is None:
-        sys.stdout.write(text)
-        return
-    if out.endswith(".json"):
-        Path(out).write_text(text)
+    if out is None or out.endswith(".json"):
+        chunks = []
+        _write({"manifest": manifest, **payload}, chunks.append, "\n")
+        chunks.append("\n")
+        if out is None:
+            sys.stdout.write("".join(chunks))
+        else:
+            Path(out).write_text("".join(chunks))
         return
     import csv  # here, not at import: no JSON report needs it
 

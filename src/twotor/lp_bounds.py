@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 HALF = Fraction(1, 2)
@@ -208,9 +209,10 @@ def _phase(tab, basis, d, n_cols) -> int:
 
 def _as_integers(rows) -> tuple:
     """(integer rows, L): the rows times the least L > 0 that makes them integral."""
-    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-    L = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (L // v.denominator) for v in row] for row in rows], L
+    rows = [[(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+             for v in row] for row in rows]  # one call, not three properties, per entry
+    L = lcm(*(d for row in rows for _, d in row))
+    return [[n * (L // d) for n, d in row] for row in rows], L
 
 
 def _simplex_min_eq(c, A, b):
@@ -274,23 +276,30 @@ def solve_simplex(lp: LinearProgram):
 def sweep_grid(deltas=None, rs=None) -> list:
     """Certificate vs simplex on a (delta, r) grid; exact equality expected.
 
-    The primal certificate is checked per point, the dual once: (delta, r)
-    enters the dual's objective only, not _MATRIX^T y <= _OBJECTIVE.
+    The primal certificate x* is checked per point, the dual y* once: (delta,
+    r) enters the dual's objective only, not _MATRIX^T y <= _OBJECTIVE.  At
+    each point c.x* = b.y* = certificate_value is checked in integers, all
+    vectors times one L, so weak duality proves that value the optimum.
     Returns rows (delta, r, certificate_value, simplex_value, match).
     """
     if deltas is None:
         deltas = [Fraction(k, 100) for k in range(11)]
     if rs is None:
         rs = [Fraction(0), Fraction(1, 200), Fraction(1, 102), Fraction(1, 100)]
-    if not check_feasible(build_dual(build_primal(0, 0)), certificate_dual()):
+    dual = certificate_dual()
+    if not check_feasible(build_dual(build_primal(0, 0)), dual):
         raise CertificateError("the dual certificate is infeasible")
     rows = []
     for d in deltas:
         for r in rs:
             lp = build_primal(d, r)
             cert = certificate_value(d, r)
-            if not check_feasible(lp, certificate_primal(d, r)):
+            if not check_feasible(lp, primal := certificate_primal(d, r)):
                 raise CertificateError(f"the primal certificate is infeasible at "
+                                       f"delta = {d}, r = {r}")
+            (c, b, x, y, (v,)), L = _as_integers([lp.objective, lp.rhs, primal, dual, [cert]])
+            if not sum(map(mul, c, x)) == sum(map(mul, b, y)) == L * v:
+                raise CertificateError(f"the certificates' objectives are not {cert} at "
                                        f"delta = {d}, r = {r}")
             opt, _ = solve_simplex(lp)
             rows.append((Fraction(d), Fraction(r), cert, opt, cert == opt))

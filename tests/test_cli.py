@@ -1,5 +1,6 @@
 """Exit codes, report formats, and manifest determinism for the CLI."""
 
+import ast
 import collections
 import contextlib
 import gc
@@ -366,7 +367,13 @@ class TestReportWriter:
             written(obj)
         assert str(ours.value) == str(stdlib.value)
 
-    @pytest.mark.parametrize("argv", [["census", "--x", "1e4"], ["classify", "150", "3125"]])
+    @pytest.mark.parametrize("argv", [
+        ["census", "--x", "1e4"], ["classify", "150", "3125"], ["lp", "--sweep"], ["euler"],
+        ["tails", "index", "--x", "1e3"], ["tails", "szpiro", "--x", "1e3"],
+        ["local-density", "--p", "5", "--class", "III", "--check"],
+        ["real-density", "--method", "quad"],
+        ["real-density", "--method", "mc", "--samples", "2000"],
+    ])
     def test_emit_leaves_no_reference_cycle(self, argv):
         # a cycle would keep each report's pieces alive until the cyclic GC runs
         args = cli.build_parser().parse_args(argv)
@@ -381,6 +388,16 @@ class TestReportWriter:
         finally:
             gc.enable()
         assert out.getvalue() == stdlib_report_text({"manifest": manifest, **payload}) + "\n"
+
+    @pytest.mark.parametrize("argv", [["census", "--x", "1e4"], ["classify", "150", "3125"]])
+    def test_csv_report_builds_no_json(self, argv, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        expected = strip_volatile(out.read_text())
+        out.unlink()
+        monkeypatch.setattr(cli, "_write", lambda *a: pytest.fail("a CSV report wrote JSON"))
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert strip_volatile(out.read_text()) == expected
 
 
 class TestLocalDensityCommand:
@@ -489,6 +506,17 @@ class TestLpCommand:
                               text=True, timeout=60)
         assert proc.returncode == 3 and proc.stdout == ""
         assert "certificate is infeasible" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["lp", "--sweep"], ["lp", "--delta", "0", "--r", "0"]])
+    def test_feasible_certificate_off_the_optimum_fails_under_optimize(self, argv):
+        # this dual is feasible, with objective 1 - 2 delta + 2 r, not the optimum
+        code = ("import sys; from twotor import cli, lp_bounds; "
+                "lp_bounds.certificate_dual = lambda: (0, 2, 0, 2, 2); "
+                f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "the certificates' objectives are not 3/2 at delta = 0, r = 0" in proc.stderr
 
     def test_bad_fraction_rejected(self, capsys):
         assert cli.main(["lp", "--delta", "zero"]) == 2
@@ -728,6 +756,28 @@ class TestPlumbing:
         # no module of the package imports mpmath; the tests do
         assert not any(d.startswith("mpmath") for d in project["dependencies"])
         assert any(d.startswith("mpmath") for d in project["optional-dependencies"]["test"])
+
+    def test_readme_quick_start_runs_as_written(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library quick start", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace, values = {}, []
+        for node in ast.parse(block).body:  # each expression's value, as a REPL shows it
+            if isinstance(node, ast.Expr):
+                values.append(eval(compile(ast.Expression(node.value), "README", "eval"),
+                                   namespace))
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+        comments = [ln.split("#", 1)[1].strip() for ln in block.splitlines() if "#" in ln]
+        assert comments[:6] == ["III, conductor exponent 2", "400", "(25, 1)", "2.792...",
+                                "Fraction(4, 625)", "Fraction(1, 32)"]
+        symbol, conductor, pair, avg, i0star, good23, ratio = values
+        assert str(symbol) == "III"
+        assert namespace["tate_algorithm"](namespace["c"], 5).conductor_exponent == 2
+        assert (conductor, pair) == (400, (25, 1))
+        assert math.floor(avg * 1000) == 2792
+        assert (i0star, good23) == (Fraction(4, 625), Fraction(1, 32))
+        assert comments[6].endswith("~ 0.97") and round(ratio, 4) == 0.9706
 
     def test_module_invocation(self):
         proc = subprocess.run(
